@@ -21,6 +21,7 @@ from .data import (
     RawSeries,
     SplitSpec,
     SyntheticSpec,
+    WindowSet,
     exclude_channels,
     load_csv,
     make_windows,
@@ -266,11 +267,11 @@ def _probe_rows(samples, limit: int = 64) -> np.ndarray:
 
 
 def _train_once(config: ExperimentConfig, model_cfg: ModelConfig,
-                series: RawSeries) -> tuple[FilterFormer, object, Metrics]:
+                series: RawSeries) -> tuple[FilterFormer, object, Metrics, WindowSet]:
     windows = make_windows(series, config.split, model_cfg.lookback, model_cfg.horizon)
     model = FilterFormer(model_cfg, np.random.default_rng([config.train.seed, 0]))
     result = fit(model, windows, config.train)
-    return model, result, evaluate(model, windows.test)
+    return model, result, evaluate(model, windows.test), windows
 
 
 def run(config: ExperimentConfig) -> RunReport:
@@ -285,7 +286,7 @@ def run(config: ExperimentConfig) -> RunReport:
 
     for horizon in config.horizons:
         model_cfg = dataclasses.replace(config.model, horizon=horizon)
-        model, result, metrics = _train_once(config, model_cfg, series)
+        model, result, metrics, windows = _train_once(config, model_cfg, series)
         metrics_rows.append((horizon, metrics))
         param_counts[horizon] = count_parameters(model)[0]
         epochs_run[horizon] = result.stopped_epoch
@@ -297,7 +298,6 @@ def run(config: ExperimentConfig) -> RunReport:
         save_checkpoint(model, base + ".ckpt")
         artifacts.append(base + ".ckpt")
         if model.spectral_filters():
-            windows = make_windows(series, config.split, model_cfg.lookback, horizon)
             probe = _probe_rows(windows.test)
             artifacts.extend(
                 export_spectra(model, probe, config.out_dir, f"{config.tag}_h{horizon}")
@@ -333,7 +333,7 @@ def _sweep(config: ExperimentConfig, column: str, settings) -> tuple[list, str]:
     os.makedirs(config.out_dir, exist_ok=True)
     rows = []
     for label, model_cfg in settings:
-        _, _, metrics = _train_once(config, model_cfg, series)
+        _, _, metrics, _ = _train_once(config, model_cfg, series)
         rows.append((label, metrics))
     path = os.path.join(config.out_dir, f"{config.tag}_ablate_{column}.csv")
     _write_sweep_csv(path, column, rows)

@@ -10,8 +10,6 @@ from .network import (
     attention_block_forward,
     count_parameters,
     embed_patches,
-    filterformer_forward,
-    forecast_head,
     patchify,
 )
 from .revin import RevIN, RevInState, revin_denormalize, revin_normalize
@@ -27,8 +25,6 @@ __all__ = [
     "attention_block_forward",
     "count_parameters",
     "embed_patches",
-    "filterformer_forward",
-    "forecast_head",
     "load_checkpoint",
     "patchify",
     "revin_denormalize",

@@ -48,8 +48,15 @@ def load_checkpoint(path) -> FilterFormer:
         blob = fh.read()
     if not blob.startswith(MAGIC):
         raise DataError(f"{path}: not a checkpoint file (bad magic)")
-    header_len = struct.unpack(">I", blob[len(MAGIC):len(MAGIC) + 4])[0]
     header_start = len(MAGIC) + 4
+    if len(blob) < header_start:
+        raise DataError(f"{path}: truncated checkpoint (no header length)")
+    header_len = struct.unpack(">I", blob[len(MAGIC):header_start])[0]
+    if len(blob) < header_start + header_len:
+        raise DataError(
+            f"{path}: truncated checkpoint (header needs {header_len} bytes, "
+            f"{len(blob) - header_start} present)"
+        )
     try:
         header = json.loads(blob[header_start:header_start + header_len])
     except ValueError as exc:
@@ -65,6 +72,11 @@ def load_checkpoint(path) -> FilterFormer:
         shape = tuple(entry["shape"])
         count = int(np.prod(shape)) if shape else 1
         start = entry["offset"]
+        if start < 0 or start + 8 * count > len(payload):
+            raise DataError(
+                f"{path}: entry {name!r} needs bytes {start}..{start + 8 * count} "
+                f"of a {len(payload)}-byte payload"
+            )
         arr = np.frombuffer(payload, dtype="<f8", count=count, offset=start)
         arr = arr.astype(np.float64).reshape(shape)
         target = value.data if isinstance(value, Tensor) else value

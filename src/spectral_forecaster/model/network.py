@@ -30,7 +30,10 @@ class ModelConfig:
 
     ``stride`` defaults to ``patch_len`` (non-overlapping patches) and ``d_k``
     to ``d_model // n_heads``. ``alpha`` of the ``total_layers`` blocks are
-    spectral, the rest attention; spectral blocks always come first.
+    spectral, the rest attention; spectral blocks always come first. With
+    ``filter_placement="pre-embedding"`` the ``alpha`` filters act on the
+    input instead, and they still count against ``total_layers``: the
+    embedded stack holds ``total_layers - alpha`` attention blocks.
     """
 
     lookback: int
@@ -233,10 +236,6 @@ class ForecastHead(Module):
         return self.lin(T.flatten(y, start_axis=1))
 
 
-def forecast_head(head: ForecastHead, y: Tensor) -> Tensor:
-    return head(y)
-
-
 class FilterFormer(Module):
     """RevIN, patch embedding, alpha spectral + (total - alpha) attention blocks, head.
 
@@ -343,12 +342,6 @@ class FilterFormer(Module):
             return np.concatenate(outs, axis=0).reshape(lead + (self.config.horizon,))
         finally:
             self.train(was_training)
-
-
-def filterformer_forward(model: FilterFormer, x: np.ndarray,
-                         rng: np.random.Generator | None = None) -> Tensor:
-    """Forward a (channels, lookback) matrix through the model."""
-    return model(x, rng)
 
 
 def count_parameters(model_or_config) -> tuple[int, dict[str, int]]:

@@ -2,10 +2,9 @@
 
 The forward transform of a length-``n`` real sequence is stored as the first
 ``n // 2 + 1`` complex bins; the remaining bins are conjugate mirrors and are
-never materialized. Power-of-two lengths run through an iterative radix-2
-Cooley-Tukey kernel vectorized over leading axes; every other length goes
-through Bluestein's chirp-z algorithm, which reduces to power-of-two FFTs of
-a padded length. Everything is float64 in and float64 out.
+never materialized. The kernels are numpy's pocketfft (``numpy.fft.rfft`` and
+``numpy.fft.irfft``), vectorized over leading axes and O(n log n) at every
+length. Everything is float64 in and float64 out.
 """
 
 from __future__ import annotations
@@ -22,103 +21,10 @@ __all__ = ["Spectrum", "dft", "idft", "rfft_kernel", "irfft_kernel", "n_bins"]
 # corrupted spectrum rather than roundoff
 _ENDPOINT_TOL = 1e-9
 
-_rev_cache: dict[int, np.ndarray] = {}
-_twiddle_cache: dict[int, np.ndarray] = {}
-_bluestein_cache: dict[int, tuple[int, np.ndarray, np.ndarray]] = {}
-
 
 def n_bins(n: int) -> int:
     """Number of stored bins for a length-``n`` real sequence."""
     return n // 2 + 1
-
-
-def _bit_reversal(n: int) -> np.ndarray:
-    perm = _rev_cache.get(n)
-    if perm is None:
-        bits = n.bit_length() - 1
-        x = np.arange(n, dtype=np.intp)
-        perm = np.zeros(n, dtype=np.intp)
-        for _ in range(bits):
-            perm = (perm << 1) | (x & 1)
-            x >>= 1
-        perm.flags.writeable = False
-        _rev_cache[n] = perm
-    return perm
-
-
-def _twiddles(m: int) -> np.ndarray:
-    tw = _twiddle_cache.get(m)
-    if tw is None:
-        tw = np.exp(-2j * np.pi * np.arange(m // 2) / m)
-        tw.flags.writeable = False
-        _twiddle_cache[m] = tw
-    return tw
-
-
-def _fft_pow2(a: np.ndarray) -> np.ndarray:
-    """Complex FFT along the last axis; length must be a power of two."""
-    n = a.shape[-1]
-    out = np.asarray(a, dtype=np.complex128)
-    if n == 1:
-        return out.copy()
-    lead = a.shape[:-1]
-    out = out[..., _bit_reversal(n)]
-    m = 2
-    while m <= n:
-        half = m // 2
-        tw = _twiddles(m)
-        v = out.reshape(lead + (n // m, m))
-        even = v[..., :half]
-        odd = v[..., half:] * tw
-        out = np.concatenate((even + odd, even - odd), axis=-1).reshape(lead + (n,))
-        m *= 2
-    return out
-
-
-def _ifft_pow2(a: np.ndarray) -> np.ndarray:
-    return np.conj(_fft_pow2(np.conj(a))) / a.shape[-1]
-
-
-def _bluestein_tables(n: int) -> tuple[int, np.ndarray, np.ndarray]:
-    cached = _bluestein_cache.get(n)
-    if cached is None:
-        m = 1
-        while m < 2 * n - 1:
-            m <<= 1
-        k = np.arange(n, dtype=np.int64)
-        # k*k mod 2n keeps the chirp angle in [0, 2*pi) without precision loss
-        chirp = np.exp(-1j * np.pi * ((k * k) % (2 * n)) / n)
-        b = np.zeros(m, dtype=np.complex128)
-        b[:n] = np.conj(chirp)
-        if n > 1:
-            b[m - n + 1 :] = np.conj(chirp[1:][::-1])
-        fb = _fft_pow2(b)
-        chirp.flags.writeable = False
-        fb.flags.writeable = False
-        cached = (m, chirp, fb)
-        _bluestein_cache[n] = cached
-    return cached
-
-
-def _bluestein(a: np.ndarray) -> np.ndarray:
-    """Complex FFT along the last axis for arbitrary lengths (chirp-z)."""
-    n = a.shape[-1]
-    m, chirp, fb = _bluestein_tables(n)
-    padded = np.zeros(a.shape[:-1] + (m,), dtype=np.complex128)
-    padded[..., :n] = a * chirp
-    conv = _ifft_pow2(_fft_pow2(padded) * fb)
-    return conv[..., :n] * chirp
-
-
-def _fft(a: np.ndarray) -> np.ndarray:
-    n = a.shape[-1]
-    if n & (n - 1) == 0:
-        return _fft_pow2(a)
-    return _bluestein(a)
-
-
-def _ifft(a: np.ndarray) -> np.ndarray:
-    return np.conj(_fft(np.conj(a))) / a.shape[-1]
 
 
 def rfft_kernel(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -132,7 +38,7 @@ def rfft_kernel(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = x.shape[-1]
     if n == 0:
         raise ValueError("cannot transform an empty sequence")
-    spec = _fft(x.astype(np.complex128))[..., : n_bins(n)]
+    spec = np.fft.rfft(x, axis=-1)
     re = np.ascontiguousarray(spec.real)
     im = np.ascontiguousarray(spec.imag)
     im[..., 0] = 0.0
@@ -144,9 +50,11 @@ def rfft_kernel(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def irfft_kernel(re: np.ndarray, im: np.ndarray, n: int) -> tuple[np.ndarray, float]:
     """Inverse of :func:`rfft_kernel` for origin length ``n``.
 
-    Reconstructs the full conjugate-symmetric spectrum, inverse-transforms it,
-    and discards the imaginary part of the result. Returns the real output
-    together with the largest imaginary magnitude seen before the discard.
+    Returns the real output together with the largest imaginary magnitude
+    that inverting the full conjugate-symmetric spectrum would produce. The
+    mirrored interior bins cancel exactly, so that imaginary part comes only
+    from the endpoint bins: ``(|im[0]| + |im[-1]|) / n`` for even ``n``,
+    ``|im[0]| / n`` for odd ``n``. The real output ignores those parts.
     """
     re = np.asarray(re, dtype=np.float64)
     im = np.asarray(im, dtype=np.float64)
@@ -155,14 +63,14 @@ def irfft_kernel(re: np.ndarray, im: np.ndarray, n: int) -> tuple[np.ndarray, fl
         raise ValueError(
             f"expected {k} bins for origin length {n}, got re{re.shape} im{im.shape}"
         )
-    half = re + 1j * im
-    full = np.empty(re.shape[:-1] + (n,), dtype=np.complex128)
-    full[..., :k] = half
-    if n > 1:
-        full[..., k:] = np.conj(half[..., 1 : n - k + 1][..., ::-1])
-    z = _ifft(full)
-    residual = float(np.max(np.abs(z.imag))) if z.size else 0.0
-    return np.ascontiguousarray(z.real), residual
+    out = np.fft.irfft(re + 1j * im, n=n, axis=-1)
+    residual = 0.0
+    if im.size:
+        stray = np.abs(im[..., 0])
+        if n % 2 == 0:
+            stray = stray + np.abs(im[..., -1])
+        residual = float(np.max(stray)) / n
+    return out, residual
 
 
 @dataclass(frozen=True)

@@ -304,7 +304,12 @@ def matmul(a, b) -> Tensor:
 
     def bwd(g):
         ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
-        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+        if b.ndim == 2:
+            # shared weight: one GEMM over all rows instead of a batched
+            # (rows, d_in, d_out) product summed down afterwards
+            gb = a.data.reshape(-1, b.shape[0]).T @ g.reshape(-1, b.shape[1])
+        else:
+            gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
         return ga, gb
 
     return _from_op(out, "matmul", (a, b), bwd)

@@ -1,5 +1,6 @@
 """Exit codes, flag handling, and file outputs of the command-line interface."""
 
+import dataclasses
 import json
 import os
 
@@ -152,6 +153,35 @@ class TestExportSpectraCommand:
         code = cli.main(["export-spectra", "--config", str(p)])
         assert code == 2
         assert "no spectral filters" in capsys.readouterr().err
+
+    def test_checkpoint_without_header_length_exits_3(self, tmp_path, capsys):
+        from spectral_forecaster.model.checkpoint import MAGIC
+
+        ckpt = tmp_path / "short.ckpt"
+        ckpt.write_bytes(MAGIC + b"\x00\x01")
+        assert len(ckpt.read_bytes()) == 10
+        code = cli.main([
+            "export-spectra", "--tiny", "--out", str(tmp_path / "s"), "--checkpoint", str(ckpt),
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "truncated" in err
+
+    def test_checkpoint_missing_payload_tail_exits_3(self, tmp_path, capsys):
+        from spectral_forecaster.experiments import tiny_experiment_config
+        from spectral_forecaster.model import FilterFormer, save_checkpoint
+
+        cfg = tiny_experiment_config()
+        model_cfg = dataclasses.replace(cfg.model, horizon=cfg.horizons[0])
+        ckpt = tmp_path / "cut.ckpt"
+        save_checkpoint(FilterFormer(model_cfg, np.random.default_rng(0)), ckpt)
+        ckpt.write_bytes(ckpt.read_bytes()[:-40])
+        code = cli.main([
+            "export-spectra", "--tiny", "--out", str(tmp_path / "s"), "--checkpoint", str(ckpt),
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "payload" in err
 
 
 class TestUtilityCommands:

@@ -108,6 +108,20 @@ class TestRoundTripAndIdentities:
         assert residual < 1e-9
         np.testing.assert_allclose(out, x, atol=1e-10)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 13, 32, 96, 336])
+    def test_residual_with_nonzero_endpoint_imaginary_parts(self, n):
+        rng = np.random.default_rng(300 + n)
+        k = n_bins(n)
+        re = rng.standard_normal((3, 2, k))
+        im = rng.standard_normal((3, 2, k))  # endpoints included: not a real spectrum
+        out, residual = irfft_kernel(re, im, n)
+        rows = zip(re.reshape(-1, k), im.reshape(-1, k))
+        full = np.stack([half_to_full(r, i, n) for r, i in rows])
+        z = np.fft.ifft(full, axis=-1)
+        assert residual > 0.0
+        assert abs(residual - np.max(np.abs(z.imag))) < 1e-12
+        np.testing.assert_allclose(out, z.real.reshape(out.shape), atol=1e-12)
+
     def test_batched_leading_axes(self):
         rng = np.random.default_rng(7)
         x = rng.standard_normal((3, 4, 16))

@@ -227,3 +227,42 @@ class TestGradientsAgainstFiniteDifferences:
             return T.mean(out * out)
 
         gradcheck(fn, x, w)
+
+
+class TestSharedWeightMatmul:
+    """A stacked activation times one 2-D weight: the weight gradient sums over every row."""
+
+    @staticmethod
+    def batched_weight_grad(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+        return np.sum(np.swapaxes(a, -1, -2) @ g, axis=tuple(range(a.ndim - 2)))
+
+    @pytest.mark.parametrize("shape", [(3, 5, 4), (2, 3, 5, 4)])
+    @pytest.mark.parametrize("swapped", [False, True])
+    def test_weight_grad_matches_batched_formula(self, shape, swapped):
+        rng = np.random.default_rng(70 + len(shape))
+        x = rng.standard_normal(shape)
+        if swapped:
+            # a transposed view: the activation reaching matmul is not contiguous
+            x = np.ascontiguousarray(np.swapaxes(x, 0, -2))
+        w = rng.standard_normal((4, 6))
+        proj = rng.standard_normal(shape[:-1] + (6,))
+        a, b = Parameter(x), Parameter(w)
+        act = T.swapaxes(a, 0, -2) if swapped else a
+        assert act.data.flags.c_contiguous is not swapped
+        backward(T.sum((act @ b) * proj))
+        np.testing.assert_allclose(b.grad, self.batched_weight_grad(act.data, proj), atol=1e-12)
+        np.testing.assert_allclose(
+            a.grad, np.swapaxes(proj @ w.T, 0, -2) if swapped else proj @ w.T, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("shape", [(3, 5, 4), (2, 3, 5, 4)])
+    def test_against_finite_differences(self, shape):
+        rng = np.random.default_rng(80 + len(shape))
+        x = rng.standard_normal(shape)
+        gradcheck(lambda a, w: T.mean((a @ w) * (a @ w)), x, rng.standard_normal((4, 3)))
+        swapped = np.ascontiguousarray(np.swapaxes(x, 0, -2))
+        gradcheck(
+            lambda a, w: T.mean(T.gelu(T.swapaxes(a, 0, -2) @ w)),
+            swapped,
+            rng.standard_normal((4, 3)),
+        )
