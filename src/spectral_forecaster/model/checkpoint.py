@@ -14,9 +14,9 @@ import struct
 
 import numpy as np
 
-from ..errors import DataError
+from ..errors import ConfigError, DataError
 from ..numeric.tensor import Tensor
-from .network import FilterFormer, ModelConfig
+from .network import FilterFormer, ModelConfig, count_parameters
 
 MAGIC = b"SFCKPT1\n"
 
@@ -61,10 +61,21 @@ def load_checkpoint(path) -> FilterFormer:
         header = json.loads(blob[header_start:header_start + header_len])
     except ValueError as exc:
         raise DataError(f"{path}: corrupt checkpoint header: {exc}") from exc
-    cfg = ModelConfig.from_dict(header["config"])
-    model = FilterFormer(cfg, np.random.default_rng(0))
+    entries = _checked_entries(path, header)
     payload = blob[header_start + header_len:]
-    by_name = {e["name"]: e for e in header["entries"]}
+    try:
+        cfg = ModelConfig.from_dict(header["config"])
+        n_params = count_parameters(cfg)[0]
+        # size the model from the config before allocating it
+        if 8 * n_params > len(payload):
+            raise DataError(
+                f"{path}: config needs {n_params} parameters, "
+                f"the payload holds {len(payload) // 8} values"
+            )
+        model = FilterFormer(cfg, np.random.default_rng(0))
+    except (ConfigError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: checkpoint header holds an invalid model config: {exc}") from exc
+    by_name = {e["name"]: e for e in entries}
     for name, value in model.named_state():
         entry = by_name.pop(name, None)
         if entry is None:
@@ -77,14 +88,40 @@ def load_checkpoint(path) -> FilterFormer:
                 f"{path}: entry {name!r} needs bytes {start}..{start + 8 * count} "
                 f"of a {len(payload)}-byte payload"
             )
-        arr = np.frombuffer(payload, dtype="<f8", count=count, offset=start)
-        arr = arr.astype(np.float64).reshape(shape)
         target = value.data if isinstance(value, Tensor) else value
         if target.shape != shape:
             raise DataError(
                 f"{path}: entry {name!r} has shape {shape}, model expects {target.shape}"
             )
+        arr = np.frombuffer(payload, dtype="<f8", count=count, offset=start).reshape(shape)
+        if not np.isfinite(arr).all():
+            raise DataError(f"{path}: entry {name!r} holds non-finite values")
         target[...] = arr
     if by_name:
         raise DataError(f"{path}: unexpected extra entries {sorted(by_name)}")
     return model
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _checked_entries(path, header) -> list[dict]:
+    """The header's entry list, once its keys and value types are known to be right."""
+    if not isinstance(header, dict):
+        raise DataError(f"{path}: checkpoint header is not a JSON object")
+    if not isinstance(header.get("config"), dict):
+        raise DataError(f"{path}: checkpoint header has no 'config' object")
+    entries = header.get("entries")
+    if not isinstance(entries, list):
+        raise DataError(f"{path}: checkpoint header has no 'entries' list")
+    for i, e in enumerate(entries):
+        if not (isinstance(e, dict) and isinstance(e.get("name"), str)
+                and isinstance(e.get("shape"), list)
+                and all(_is_int(d) and d >= 0 for d in e["shape"])
+                and _is_int(e.get("offset"))):
+            raise DataError(
+                f"{path}: checkpoint entry {i} needs a string 'name', a list-of-int "
+                "'shape' and an int 'offset'"
+            )
+    return entries

@@ -118,35 +118,7 @@ class ModelConfig:
 
 def patchify(x: np.ndarray, patch_len: int, stride: int) -> np.ndarray:
     """Slice the last axis into windows: patch i covers [i*stride, i*stride + patch_len)."""
-    x = np.asarray(x, dtype=np.float64)
-    length = x.shape[-1]
-    if patch_len > length:
-        raise ValueError(f"patch_len={patch_len} exceeds sequence length {length}")
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
-    n = (length - patch_len) // stride + 1
-    idx = stride * np.arange(n)[:, None] + np.arange(patch_len)
-    # fancy indexing with a leading ellipsis lays the result out subspace-first;
-    # force C order so downstream matmuls see the same layout as the gather path
-    return np.ascontiguousarray(x[..., idx])
-
-
-_patch_matrix_cache: dict[tuple[int, int, int], np.ndarray] = {}
-
-
-def _patch_matrix(length: int, patch_len: int, stride: int) -> np.ndarray:
-    # 0/1 gather matrix so patching is a matmul and stays differentiable
-    key = (length, patch_len, stride)
-    mat = _patch_matrix_cache.get(key)
-    if mat is None:
-        n = (length - patch_len) // stride + 1
-        mat = np.zeros((length, n * patch_len))
-        for i in range(n):
-            for j in range(patch_len):
-                mat[i * stride + j, i * patch_len + j] = 1.0
-        mat.flags.writeable = False
-        _patch_matrix_cache[key] = mat
-    return mat
+    return T.unfold(np.asarray(x, dtype=np.float64), patch_len, stride).data
 
 
 class PatchEmbedding(Module):
@@ -296,11 +268,7 @@ class FilterFormer(Module):
                 xn = f.apply(xn)
                 if capture is not None and i == 0:
                     capture["filter_output"] = np.array(xn.data)
-        cfg = self.config
-        gather = _patch_matrix(cfg.lookback, cfg.patch_len, cfg.stride)
-        patches = T.reshape(T.matmul(xn, gather),
-                            (x_rows.shape[0], cfg.n_patches, cfg.patch_len))
-        y = self.embedding(patches)
+        y = self.embedding(T.unfold(xn, self.config.patch_len, self.config.stride))
         for i, block in enumerate(self.blocks):
             if capture is not None and i == 0 and isinstance(block, SpectralBlock):
                 y = block(y, rng, capture=capture)

@@ -113,7 +113,11 @@ def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.nd
 
 
 class Linear(Module):
-    """y = x @ W (+ b), Xavier-uniform weight and zero bias."""
+    """y = x @ W (+ b), Xavier-uniform weight and zero bias.
+
+    The product and the bias are one tape node: every leading row of ``x``
+    shares ``W``, so forward and backward each run one 2-D GEMM.
+    """
 
     def __init__(self, in_features: int, out_features: int, rng: np.random.Generator,
                  bias: bool = True):
@@ -125,10 +129,7 @@ class Linear(Module):
             self.bias = None
 
     def forward(self, x: Tensor) -> Tensor:
-        y = T.matmul(x, self.weight)
-        if self.bias is not None:
-            y = T.add(y, self.bias)
-        return y
+        return T.matmul(x, self.weight, bias=self.bias)
 
 
 class Dropout(Module):
@@ -152,8 +153,9 @@ class Dropout(Module):
 class BatchNorm(Module):
     """Per-feature batch normalization pooling every axis but the last.
 
-    Training normalizes with batch statistics (population variance) and
-    updates running averages in place; evaluation uses the running averages.
+    Training normalizes with batch statistics (population variance) in one
+    tape node with an analytic backward, and updates running averages in
+    place; evaluation uses the running averages.
     """
 
     def __init__(self, num_features: int, momentum: float = 0.1, eps: float = 1e-5):
@@ -172,25 +174,26 @@ class BatchNorm(Module):
                 f"expected {self.num_features} features on the last axis, got shape {x.shape}"
             )
         if self.training:
-            flat = T.reshape(x, (-1, self.num_features))
-            mu = T.mean(flat, axis=0)
-            v = T.var(flat, axis=0)
+            out, mu, v = T.normalize(x, tuple(range(x.ndim - 1)), self.eps,
+                                     self.gamma, self.beta)
             m = self.momentum
             rm = self._buffers["running_mean"]
             rv = self._buffers["running_var"]
             rm *= 1.0 - m
-            rm += m * mu.data
+            rm += m * mu.reshape(-1)
             rv *= 1.0 - m
-            rv += m * v.data
-            xhat = T.div(T.sub(x, mu), T.sqrt(T.add(v, self.eps)))
-        else:
-            denom = np.sqrt(self._buffers["running_var"] + self.eps)
-            xhat = T.div(T.sub(x, self._buffers["running_mean"]), denom)
+            rv += m * v.reshape(-1)
+            return out
+        denom = np.sqrt(self._buffers["running_var"] + self.eps)
+        xhat = T.div(T.sub(x, self._buffers["running_mean"]), denom)
         return T.add(T.mul(xhat, self.gamma), self.beta)
 
 
 class InstanceNorm(Module):
-    """Per-row zero-mean unit-variance over the last axis, learnable feature affine."""
+    """Per-row zero-mean unit-variance over the last axis, learnable feature affine.
+
+    One tape node with an analytic backward.
+    """
 
     def __init__(self, num_features: int, eps: float = 1e-5):
         super().__init__()
@@ -204,10 +207,7 @@ class InstanceNorm(Module):
             raise ValueError(
                 f"expected {self.num_features} features on the last axis, got shape {x.shape}"
             )
-        mu = T.mean(x, axis=-1, keepdims=True)
-        v = T.var(x, axis=-1, keepdims=True)
-        xhat = T.div(T.sub(x, mu), T.sqrt(T.add(v, self.eps)))
-        return T.add(T.mul(xhat, self.gamma), self.beta)
+        return T.normalize(x, -1, self.eps, self.gamma, self.beta)[0]
 
 
 _ACTIVATIONS = {"gelu": T.gelu, "relu": T.relu}

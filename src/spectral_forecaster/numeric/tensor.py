@@ -38,11 +38,13 @@ __all__ = [
     "sum",
     "mean",
     "var",
+    "normalize",
     "sqrt",
     "exp",
     "relu",
     "gelu",
     "softmax",
+    "unfold",
     "rfft",
     "irfft",
 ]
@@ -296,23 +298,48 @@ def neg(a) -> Tensor:
     return _from_op(np.negative(a.data), "neg", (a,), bwd)
 
 
-def matmul(a, b) -> Tensor:
+def matmul(a, b, bias=None) -> Tensor:
+    """``a @ b``, plus ``bias`` along the last axis when given.
+
+    A 2-D ``b`` is a weight shared by every leading row of ``a``: the product,
+    the activation gradient and the weight gradient each run as one 2-D GEMM
+    over ``a`` folded to (rows, k), and the bias is added in place on the GEMM
+    output. A batched ``b`` broadcasts as numpy does and takes no bias.
+    """
     a, b = _wrap(a), _wrap(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError(f"matmul needs at least 2-D operands, got {a.shape} @ {b.shape}")
-    out = a.data @ b.data
+    if b.ndim > 2:
+        if bias is not None:
+            raise ValueError(f"bias needs a 2-D weight, got weight shape {b.shape}")
+        out = a.data @ b.data
+
+        def bwd(g):
+            ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
+            gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+            return ga, gb
+
+        return _from_op(out, "matmul", (a, b), bwd)
+
+    k, n = b.shape
+    if a.shape[-1] != k:
+        raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
+    a2 = a.data.reshape(-1, k)
+    out = a2 @ b.data
+    parents = (a, b)
+    if bias is not None:
+        bias = _wrap(bias)
+        if bias.shape != (n,):
+            raise ValueError(f"bias shape {bias.shape} does not match output width {n}")
+        out += bias.data
+        parents = (a, b, bias)
 
     def bwd(g):
-        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
-        if b.ndim == 2:
-            # shared weight: one GEMM over all rows instead of a batched
-            # (rows, d_in, d_out) product summed down afterwards
-            gb = a.data.reshape(-1, b.shape[0]).T @ g.reshape(-1, b.shape[1])
-        else:
-            gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
-        return ga, gb
+        g2 = g.reshape(-1, n)
+        grads = ((g2 @ b.data.T).reshape(a.shape), a2.T @ g2)
+        return grads if bias is None else grads + (g2.sum(axis=0),)
 
-    return _from_op(out, "matmul", (a, b), bwd)
+    return _from_op(out.reshape(a.shape[:-1] + (n,)), "matmul", parents, bwd)
 
 
 def transpose(a, axes=None) -> Tensor:
@@ -349,6 +376,35 @@ def flatten(a, start_axis: int = 0) -> Tensor:
     return reshape(a, a.shape[:start_axis] + (-1,))
 
 
+def unfold(a, size: int, step: int) -> Tensor:
+    """Sliding windows over the last axis: (..., L) -> (..., n, size).
+
+    Window i covers ``[i * step, i * step + size)`` and
+    ``n = (L - size) // step + 1``; samples past the last full window are
+    dropped. The backward pass adds each window's gradient back onto the
+    samples it was read from.
+    """
+    a = _wrap(a)
+    length = a.shape[-1]
+    if size > length:
+        raise ValueError(f"window size {size} exceeds sequence length {length}")
+    if step < 1:
+        raise ValueError(f"window step must be >= 1, got {step}")
+    n = (length - size) // step + 1
+    idx = step * np.arange(n)[:, None] + np.arange(size)
+    # fancy indexing with a leading ellipsis lays the result out subspace-first;
+    # force C order so the products downstream see row-major patches
+    out = np.ascontiguousarray(a.data[..., idx])
+
+    def bwd(g):
+        ga = np.zeros(a.shape)
+        for i in range(n):
+            ga[..., i * step:i * step + size] += g[..., i, :]
+        return (ga,)
+
+    return _from_op(out, "unfold", (a,), bwd)
+
+
 def sum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _wrap(a)
     out = a.data.sum(axis=axis, keepdims=keepdims)
@@ -379,6 +435,42 @@ def var(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _wrap(a)
     centered = sub(a, mean(a, axis=axis, keepdims=True))
     return mean(mul(centered, centered), axis=axis, keepdims=keepdims)
+
+
+def normalize(a, axis, eps: float, gamma, beta) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    """``gamma * (a - mean) / sqrt(var + eps) + beta`` as one node.
+
+    Mean and population variance are taken over ``axis`` (an int or a tuple,
+    as in numpy); ``gamma`` and ``beta`` live on the last axis. Returns the
+    output with the mean and variance arrays (kept dims), which are plain
+    numpy and carry no gradient.
+    """
+    a, gamma, beta = _wrap(a), _wrap(gamma), _wrap(beta)
+    width = a.shape[-1:]
+    if gamma.shape != width or beta.shape != width:
+        raise ValueError(
+            f"gamma {gamma.shape} and beta {beta.shape} must match the last axis of {a.shape}"
+        )
+    mu = a.data.mean(axis=axis, keepdims=True)
+    xhat = a.data - mu
+    v = np.mean(xhat * xhat, axis=axis, keepdims=True)
+    std = np.sqrt(v + eps)
+    xhat /= std
+    out = xhat * gamma.data
+    out += beta.data
+    rows = tuple(range(a.ndim - 1))
+
+    def bwd(g):
+        ggamma = (g * xhat).sum(axis=rows)
+        gbeta = g.sum(axis=rows)
+        gx = g * gamma.data
+        proj = np.mean(gx * xhat, axis=axis, keepdims=True)
+        gx -= gx.mean(axis=axis, keepdims=True)
+        gx -= xhat * proj
+        gx /= std
+        return gx, ggamma, gbeta
+
+    return _from_op(out, "normalize", (a, gamma, beta), bwd), mu, v
 
 
 def sqrt(a) -> Tensor:

@@ -101,7 +101,11 @@ class AdamState:
 
 
 def adam_step(state: AdamState, named_params, lr: float) -> None:
-    """One Adam update in place; gradients are read from the parameters."""
+    """One Adam update in place; gradients are read from the parameters.
+
+    Each parameter's update runs through one scratch array with ``out=``
+    ufuncs, so no full-size temporaries are allocated besides it.
+    """
     state.step += 1
     t = state.step
     bc1 = 1.0 - state.beta1 ** t
@@ -114,11 +118,21 @@ def adam_step(state: AdamState, named_params, lr: float) -> None:
             raise NumericError(f"non-finite gradient for parameter {name} at step {t}")
         m = state.m[name]
         v = state.v[name]
+        # an ndarray even for 0-d parameters, where g * g is a numpy scalar
+        tmp = np.empty_like(g)
         m *= state.beta1
-        m += (1.0 - state.beta1) * g
+        np.multiply(g, 1.0 - state.beta1, out=tmp)
+        m += tmp
         v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p.data[...] -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        np.multiply(g, g, out=tmp)
+        tmp *= 1.0 - state.beta2
+        v += tmp
+        np.divide(v, bc2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += state.eps
+        np.divide(m, tmp, out=tmp)
+        tmp *= lr / bc1
+        p.data[...] -= tmp
 
 
 @dataclass

@@ -183,6 +183,56 @@ class TestExportSpectraCommand:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "payload" in err
 
+    @staticmethod
+    def run_on_header(tmp_path, capsys, header: bytes, payload: bytes = b""):
+        import struct
+
+        from spectral_forecaster.model.checkpoint import MAGIC
+
+        ckpt = tmp_path / "odd.ckpt"
+        ckpt.write_bytes(MAGIC + struct.pack(">I", len(header)) + header + payload)
+        code = cli.main([
+            "export-spectra", "--tiny", "--out", str(tmp_path / "s"), "--checkpoint", str(ckpt),
+        ])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("data error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+        return err
+
+    def test_checkpoint_with_empty_config_exits_3(self, tmp_path, capsys):
+        err = self.run_on_header(tmp_path, capsys, b'{"config": {}, "entries": []}')
+        assert "model config" in err
+
+    def test_checkpoint_with_oversized_config_exits_3(self, tmp_path, capsys):
+        # a model of 10^6 features would need terabytes: rejected before allocation
+        header = json.dumps({"config": {"lookback": 16, "horizon": 8, "patch_len": 4,
+                                        "d_model": 10**6, "n_heads": 2}, "entries": []})
+        err = self.run_on_header(tmp_path, capsys, header.encode())
+        assert "parameters" in err
+
+    def test_checkpoint_with_list_header_exits_3(self, tmp_path, capsys):
+        err = self.run_on_header(tmp_path, capsys, b"[1, 2, 3]")
+        assert "not a JSON object" in err
+
+    def test_checkpoint_with_nan_value_exits_3(self, tmp_path, capsys):
+        from spectral_forecaster.experiments import tiny_experiment_config
+        from spectral_forecaster.model import FilterFormer, save_checkpoint
+        from spectral_forecaster.model.checkpoint import MAGIC
+
+        cfg = tiny_experiment_config()
+        model = FilterFormer(dataclasses.replace(cfg.model, horizon=cfg.horizons[0]),
+                             np.random.default_rng(0))
+        ckpt = tmp_path / "good.ckpt"
+        save_checkpoint(model, ckpt)
+        blob = ckpt.read_bytes()
+        start = len(MAGIC) + 4
+        hlen = int.from_bytes(blob[len(MAGIC):start], "big")
+        payload = bytearray(blob[start + hlen:])
+        payload[8:16] = np.array([np.nan], dtype="<f8").tobytes()
+        err = self.run_on_header(tmp_path, capsys, blob[start:start + hlen], bytes(payload))
+        assert "non-finite" in err
+
 
 class TestUtilityCommands:
     def test_param_count_matches_library(self, tmp_path, capsys):

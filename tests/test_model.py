@@ -322,6 +322,50 @@ class TestFilterFormer:
             )
 
 
+class TestFusedLayers:
+    def test_batchnorm_running_statistics_match_old_formula(self):
+        from spectral_forecaster.nn import BatchNorm
+
+        rng = np.random.default_rng(31)
+        norm = BatchNorm(4, momentum=0.3)
+        rm, rv = np.zeros(4), np.ones(4)
+        for _ in range(3):
+            x = rng.standard_normal((3, 5, 4)) * 2.0 + 1.0
+            # the statistics the unfused node chain computed: mean and
+            # population variance of the rows flattened to (-1, features)
+            flat = x.reshape(-1, 4)
+            centered = flat - flat.mean(axis=0, keepdims=True)
+            rm = 0.7 * rm + 0.3 * flat.mean(axis=0)
+            rv = 0.7 * rv + 0.3 * (centered * centered).mean(axis=0)
+            norm(T.swapaxes(Tensor(np.swapaxes(x, 0, 1)), 0, 1))  # x, not contiguous
+            np.testing.assert_allclose(norm._buffers["running_mean"], rm, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(norm._buffers["running_var"], rv, rtol=0, atol=1e-12)
+
+    # the acceptance shape: post-embedding (as the pinned benchmark runs it,
+    # 148 nodes unfused) and pre-embedding with three attention blocks (168)
+    @pytest.mark.parametrize("overrides,limit", [
+        (dict(total_layers=3, alpha=1), 80),
+        (dict(total_layers=4, alpha=1, filter_placement="pre-embedding"), 95),
+    ])
+    def test_training_step_tape_size(self, overrides, limit):
+        from spectral_forecaster.training import mse_loss
+
+        cfg = ModelConfig(lookback=96, horizon=96, patch_len=8, d_model=16, n_heads=4,
+                          dropout=0.0, **overrides)
+        model = FilterFormer(cfg, np.random.default_rng(0)).train()
+        rng = np.random.default_rng(1)
+        loss = mse_loss(model(rng.standard_normal((16, 96)), rng=rng),
+                        rng.standard_normal((16, 96)))
+        seen, todo = set(), [loss]
+        while todo:
+            t = todo.pop()
+            if id(t) in seen or t.node is None:
+                continue
+            seen.add(id(t))
+            todo.extend(t.node.parents)
+        assert len(seen) <= limit
+
+
 class TestCheckpoint:
     def trained_looking_model(self) -> FilterFormer:
         cfg = tiny_config(alpha=1, revin_affine=True)

@@ -266,3 +266,181 @@ class TestSharedWeightMatmul:
             swapped,
             rng.standard_normal((4, 3)),
         )
+
+
+def _old_normalize(x, per_row, eps, gamma, beta):
+    # the node chains normalize replaced (InstanceNorm, training-mode BatchNorm)
+    if per_row:
+        mu, v = T.mean(x, axis=-1, keepdims=True), T.var(x, axis=-1, keepdims=True)
+    else:
+        flat = T.reshape(x, (-1, x.shape[-1]))
+        mu, v = T.mean(flat, axis=0), T.var(flat, axis=0)
+    xhat = T.div(T.sub(x, mu), T.sqrt(T.add(v, eps)))
+    return T.add(T.mul(xhat, gamma), beta)
+
+
+class TestNormalize:
+    """One-node normalization against finite differences and the old node chain."""
+
+    CASES = [
+        ((6, 4), False),
+        ((3, 5, 4), False),
+        ((3, 4, 5), True),   # swapped to (3, 5, 4): the filter_axis="patch" layout
+    ]
+
+    @staticmethod
+    def operand(x, swapped):
+        return T.swapaxes(x, -1, -2) if swapped else x
+
+    @pytest.mark.parametrize("shape,swapped", CASES)
+    @pytest.mark.parametrize("per_row", [True, False])
+    def test_against_finite_differences(self, shape, swapped, per_row):
+        rng = np.random.default_rng(90 + len(shape))
+        x = rng.standard_normal(shape)
+        width = shape[-2] if swapped else shape[-1]
+        proj = rng.standard_normal(shape[:-2] + (shape[-1], shape[-2]) if swapped else shape)
+
+        def fn(a, gamma, beta):
+            act = self.operand(a, swapped)
+            axis = -1 if per_row else tuple(range(act.ndim - 1))
+            out, _, _ = T.normalize(act, axis, 1e-5, gamma, beta)
+            return T.sum(out * proj) + T.sum(out * out) * 0.1
+
+        gradcheck(fn, x, 1.0 + 0.3 * rng.standard_normal(width), rng.standard_normal(width))
+
+    @pytest.mark.parametrize("shape,swapped", CASES)
+    @pytest.mark.parametrize("per_row", [True, False])
+    def test_matches_old_node_chain(self, shape, swapped, per_row):
+        rng = np.random.default_rng(100 + len(shape))
+        x = rng.standard_normal(shape) * 3.0 + 1.0
+        width = shape[-2] if swapped else shape[-1]
+        gamma = 1.0 + 0.3 * rng.standard_normal(width)
+        beta = rng.standard_normal(width)
+        proj = rng.standard_normal(shape[:-2] + (shape[-1], shape[-2]) if swapped else shape)
+        results = []
+        for fused in (True, False):
+            a, g, b = Parameter(x), Parameter(gamma), Parameter(beta)
+            act = self.operand(a, swapped)
+            axis = -1 if per_row else tuple(range(act.ndim - 1))
+            if fused:
+                out = T.normalize(act, axis, 1e-5, g, b)[0]
+            else:
+                out = _old_normalize(act, per_row, 1e-5, g, b)
+            backward(T.sum(out * proj))
+            results.append((out.data, a.grad, g.grad, b.grad))
+        for new, old in zip(*results):
+            np.testing.assert_allclose(new, old, rtol=0, atol=1e-12)
+
+    def test_returns_statistics_with_kept_dims(self):
+        x = np.random.default_rng(110).standard_normal((3, 5, 4))
+        _, mu, v = T.normalize(Tensor(x), (0, 1), 1e-5, np.ones(4), np.zeros(4))
+        assert mu.shape == v.shape == (1, 1, 4)
+        np.testing.assert_allclose(mu.reshape(-1), x.reshape(-1, 4).mean(axis=0), atol=1e-15)
+        np.testing.assert_allclose(v.reshape(-1), x.reshape(-1, 4).var(axis=0), atol=1e-15)
+
+    def test_affine_must_match_last_axis(self):
+        with pytest.raises(ValueError):
+            T.normalize(Tensor(np.ones((2, 3))), -1, 1e-5, np.ones(2), np.zeros(3))
+
+    def test_one_node(self):
+        x = Parameter(np.random.default_rng(111).standard_normal((4, 3)))
+        out = T.normalize(x, -1, 1e-5, Parameter(np.ones(3)), Parameter(np.zeros(3)))[0]
+        assert out.node.op == "normalize"
+        assert all(p.node is None for p in out.node.parents)
+
+
+class TestMatmulBias:
+    """The bias rides in the matmul node; it must equal matmul followed by add."""
+
+    @pytest.mark.parametrize("shape,swapped", [
+        ((5, 4), False), ((3, 5, 4), False), ((3, 5, 4), True),
+        ((2, 3, 5, 4), False), ((2, 3, 5, 4), True),
+    ])
+    def test_matches_matmul_plus_add(self, shape, swapped):
+        rng = np.random.default_rng(120 + len(shape))
+        x = rng.standard_normal(shape)
+        if swapped:
+            x = np.ascontiguousarray(np.swapaxes(x, 0, -2))
+        w = rng.standard_normal((4, 6))
+        bias = rng.standard_normal(6)
+        proj = rng.standard_normal(shape[:-1] + (6,))
+        results = []
+        for fused in (True, False):
+            a, b, c = Parameter(x), Parameter(w), Parameter(bias)
+            act = T.swapaxes(a, 0, -2) if swapped else a
+            assert act.data.flags.c_contiguous is not swapped
+            out = T.matmul(act, b, bias=c) if fused else T.add(T.matmul(act, b), c)
+            backward(T.sum(out * proj))
+            results.append((out.data, a.grad, b.grad, c.grad))
+        for new, old in zip(*results):
+            np.testing.assert_allclose(new, old, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(5, 4), (3, 5, 4), (2, 3, 5, 4)])
+    def test_against_finite_differences(self, shape):
+        rng = np.random.default_rng(130 + len(shape))
+        x = rng.standard_normal(shape)
+        gradcheck(
+            lambda a, w, c: T.mean(T.gelu(T.matmul(a, w, bias=c))),
+            x, rng.standard_normal((4, 3)), rng.standard_normal(3),
+        )
+        swapped = np.ascontiguousarray(np.swapaxes(x, 0, -2))
+        gradcheck(
+            lambda a, w, c: T.mean(T.gelu(T.matmul(T.swapaxes(a, 0, -2), w, bias=c))),
+            swapped, rng.standard_normal((4, 3)), rng.standard_normal(3),
+        )
+
+    def test_bias_with_batched_weight_rejected(self):
+        with pytest.raises(ValueError, match="2-D weight"):
+            T.matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((2, 4, 5))), bias=np.zeros(5))
+
+    def test_bias_width_checked(self):
+        with pytest.raises(ValueError):
+            T.matmul(Tensor(np.ones((3, 4))), Tensor(np.ones((4, 5))), bias=np.zeros(4))
+
+    def test_inner_dimension_checked(self):
+        # a folded product must not reshape a mismatched activation into fit
+        with pytest.raises(ValueError):
+            Tensor(np.ones((3, 4))) @ Tensor(np.ones((6, 5)))
+
+
+class TestUnfold:
+    """Sliding windows with the dense 0/1 gather matrix as the oracle."""
+
+    @staticmethod
+    def gather_matrix(length, size, step):
+        n = (length - size) // step + 1
+        mat = np.zeros((length, n * size))
+        for i in range(n):
+            for j in range(size):
+                mat[i * step + j, i * size + j] = 1.0
+        return mat
+
+    # overlap, gaps, and a length that is not a multiple of the step
+    @pytest.mark.parametrize("length,size,step", [(12, 4, 2), (13, 3, 5), (17, 4, 4), (5, 5, 1)])
+    def test_matches_gather_matrix(self, length, size, step):
+        rng = np.random.default_rng(140 + length)
+        x = rng.standard_normal((2, 3, length))
+        n = (length - size) // step + 1
+        mat = self.gather_matrix(length, size, step)
+        proj = rng.standard_normal((2, 3, n, size))
+        a = Parameter(x)
+        out = T.unfold(a, size, step)
+        assert out.shape == (2, 3, n, size)
+        np.testing.assert_array_equal(out.data, (x @ mat).reshape(2, 3, n, size))
+        backward(T.sum(out * proj))
+        np.testing.assert_allclose(a.grad, proj.reshape(2, 3, -1) @ mat.T, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("length,size,step", [(12, 4, 2), (13, 3, 5), (17, 4, 4)])
+    def test_against_finite_differences(self, length, size, step):
+        rng = np.random.default_rng(150 + length)
+        n = (length - size) // step + 1
+        gradcheck(
+            lambda a, p: T.sum(T.gelu(T.unfold(a, size, step)) * p),
+            rng.standard_normal((3, length)), rng.standard_normal((3, n, size)),
+        )
+
+    def test_bad_arguments_rejected(self):
+        with pytest.raises(ValueError):
+            T.unfold(Tensor(np.zeros(4)), 5, 1)
+        with pytest.raises(ValueError):
+            T.unfold(Tensor(np.zeros(4)), 2, 0)
