@@ -22,10 +22,11 @@ from .experiments import (
     export_spectra,
     load_experiment_config,
     load_series,
+    probe_rows,
     run,
     tiny_experiment_config,
 )
-from .data import SyntheticSpec, load_synthetic_spec, make_windows, stack_windows, synth_three_sine, write_series_csv
+from .data import SyntheticSpec, load_synthetic_spec, make_windows, synth_three_sine, write_series_csv
 from .model import FilterFormer, count_parameters, load_checkpoint
 
 
@@ -129,9 +130,7 @@ def cmd_export_spectra(args) -> int:
         model = FilterFormer(model_cfg, np.random.default_rng([config.train.seed, 0]))
     series = load_series(config)
     windows = make_windows(series, config.split, model.config.lookback, model.config.horizon)
-    x, _ = stack_windows(windows.test[:64])
-    probe = x.reshape(-1, x.shape[-1])
-    paths = export_spectra(model, probe, config.out_dir, config.tag)
+    paths = export_spectra(model, probe_rows(windows.test), config.out_dir, config.tag)
     for path in paths:
         print(f"wrote {path}")
     return 0

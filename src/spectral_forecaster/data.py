@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -134,8 +134,8 @@ class SplitSpec:
 
     def __post_init__(self):
         if self.boundaries is not None:
-            a, b = self.boundaries
-            if not (isinstance(a, int) and isinstance(b, int) and 0 < a < b):
+            if not (len(self.boundaries) == 2 and all(isinstance(v, int) for v in self.boundaries)
+                    and 0 < self.boundaries[0] < self.boundaries[1]):
                 raise ConfigError(f"boundaries must be increasing positive ints, got {self.boundaries}")
             return
         fracs = (self.train_frac, self.val_frac, self.test_frac)
@@ -300,7 +300,7 @@ class SyntheticSpec:
             raise ConfigError("amplitudes must be nonnegative")
         if self.length < 2:
             raise ConfigError(f"length must be >= 2, got {self.length}")
-        if self.noise < 0:
+        if not self.noise >= 0:  # also rejects NaN
             raise ConfigError(f"noise must be >= 0, got {self.noise}")
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "length", int(self.length))
@@ -312,6 +312,25 @@ class SyntheticSpec:
             "length": self.length,
             "noise": self.noise,
         }
+
+    @classmethod
+    def from_dict(cls, d) -> "SyntheticSpec":
+        """Inverse of :meth:`to_dict`; every bad field raises ConfigError."""
+        if not isinstance(d, dict):
+            raise ConfigError(f"synthetic spec must be a mapping, got {d!r}")
+        unknown = set(d) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ConfigError(f"unknown synthetic spec keys {sorted(unknown)}")
+        kwargs = {}
+        for key, value in d.items():
+            try:
+                if key == "components":
+                    kwargs[key] = tuple(tuple(float(v) for v in c) for c in value)
+                else:
+                    kwargs[key] = int(value) if key == "length" else float(value)
+            except (TypeError, ValueError, OverflowError):
+                raise ConfigError(f"synthetic {key} is malformed: {value!r}") from None
+        return cls(**kwargs)
 
 
 def synth_three_sine(spec: SyntheticSpec, rng: np.random.Generator | None = None) -> RawSeries:
@@ -331,22 +350,8 @@ def load_synthetic_spec(path) -> SyntheticSpec:
     """Read a SyntheticSpec from a JSON file with keys components/length/noise."""
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            return SyntheticSpec.from_dict(json.load(fh))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid synthetic spec JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: synthetic spec must be a JSON object")
-    unknown = set(raw) - {"components", "length", "noise"}
-    if unknown:
-        raise ConfigError(f"{path}: unknown synthetic spec keys {sorted(unknown)}")
-    kwargs = {}
-    if "components" in raw:
-        try:
-            kwargs["components"] = tuple(tuple(float(v) for v in c) for c in raw["components"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{path}: malformed components: {exc}") from exc
-    if "length" in raw:
-        kwargs["length"] = int(raw["length"])
-    if "noise" in raw:
-        kwargs["noise"] = float(raw["noise"])
-    return SyntheticSpec(**kwargs)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None

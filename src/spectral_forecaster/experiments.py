@@ -132,6 +132,12 @@ def _float_field(section: str, key: str, value) -> float:
         raise ConfigError(f"{section}.{key} must be a number, got {value!r}") from None
 
 
+def _int_list(name: str, value) -> tuple[int, ...]:
+    if not isinstance(value, list):
+        raise ConfigError(f"{name} must be a list of integers, got {value!r}")
+    return tuple(_int_field(name, str(i), v) for i, v in enumerate(value))
+
+
 _TRAIN_INT_FIELDS = ("batch_size", "max_epochs", "patience", "seed")
 
 
@@ -159,31 +165,12 @@ def _split_from_dict(raw: dict) -> SplitSpec:
     if unknown:
         raise ConfigError(f"unknown split keys {sorted(unknown)}")
     kwargs = dict(raw)
-    if "boundaries" in kwargs and kwargs["boundaries"] is not None:
-        kwargs["boundaries"] = tuple(int(v) for v in kwargs["boundaries"])
+    if kwargs.get("boundaries") is not None:
+        kwargs["boundaries"] = _int_list("split.boundaries", kwargs["boundaries"])
     for key in ("train_frac", "val_frac", "test_frac"):
         if key in kwargs:
             kwargs[key] = _float_field("split", key, kwargs[key])
     return SplitSpec(**kwargs)
-
-
-def _synthetic_from_dict(raw: dict) -> SyntheticSpec:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"synthetic section must be a mapping, got {raw!r}")
-    unknown = set(raw) - {"components", "length", "noise"}
-    if unknown:
-        raise ConfigError(f"unknown synthetic keys {sorted(unknown)}")
-    kwargs = {}
-    if "components" in raw:
-        try:
-            kwargs["components"] = tuple(tuple(float(v) for v in c) for c in raw["components"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed synthetic components: {exc}") from exc
-    if "length" in raw:
-        kwargs["length"] = _int_field("synthetic", "length", raw["length"])
-    if "noise" in raw:
-        kwargs["noise"] = _float_field("synthetic", "noise", raw["noise"])
-    return SyntheticSpec(**kwargs)
 
 
 _TOP_LEVEL_KEYS = {
@@ -207,8 +194,7 @@ def load_experiment_config(path) -> ExperimentConfig:
     if "model" not in raw:
         raise ConfigError(f"{path}: missing required section: model")
 
-    horizons = tuple(_int_field("horizons", str(i), h)
-                     for i, h in enumerate(raw.get("horizons", ())))
+    horizons = _int_list("horizons", raw.get("horizons", []))
     model_dict = raw["model"]
     if not isinstance(model_dict, dict):
         raise ConfigError(f"{path}: model section must be a mapping")
@@ -239,7 +225,7 @@ def load_experiment_config(path) -> ExperimentConfig:
             train=_train_from_dict(raw.get("train", {})),
             split=split,
             dataset=str(dataset) if dataset is not None else None,
-            synthetic=_synthetic_from_dict(raw["synthetic"]) if "synthetic" in raw else None,
+            synthetic=SyntheticSpec.from_dict(raw["synthetic"]) if "synthetic" in raw else None,
             exclude=tuple(raw.get("exclude_channels", ())),
             horizons=horizons,
             out_dir=str(raw.get("out_dir", "runs")),
@@ -261,7 +247,8 @@ def load_series(config: ExperimentConfig) -> RawSeries:
     return exclude_channels(series, config.exclude)
 
 
-def _probe_rows(samples, limit: int = 64) -> np.ndarray:
+def probe_rows(samples, limit: int = 64) -> np.ndarray:
+    """The first ``limit`` samples as (rows, lookback), one row per channel."""
     x, _ = stack_windows(samples[:limit])
     return x.reshape(-1, x.shape[-1])
 
@@ -298,7 +285,7 @@ def run(config: ExperimentConfig) -> RunReport:
         save_checkpoint(model, base + ".ckpt")
         artifacts.append(base + ".ckpt")
         if model.spectral_filters():
-            probe = _probe_rows(windows.test)
+            probe = probe_rows(windows.test)
             artifacts.extend(
                 export_spectra(model, probe, config.out_dir, f"{config.tag}_h{horizon}")
             )

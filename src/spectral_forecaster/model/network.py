@@ -19,7 +19,7 @@ from ..numeric import tensor as T
 from ..numeric.tensor import Parameter, Tensor, no_grad
 from ..spectral import SpectralBlock, SpectralBlockConfig, SpectralFilter
 from ..nn import BatchNorm, Dropout, FeedForward, Linear, Module, ModuleList, xavier_uniform
-from .revin import RevIN, revin_denormalize, revin_normalize
+from .revin import RevIN, RevInState, revin_denormalize, revin_normalize
 
 PLACEMENTS = ("post-embedding", "pre-embedding")
 
@@ -221,18 +221,17 @@ class FilterFormer(Module):
         self.config = cfg
         self.revin = RevIN(cfg.revin_affine)
         pre_embedding = cfg.filter_placement == "pre-embedding"
-        if pre_embedding:
-            self.input_filters = ModuleList(
-                SpectralFilter(cfg.lookback, rng) for _ in range(cfg.alpha)
-            )
+        # an empty list registers nothing, so post-embedding state is unchanged
+        self.input_filters = ModuleList(
+            SpectralFilter(cfg.lookback, rng) for _ in range(cfg.alpha if pre_embedding else 0)
+        )
         self.embedding = PatchEmbedding(cfg, rng)
         blocks = []
-        if not pre_embedding:
-            for _ in range(cfg.alpha):
-                blocks.append(SpectralBlock(
-                    cfg.d_model, cfg.n_patches, cfg.spectral, rng,
-                    cfg.activation, cfg.dropout,
-                ))
+        for _ in range(0 if pre_embedding else cfg.alpha):
+            blocks.append(SpectralBlock(
+                cfg.d_model, cfg.n_patches, cfg.spectral, rng,
+                cfg.activation, cfg.dropout,
+            ))
         for _ in range(cfg.total_layers - cfg.alpha):
             blocks.append(AttentionBlock(
                 cfg.d_model, cfg.n_heads, cfg.d_k, cfg.resolved_ffn_hidden(), rng,
@@ -243,55 +242,46 @@ class FilterFormer(Module):
 
     def spectral_filters(self) -> list[SpectralFilter]:
         """The learnable filters in stack order (empty for alpha=0)."""
-        if self.config.filter_placement == "pre-embedding":
-            return list(self.input_filters)
-        return [b.filter for b in self.blocks if isinstance(b, SpectralBlock)]
+        return list(self.input_filters) + [
+            b.filter for b in self.blocks if isinstance(b, SpectralBlock)
+        ]
 
-    def forward(self, x_rows: np.ndarray, rng: np.random.Generator | None = None,
-                capture: dict | None = None) -> Tensor:
-        """Forecast (rows, horizon) from (rows, lookback); each row is one channel.
-
-        When `capture` is a dict, the input and output of the first spectral
-        filter are copied into it under "filter_input"/"filter_output", with
-        the filtered axis last.
-        """
+    def _normalize(self, x_rows: np.ndarray) -> tuple[Tensor, RevInState]:
         x_rows = np.asarray(x_rows, dtype=np.float64)
         if x_rows.ndim != 2 or x_rows.shape[-1] != self.config.lookback:
             raise ValueError(
                 f"expected (rows, {self.config.lookback}) input, got shape {x_rows.shape}"
             )
-        xn, state = self.revin.normalize(x_rows)
-        if self.config.filter_placement == "pre-embedding":
-            for i, f in enumerate(self.input_filters):
-                if capture is not None and i == 0:
-                    capture["filter_input"] = np.array(xn.data)
-                xn = f.apply(xn)
-                if capture is not None and i == 0:
-                    capture["filter_output"] = np.array(xn.data)
+        return self.revin.normalize(x_rows)
+
+    def forward(self, x_rows: np.ndarray, rng: np.random.Generator | None = None) -> Tensor:
+        """Forecast (rows, horizon) from (rows, lookback); each row is one channel."""
+        xn, state = self._normalize(x_rows)
+        for f in self.input_filters:
+            xn = f.apply(xn)
         y = self.embedding(T.unfold(xn, self.config.patch_len, self.config.stride))
-        for i, block in enumerate(self.blocks):
-            if capture is not None and i == 0 and isinstance(block, SpectralBlock):
-                y = block(y, rng, capture=capture)
-            else:
-                y = block(y, rng)
-        pred = self.head(y)
-        return self.revin.denormalize(pred, state)
+        for block in self.blocks:
+            y = block(y, rng)
+        return self.revin.denormalize(self.head(y), state)
 
     def filter_probe(self, x_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Input and output of the first spectral filter on the given rows.
+        """Input and output of the first spectral filter, filtered axis last.
 
-        Runs in eval mode without recording gradients. Raises ValueError when
-        the model has no spectral filters.
+        Runs in eval mode without recording gradients, and only as far as
+        that filter. Raises ValueError when the model has no spectral filters.
         """
-        if not self.spectral_filters():
+        filters = self.spectral_filters()
+        if not filters:
             raise ValueError("model has no spectral filters")
         was_training = self.training
         self.eval()
         try:
-            capture: dict = {}
             with no_grad():
-                self.forward(x_rows, capture=capture)
-            return capture["filter_input"], capture["filter_output"]
+                fin, _ = self._normalize(x_rows)
+                if not self.input_filters:
+                    patches = T.unfold(fin, self.config.patch_len, self.config.stride)
+                    fin = self.blocks[0].filter_input(self.embedding(patches))
+                return fin.data, filters[0].apply(fin).data
         finally:
             self.train(was_training)
 

@@ -40,7 +40,6 @@ __all__ = [
     "var",
     "normalize",
     "sqrt",
-    "exp",
     "relu",
     "gelu",
     "softmax",
@@ -481,16 +480,6 @@ def sqrt(a) -> Tensor:
         return (g * 0.5 / out,)
 
     return _from_op(out, "sqrt", (a,), bwd)
-
-
-def exp(a) -> Tensor:
-    a = _wrap(a)
-    out = np.exp(a.data)
-
-    def bwd(g):
-        return (g * out,)
-
-    return _from_op(out, "exp", (a,), bwd)
 
 
 def relu(a) -> Tensor:

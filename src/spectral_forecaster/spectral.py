@@ -130,25 +130,19 @@ class SpectralBlock(Module):
             hidden = cfg.mlp_hidden if cfg.mlp_hidden is not None else 2 * d_model
             self.mlp = FeedForward(d_model, hidden, d_model, rng, activation, dropout)
 
-    def forward(self, y: Tensor, rng: np.random.Generator | None = None,
-                capture: dict | None = None) -> Tensor:
+    def filter_input(self, y: Tensor) -> Tensor:
+        """Batch-normalized ``y`` with the filtered axis moved last."""
         if y.shape[-1] != self.d_model:
             raise ValueError(
                 f"block built for embedding width {self.d_model}, got shape {y.shape}"
             )
         y = self.norm_in(y)
-        if self.cfg.filter_axis == "embedding":
-            fin = y
-            fout = self.filter.apply(fin)
-            y = fout
-        else:
-            fin = T.swapaxes(y, -1, -2)
-            fout = self.filter.apply(fin)
-            y = T.swapaxes(fout, -1, -2)
-        if capture is not None:
-            # filtered axis last, so callers can transform along axis -1 directly
-            capture["filter_input"] = np.array(fin.data)
-            capture["filter_output"] = np.array(fout.data)
+        return y if self.cfg.filter_axis == "embedding" else T.swapaxes(y, -1, -2)
+
+    def forward(self, y: Tensor, rng: np.random.Generator | None = None) -> Tensor:
+        y = self.filter.apply(self.filter_input(y))
+        if self.cfg.filter_axis == "patch":
+            y = T.swapaxes(y, -1, -2)
         y = self.norm_mid(y)
         if self.cfg.use_mlp:
             y = T.add(y, self.mlp(y, rng))

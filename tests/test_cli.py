@@ -93,6 +93,48 @@ class TestRunCommand:
         assert "run" in capsys.readouterr().out
 
 
+class TestConfigErrors:
+    """Malformed config fields exit 2 with a one-line message, never a traceback."""
+
+    @staticmethod
+    def exits_2(capsys, argv):
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+        return err
+
+    def param_count(self, tmp_path, capsys, extra: str):
+        p = tmp_path / "exp.yaml"
+        p.write_text(
+            "synthetic: {length: 300}\n"
+            "model: {lookback: 16, horizon: 4, patch_len: 4, d_model: 8, n_heads: 2}\n"
+            + extra
+        )
+        return self.exits_2(capsys, ["param-count", "--config", str(p)])
+
+    def test_scalar_horizons_exits_2(self, tmp_path, capsys):
+        assert "horizons" in self.param_count(tmp_path, capsys, "horizons: 5\n")
+
+    def test_string_horizons_exits_2(self, tmp_path, capsys):
+        # used to be read character by character as horizons (9, 6)
+        assert "horizons" in self.param_count(tmp_path, capsys, 'horizons: "96"\n')
+
+    def test_scalar_split_boundaries_exits_2(self, tmp_path, capsys):
+        err = self.param_count(tmp_path, capsys, "split: {boundaries: 5}\n")
+        assert "boundaries" in err
+
+    @pytest.mark.parametrize("spec", [{"length": None}, {"noise": [1]}])
+    def test_synth_spec_bad_field_exits_2(self, tmp_path, capsys, spec):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        err = self.exits_2(capsys, ["synth", "--spec", str(spec_path),
+                                    "--out", str(tmp_path / "s.csv")])
+        assert str(spec_path) in err and next(iter(spec)) in err
+        assert not (tmp_path / "s.csv").exists()
+
+
 class TestAblationCommands:
     def test_ablate_alpha_default_range(self, tmp_path, capsys):
         code = cli.main([

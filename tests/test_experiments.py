@@ -124,6 +124,24 @@ optimizer: adam
         with pytest.raises(ConfigError):
             load_experiment_config(p)
 
+    @pytest.mark.parametrize("bad", [
+        {"length": None}, {"noise": [1]}, {"noise": float("nan")}, {"components": 5},
+        {"length": 1}, {"wavelength": 3},
+    ])
+    def test_bad_synthetic_field_rejected_in_yaml_and_json(self, tmp_path, bad):
+        from spectral_forecaster.data import load_synthetic_spec
+
+        p = self.write(tmp_path, f"""
+synthetic: {json.dumps(bad)}
+model: {{lookback: 16, horizon: 4, patch_len: 4, d_model: 8, n_heads: 2}}
+""")
+        with pytest.raises(ConfigError, match=next(iter(bad))):
+            load_experiment_config(p)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(bad))
+        with pytest.raises(ConfigError, match=next(iter(bad))):
+            load_synthetic_spec(spec)
+
     def test_horizon_required_somewhere(self, tmp_path):
         p = self.write(tmp_path, """
 synthetic: {length: 300}

@@ -24,6 +24,8 @@ from spectral_forecaster.numeric import Tensor, backward, no_grad
 from spectral_forecaster.numeric import tensor as T
 from spectral_forecaster.spectral import SpectralBlockConfig
 
+from conftest import naive_circular_convolution
+
 
 def tiny_config(**overrides) -> ModelConfig:
     base = dict(
@@ -320,6 +322,117 @@ class TestFilterFormer:
                 p.grad.reshape(-1), num, rtol=1e-3, atol=1e-6,
                 err_msg=f"gradient mismatch for {name}",
             )
+
+
+class TestFilterProbe:
+    """``filter_probe`` against a hand-built filter input and the convolution oracle."""
+
+    CASES = {
+        "embedding-axis": dict(),
+        # 15 patches filtered, 8 features wide: a dropped swap changes the shape
+        "patch-axis": dict(lookback=60, spectral=SpectralBlockConfig(filter_axis="patch")),
+        "pre-embedding": dict(alpha=2, total_layers=3, filter_placement="pre-embedding"),
+    }
+
+    def model_and_input(self, case):
+        model = FilterFormer(tiny_config(**self.CASES[case]), np.random.default_rng(0))
+        if case != "pre-embedding":
+            # non-trivial running statistics and affine, so norm_in is not near identity
+            rng = np.random.default_rng(4)
+            norm = model.blocks[0].norm_in
+            norm._buffers["running_mean"][:] = rng.standard_normal(8)
+            norm._buffers["running_var"][:] = rng.uniform(0.5, 3.0, 8)
+            norm.gamma.data[:] = rng.uniform(0.5, 2.0, 8)
+            norm.beta.data[:] = rng.standard_normal(8)
+        return model, np.random.default_rng(5).standard_normal((3, model.config.lookback))
+
+    def expected_input(self, model, case, x):
+        xn, _ = revin_normalize(x)
+        if case == "pre-embedding":
+            return xn
+        cfg = model.config
+        patches = patchify(xn, cfg.patch_len, cfg.stride)
+        y = patches @ model.embedding.proj.data + model.embedding.pos.data
+        norm = model.blocks[0].norm_in
+        y = (y - norm._buffers["running_mean"]) / np.sqrt(norm._buffers["running_var"] + norm.eps)
+        y = y * norm.gamma.data + norm.beta.data
+        return y if case == "embedding-axis" else np.swapaxes(y, -1, -2)
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_probe_matches_oracles(self, case):
+        model, x = self.model_and_input(case)
+        first = model.spectral_filters()[0]
+        fin, fout = model.filter_probe(x)
+        expected_last = {"embedding-axis": 8, "patch-axis": 15, "pre-embedding": 16}[case]
+        assert fin.shape[-1] == fout.shape[-1] == first.n_f == expected_last
+        assert fin.shape == fout.shape
+        np.testing.assert_allclose(fin, self.expected_input(model, case, x), rtol=0, atol=1e-12)
+        if case == "pre-embedding":
+            assert np.array_equal(fin, revin_normalize(x)[0])
+        rows_in = fin.reshape(-1, first.n_f)
+        rows_out = fout.reshape(-1, first.n_f)
+        for row_in, row_out in zip(rows_in, rows_out):
+            np.testing.assert_allclose(
+                row_out, naive_circular_convolution(first.w.data, row_in), rtol=0, atol=1e-12,
+            )
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_probe_is_what_the_forward_filters(self, case, monkeypatch):
+        from spectral_forecaster.spectral import SpectralFilter
+
+        model, x = self.model_and_input(case)
+        first = model.spectral_filters()[0]
+        seen = []
+        apply = SpectralFilter.apply
+
+        def recording_apply(f, y):
+            out = apply(f, y)
+            if f is first:
+                seen.append((np.array(y.data), np.array(out.data)))
+            return out
+
+        monkeypatch.setattr(SpectralFilter, "apply", recording_apply)
+        model.eval()
+        with no_grad():
+            model(x)
+        fin, fout = model.filter_probe(x)
+        assert len(seen) == 2
+        for got, want in zip((fin, fout), seen[0]):
+            assert np.array_equal(got, want)
+        assert np.array_equal(seen[1][0], fin)
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_probe_restores_mode_and_records_no_tape(self, case, monkeypatch):
+        recorded = []
+
+        class CountingNode(T.TapeNode):
+            __slots__ = ()
+
+            def __init__(self, op, parents, backward_fn):
+                super().__init__(op, parents, backward_fn)
+                recorded.append(op)
+
+        monkeypatch.setattr(T, "TapeNode", CountingNode)
+        model, x = self.model_and_input(case)
+        for mode in (True, False):
+            model.train(mode)
+            fin, fout = model.filter_probe(x)
+            assert model.training is mode
+            assert all(m.training is mode for m in model.blocks)
+            assert type(fin) is np.ndarray and type(fout) is np.ndarray
+        assert recorded == []
+        model(x)  # while an ordinary forward does record
+        assert recorded
+
+    def test_filterless_and_wrong_width_rejected(self):
+        model = FilterFormer(tiny_config(alpha=0), np.random.default_rng(0))
+        with pytest.raises(ValueError, match="no spectral filters"):
+            model.filter_probe(np.zeros((2, 16)))
+        for case in self.CASES:
+            model, _ = self.model_and_input(case)
+            with pytest.raises(ValueError):
+                model.filter_probe(np.zeros((2, model.config.lookback + 1)))
+            assert model.training
 
 
 class TestFusedLayers:

@@ -180,7 +180,6 @@ class TestGradientsAgainstFiniteDifferences:
         x = rng.standard_normal((4, 4)) * 2.0
         gradcheck(lambda a: T.mean(T.gelu(a)), x)
         gradcheck(lambda a: T.mean(T.relu(a)), x + 0.05)
-        gradcheck(lambda a: T.sum(T.exp(a * 0.3)), x)
         gradcheck(lambda a: T.sum(T.sqrt(a)), np.abs(x) + 1.0)
 
     def test_softmax(self):
