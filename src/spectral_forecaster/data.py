@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, config_int
 
 
 @dataclass(frozen=True, eq=False)
@@ -326,8 +326,10 @@ class SyntheticSpec:
             try:
                 if key == "components":
                     kwargs[key] = tuple(tuple(float(v) for v in c) for c in value)
+                elif key == "length":
+                    kwargs[key] = config_int("synthetic length", value)
                 else:
-                    kwargs[key] = int(value) if key == "length" else float(value)
+                    kwargs[key] = float(value)
             except (TypeError, ValueError, OverflowError):
                 raise ConfigError(f"synthetic {key} is malformed: {value!r}") from None
         return cls(**kwargs)

@@ -5,6 +5,8 @@ bad data, and numeric trouble at runtime. Plain ``ValueError`` is reserved
 for programming-contract violations (shape mismatches, invalid arguments).
 """
 
+import numbers
+
 
 class ConfigError(Exception):
     """Experiment or model configuration is invalid or unreadable."""
@@ -16,3 +18,12 @@ class DataError(Exception):
 
 class NumericError(ArithmeticError):
     """A numeric-range failure: non-finite values where finite ones are required."""
+
+
+def config_int(name: str, value) -> int:
+    """``value`` as an int; a bool, a string or a non-integral number raises ConfigError."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, numbers.Real) and float(value).is_integer():
+        return int(value)
+    raise ConfigError(f"{name} must be an integer, got {value!r}")

@@ -28,7 +28,7 @@ from .data import (
     stack_windows,
     synth_three_sine,
 )
-from .errors import ConfigError
+from .errors import ConfigError, config_int
 from .model import FilterFormer, ModelConfig, count_parameters, save_checkpoint
 from .numeric import rfft_kernel
 from .spectral import amplitude_spectrum, write_amplitude_csv
@@ -118,13 +118,6 @@ def tiny_experiment_config(out_dir: str = "runs/tiny", seed: int = 0,
     )
 
 
-def _int_field(section: str, key: str, value) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{section}.{key} must be an integer, got {value!r}") from None
-
-
 def _float_field(section: str, key: str, value) -> float:
     try:
         return float(value)
@@ -135,7 +128,7 @@ def _float_field(section: str, key: str, value) -> float:
 def _int_list(name: str, value) -> tuple[int, ...]:
     if not isinstance(value, list):
         raise ConfigError(f"{name} must be a list of integers, got {value!r}")
-    return tuple(_int_field(name, str(i), v) for i, v in enumerate(value))
+    return tuple(config_int(f"{name}.{i}", v) for i, v in enumerate(value))
 
 
 _TRAIN_INT_FIELDS = ("batch_size", "max_epochs", "patience", "seed")
@@ -153,7 +146,7 @@ def _train_from_dict(raw: dict) -> TrainConfig:
         if key == "learning_rate":
             kwargs[key] = _float_field("train", key, value)  # YAML may give "1e-4" as text
         elif key in _TRAIN_INT_FIELDS:
-            kwargs[key] = _int_field("train", key, value)
+            kwargs[key] = config_int(f"train.{key}", value)
     return TrainConfig(**kwargs)
 
 

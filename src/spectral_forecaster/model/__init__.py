@@ -9,7 +9,6 @@ from .network import (
     PatchEmbedding,
     attention_block_forward,
     count_parameters,
-    embed_patches,
     patchify,
 )
 from .revin import RevIN, RevInState, revin_denormalize, revin_normalize
@@ -24,7 +23,6 @@ __all__ = [
     "RevInState",
     "attention_block_forward",
     "count_parameters",
-    "embed_patches",
     "load_checkpoint",
     "patchify",
     "revin_denormalize",

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import ConfigError, config_int
 from ..numeric import tensor as T
 from ..numeric.tensor import Parameter, Tensor, no_grad
 from ..spectral import SpectralBlock, SpectralBlockConfig, SpectralFilter
@@ -22,6 +22,15 @@ from ..nn import BatchNorm, Dropout, FeedForward, Linear, Module, ModuleList, xa
 from .revin import RevIN, RevInState, revin_denormalize, revin_normalize
 
 PLACEMENTS = ("post-embedding", "pre-embedding")
+_INT_FIELDS = ("lookback", "horizon", "patch_len", "stride", "d_model", "n_heads", "d_k",
+               "total_layers", "alpha", "ffn_hidden")
+_SPECTRAL_INT_FIELDS = ("mlp_hidden", "filtered_axis_length")
+
+
+def _check_ints(d: dict, names, prefix: str = "") -> None:
+    for name in names:
+        if d.get(name) is not None:
+            d[name] = config_int(prefix + name, d[name])
 
 
 @dataclass(frozen=True)
@@ -106,12 +115,15 @@ class ModelConfig:
         unknown = set(d) - known
         if unknown:
             raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
+        _check_ints(d, _INT_FIELDS)
         sp = d.get("spectral")
         if isinstance(sp, dict):
             sp_known = {f.name for f in fields(SpectralBlockConfig)}
             sp_unknown = set(sp) - sp_known
             if sp_unknown:
                 raise ConfigError(f"unknown spectral config keys: {sorted(sp_unknown)}")
+            sp = dict(sp)
+            _check_ints(sp, _SPECTRAL_INT_FIELDS, "spectral.")
             d["spectral"] = SpectralBlockConfig(**sp)
         return cls(**d)
 
@@ -131,13 +143,6 @@ class PatchEmbedding(Module):
 
     def forward(self, patches: Tensor) -> Tensor:
         return T.add(T.matmul(patches, self.proj), self.pos)
-
-
-def embed_patches(embedding: PatchEmbedding, patches) -> Tensor:
-    """Embed (..., n_patches, patch_len) patches into (..., n_patches, d_model)."""
-    if not isinstance(patches, Tensor):
-        patches = Tensor(np.asarray(patches, dtype=np.float64))
-    return embedding(patches)
 
 
 class AttentionBlock(Module):

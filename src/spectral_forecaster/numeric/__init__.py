@@ -1,6 +1,6 @@
 """Numeric core: half-complex Fourier transforms and reverse-mode autodiff."""
 
-from .fft import Spectrum, dft, idft, irfft_kernel, n_bins, rfft_kernel
+from .fft import Spectrum, dft, irfft_kernel, n_bins, rfft_kernel
 from .tensor import (
     Parameter,
     TapeNode,
@@ -12,7 +12,6 @@ from .tensor import (
 __all__ = [
     "Spectrum",
     "dft",
-    "idft",
     "rfft_kernel",
     "irfft_kernel",
     "n_bins",

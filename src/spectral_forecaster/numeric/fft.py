@@ -15,7 +15,7 @@ import numpy as np
 
 from ..errors import NumericError
 
-__all__ = ["Spectrum", "dft", "idft", "rfft_kernel", "irfft_kernel", "n_bins"]
+__all__ = ["Spectrum", "dft", "rfft_kernel", "irfft_kernel", "n_bins"]
 
 # endpoint imaginary parts are analytically zero; anything above this is a
 # corrupted spectrum rather than roundoff
@@ -129,10 +129,3 @@ def dft(x) -> Spectrum:
     re, im = rfft_kernel(x)
     return Spectrum(re=re, im=im, origin_length=x.shape[0])
 
-
-def idft(spectrum: Spectrum) -> np.ndarray:
-    """Inverse transform back to a real sequence of ``origin_length`` samples."""
-    if not isinstance(spectrum, Spectrum):
-        raise ValueError(f"idft expects a Spectrum, got {type(spectrum).__name__}")
-    out, _residual = irfft_kernel(spectrum.re, spectrum.im, spectrum.origin_length)
-    return out

@@ -98,11 +98,6 @@ class SpectralFilter(Module):
         return self.apply(y)
 
 
-def apply_filter(f: SpectralFilter, y):
-    """Spectral gating of ``y`` by filter ``f`` (circular convolution in time)."""
-    return f.apply(y)
-
-
 def amplitude_spectrum(f: SpectralFilter) -> np.ndarray:
     """Per-bin transfer magnitudes |P_k|, length ``n_f // 2 + 1``."""
     return f.transfer().amplitudes()
@@ -147,14 +142,6 @@ class SpectralBlock(Module):
         if self.cfg.use_mlp:
             y = T.add(y, self.mlp(y, rng))
         return y
-
-
-def spectral_block_forward(block: SpectralBlock, y: Tensor,
-                           rng: np.random.Generator | None = None) -> Tensor:
-    """Run one spectral block; ``y`` is (patches, d_model) or batched (..., patches, d_model)."""
-    if y.ndim == 2:
-        return T.reshape(block(T.reshape(y, (1,) + y.shape), rng), y.shape)
-    return block(y, rng)
 
 
 def write_amplitude_csv(path, amplitudes: np.ndarray) -> None:

