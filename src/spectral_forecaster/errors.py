@@ -27,3 +27,10 @@ def config_int(name: str, value) -> int:
     if isinstance(value, numbers.Real) and float(value).is_integer():
         return int(value)
     raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def config_bool(name: str, value) -> bool:
+    """``value`` if it is a bool; a string, a number or null raises ConfigError."""
+    if isinstance(value, bool):
+        return value
+    raise ConfigError(f"{name} must be true or false, got {value!r}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from ..errors import ConfigError, config_int
+from ..errors import ConfigError, config_bool, config_int
 from ..numeric import tensor as T
 from ..numeric.tensor import Parameter, Tensor, no_grad
 from ..spectral import SpectralBlock, SpectralBlockConfig, SpectralFilter
@@ -116,6 +116,8 @@ class ModelConfig:
         if unknown:
             raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
         _check_ints(d, _INT_FIELDS)
+        if "revin_affine" in d:
+            d["revin_affine"] = config_bool("revin_affine", d["revin_affine"])
         sp = d.get("spectral")
         if isinstance(sp, dict):
             sp_known = {f.name for f in fields(SpectralBlockConfig)}
@@ -124,6 +126,8 @@ class ModelConfig:
                 raise ConfigError(f"unknown spectral config keys: {sorted(sp_unknown)}")
             sp = dict(sp)
             _check_ints(sp, _SPECTRAL_INT_FIELDS, "spectral.")
+            if "use_mlp" in sp:
+                sp["use_mlp"] = config_bool("spectral.use_mlp", sp["use_mlp"])
             d["spectral"] = SpectralBlockConfig(**sp)
         return cls(**d)
 
@@ -244,6 +248,7 @@ class FilterFormer(Module):
             ))
         self.blocks = ModuleList(blocks)
         self.head = ForecastHead(cfg.n_patches, cfg.d_model, cfg.horizon, rng)
+        self.parameter_arena()
 
     def spectral_filters(self) -> list[SpectralFilter]:
         """The learnable filters in stack order (empty for alpha=0)."""

@@ -53,6 +53,28 @@ class Module:
     def parameters(self) -> list[Parameter]:
         return [p for _, p in self.named_parameters()]
 
+    def parameter_arena(self) -> np.ndarray:
+        """One flat float64 array holding every parameter, in ``named_parameters`` order.
+
+        Each ``Parameter.data`` is a view into it, so an elementwise update of
+        the arena updates every parameter at once. Packing copies the current
+        values in and rebinds the views; later calls return the same array
+        until a parameter is added or replaced, which packs afresh.
+        """
+        params = self.parameters()
+        arena = self.__dict__.get("_arena")
+        if arena is not None and all(p.data.base is arena for p in params):
+            return arena
+        arena = np.empty(sum(p.size for p in params))
+        offset = 0
+        for p in params:
+            view = arena[offset:offset + p.size].reshape(p.shape)
+            view[...] = p.data
+            p.data = view
+            offset += p.size
+        object.__setattr__(self, "_arena", arena)
+        return arena
+
     def named_buffers(self, prefix: str = ""):
         for name, b in self._buffers.items():
             yield prefix + name, b

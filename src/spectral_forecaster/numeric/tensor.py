@@ -5,8 +5,8 @@ recording the op that produced it. ``backward`` walks the recorded graph once
 in reverse topological order, accumulates gradients into ``requires_grad``
 leaves, and frees the tape as it goes; calling it twice on the same loss is
 an error. Ops are module-level functions; arithmetic operators delegate to
-them. Everything stays in float64, and spectra live as ``(re, im)`` tensor
-pairs so the whole graph is real-valued.
+them. Everything stays in float64; spectra appear only inside
+:func:`spectral_gate`, so the whole graph is real-valued.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import contextlib
 import numpy as np
 
 from ..errors import NumericError
-from .fft import irfft_kernel, n_bins, rfft_kernel
+from .fft import irfft_kernel, rfft_kernel
 
 __all__ = [
     "Tensor",
@@ -40,8 +40,7 @@ __all__ = [
     "gelu",
     "softmax",
     "unfold",
-    "rfft",
-    "irfft",
+    "spectral_gate",
 ]
 
 _grad_enabled = True
@@ -568,55 +567,33 @@ def softmax(a, axis: int = -1) -> Tensor:
     return _from_op(out, "softmax", (a,), bwd)
 
 
-def _rfft_grad_scale(n: int) -> np.ndarray:
-    # interior bins appear twice in the implied full spectrum, endpoints once
-    w = np.full(n_bins(n), 0.5 * n)
-    w[0] = n
-    if n % 2 == 0:
-        w[-1] = n
-    return w
+def spectral_gate(y, w) -> Tensor:
+    """Circular convolution of ``y`` with the filter ``w`` along the last axis, one node.
 
-
-def rfft(a) -> tuple[Tensor, Tensor]:
-    """Half-complex transform along the last axis, as a (re, im) tensor pair.
-
-    The adjoint of each output is an inverse transform of the upstream
-    gradient with endpoint bins weighted once and interior bins twice.
+    The forward multiplies the half-complex spectra, ``irfft(rfft(y) * rfft(w))``
+    (GFNet's global filter). The backward is circular correlation done the
+    same way: ``gy = irfft(G * conj(W))`` and ``gw = irfft(sum_rows G * conj(Y))``
+    with ``G = rfft(g)``, the row sum taken on the spectra before the single
+    inverse transform. A gradient no parent needs is not computed.
     """
-    a = _wrap(a)
-    n = a.shape[-1]
-    re, im = rfft_kernel(a.data)
-    scale = _rfft_grad_scale(n)
-    zeros = np.zeros_like(re)
-
-    def bwd_re(g):
-        out, _ = irfft_kernel(g * scale, zeros, n)
-        return (out,)
-
-    def bwd_im(g):
-        out, _ = irfft_kernel(zeros, g * scale, n)
-        return (out,)
-
-    re_t = _from_op(re, "rfft_re", (a,), bwd_re)
-    im_t = _from_op(im, "rfft_im", (a,), bwd_im)
-    return re_t, im_t
-
-
-def irfft(re, im, n: int) -> Tensor:
-    """Inverse half-complex transform back to ``n`` real samples.
-
-    The adjoint is a forward transform of the upstream gradient, scaled by
-    1/n at the endpoint bins and 2/n in the interior (imaginary endpoint
-    slots are structurally zero and receive no gradient).
-    """
-    re, im = _wrap(re), _wrap(im)
-    if re.shape != im.shape:
-        raise ValueError(f"re/im shape mismatch: {re.shape} vs {im.shape}")
-    out, _residual = irfft_kernel(re.data, im.data, n)
-    scale = _rfft_grad_scale(n)
+    y, w = _wrap(y), _wrap(w)
+    n = y.shape[-1]
+    if w.shape != (n,):
+        raise ValueError(f"filter of shape {w.shape} cannot gate axis of length {n}")
+    yr, yi = rfft_kernel(y.data)
+    wr, wi = rfft_kernel(w.data)
+    out, _residual = irfft_kernel(yr * wr - yi * wi, yr * wi + yi * wr, n)
 
     def bwd(g):
-        gre, gim = rfft_kernel(g)
-        return gre / scale, gim / scale
+        gr, gi = rfft_kernel(g)
+        gy = gw = None
+        if _tracked(y):
+            gy, _ = irfft_kernel(gr * wr + gi * wi, gi * wr - gr * wi, n)
+        if _tracked(w):
+            rows = tuple(range(g.ndim - 1))
+            re = (gr * yr + gi * yi).sum(axis=rows)
+            im = (gi * yr - gr * yi).sum(axis=rows)
+            gw, _ = irfft_kernel(re, im, n)
+        return gy, gw
 
-    return _from_op(out, "irfft", (re, im), bwd)
+    return _from_op(out, "spectral_gate", (y, w), bwd)

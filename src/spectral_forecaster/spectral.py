@@ -79,7 +79,8 @@ class SpectralFilter(Module):
         """Filter ``y`` along its last axis; equals circular convolution with ``w``.
 
         Accepts a Tensor (gradients flow into both ``y`` and ``w``) or a plain
-        array/sequence (returns an ndarray).
+        array/sequence (returns an ndarray). On the tape the gating is one
+        :func:`~spectral_forecaster.numeric.tensor.spectral_gate` node.
         """
         as_tensor = isinstance(y, Tensor)
         yt = y if as_tensor else Tensor(np.asarray(y, dtype=np.float64))
@@ -87,11 +88,7 @@ class SpectralFilter(Module):
             raise ValueError(
                 f"filter of length {self.n_f} cannot gate axis of length {yt.shape[-1]}"
             )
-        wr, wi = T.rfft(self.w)
-        yr, yi = T.rfft(yt)
-        re = T.sub(T.mul(yr, wr), T.mul(yi, wi))
-        im = T.add(T.mul(yr, wi), T.mul(yi, wr))
-        out = T.irfft(re, im, self.n_f)
+        out = T.spectral_gate(yt, self.w)
         return out if as_tensor else out.data
 
     def forward(self, y):

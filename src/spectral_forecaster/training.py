@@ -84,10 +84,15 @@ def mae(pred, target) -> float:
 
 @dataclass
 class AdamState:
-    """First/second moment estimates per parameter plus the shared step count."""
+    """Flat first/second moment estimates over the model's parameter arena.
 
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    ``arena`` is :meth:`Module.parameter_arena`; ``m`` and ``v`` share its
+    layout, so one elementwise update covers every parameter.
+    """
+
+    arena: np.ndarray
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
@@ -95,44 +100,46 @@ class AdamState:
 
     @classmethod
     def for_model(cls, model) -> "AdamState":
-        m = {name: np.zeros_like(p.data) for name, p in model.named_parameters()}
-        v = {name: np.zeros_like(p.data) for name, p in model.named_parameters()}
-        return cls(m=m, v=v)
+        arena = model.parameter_arena()
+        return cls(arena=arena, m=np.zeros_like(arena), v=np.zeros_like(arena))
 
 
 def adam_step(state: AdamState, named_params, lr: float) -> None:
-    """One Adam update in place; gradients are read from the parameters.
+    """One Adam update of the whole parameter arena, in place.
 
-    Each parameter's update runs through one scratch array with ``out=``
-    ufuncs, so no full-size temporaries are allocated besides it.
+    ``named_params`` is the model's ``named_parameters()`` in order; their
+    gradients are gathered into one flat array in the arena's layout. The
+    update runs through one scratch array with ``out=`` ufuncs.
     """
+    names, grads = [], []
+    for name, p in named_params:
+        if p.grad is None:
+            raise ValueError(f"parameter {name} has no gradient")
+        names.append(name)
+        grads.append(p.grad.reshape(-1))
     state.step += 1
     t = state.step
+    g = np.concatenate(grads)
+    if not np.isfinite(g).all():
+        name = next(n for n, gn in zip(names, grads) if not np.isfinite(gn).all())
+        raise NumericError(f"non-finite gradient for parameter {name} at step {t}")
     bc1 = 1.0 - state.beta1 ** t
     bc2 = 1.0 - state.beta2 ** t
-    for name, p in named_params:
-        g = p.grad
-        if g is None:
-            raise ValueError(f"parameter {name} has no gradient")
-        if not np.isfinite(g).all():
-            raise NumericError(f"non-finite gradient for parameter {name} at step {t}")
-        m = state.m[name]
-        v = state.v[name]
-        # an ndarray even for 0-d parameters, where g * g is a numpy scalar
-        tmp = np.empty_like(g)
-        m *= state.beta1
-        np.multiply(g, 1.0 - state.beta1, out=tmp)
-        m += tmp
-        v *= state.beta2
-        np.multiply(g, g, out=tmp)
-        tmp *= 1.0 - state.beta2
-        v += tmp
-        np.divide(v, bc2, out=tmp)
-        np.sqrt(tmp, out=tmp)
-        tmp += state.eps
-        np.divide(m, tmp, out=tmp)
-        tmp *= lr / bc1
-        p.data[...] -= tmp
+    m, v = state.m, state.v
+    tmp = np.empty_like(g)
+    m *= state.beta1
+    np.multiply(g, 1.0 - state.beta1, out=tmp)
+    m += tmp
+    v *= state.beta2
+    np.multiply(g, g, out=tmp)
+    tmp *= 1.0 - state.beta2
+    v += tmp
+    np.divide(v, bc2, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += state.eps
+    np.divide(m, tmp, out=tmp)
+    tmp *= lr / bc1
+    state.arena -= tmp
 
 
 @dataclass
@@ -175,7 +182,8 @@ def fit(model, windows: WindowSet, cfg: TrainConfig) -> FitResult:
     history: list[tuple[int, float, float]] = []
     best_val = math.inf
     best_epoch = 0
-    best_state: dict[str, np.ndarray] = {}
+    best_params = np.empty_like(state.arena)
+    best_buffers: dict[str, np.ndarray] = {}
     epochs_since_improvement = 0
     stopped_epoch = 0
 
@@ -205,19 +213,17 @@ def fit(model, windows: WindowSet, cfg: TrainConfig) -> FitResult:
         if val_mse < best_val:
             best_val = val_mse
             best_epoch = epoch
-            best_state = {
-                name: np.array(value.data if isinstance(value, Tensor) else value)
-                for name, value in model.named_state()
-            }
+            best_params[...] = state.arena
+            best_buffers = {name: b.copy() for name, b in model.named_buffers()}
             epochs_since_improvement = 0
         else:
             epochs_since_improvement += 1
             if epochs_since_improvement >= cfg.patience:
                 break
 
-    for name, value in model.named_state():
-        target = value.data if isinstance(value, Tensor) else value
-        target[...] = best_state[name]
+    state.arena[...] = best_params
+    for name, b in model.named_buffers():
+        b[...] = best_buffers[name]
     model.eval()
     return FitResult(
         model=model, history=history, best_epoch=best_epoch,

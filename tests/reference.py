@@ -2,17 +2,24 @@
 
 The tape ops ``sum``, ``var`` and ``sqrt`` serve as loss reducers and as the
 unfused mean/var/sub/div chain that ``tensor.normalize`` is checked against.
+``rfft`` and ``irfft`` are tape ops over ``(re, im)`` tensor pairs; chained
+with four muls, a sub and an add they form the unfused gating that
+``tensor.spectral_gate`` is checked against. ``adam_step_per_parameter`` is
+the per-parameter Adam loop that the flat arena update must match bit for bit.
+``tape_census`` counts a graph's nodes per op kind.
 ``idft``, ``apply_filter``, ``spectral_block_forward`` and ``embed_patches``
 are array-in conveniences over the package's own entry points.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 
 from spectral_forecaster.model.network import PatchEmbedding
 from spectral_forecaster.numeric import tensor as T
-from spectral_forecaster.numeric.fft import Spectrum, irfft_kernel
+from spectral_forecaster.numeric.fft import Spectrum, irfft_kernel, n_bins, rfft_kernel
 from spectral_forecaster.numeric.tensor import Tensor, _from_op, _wrap
 from spectral_forecaster.spectral import SpectralBlock, SpectralFilter
 
@@ -44,6 +51,111 @@ def sqrt(a) -> Tensor:
         return (g * 0.5 / out,)
 
     return _from_op(out, "sqrt", (a,), bwd)
+
+
+def _rfft_grad_scale(n: int) -> np.ndarray:
+    # interior bins appear twice in the implied full spectrum, endpoints once
+    w = np.full(n_bins(n), 0.5 * n)
+    w[0] = n
+    if n % 2 == 0:
+        w[-1] = n
+    return w
+
+
+def rfft(a) -> tuple[Tensor, Tensor]:
+    """Half-complex transform along the last axis, as a (re, im) tensor pair.
+
+    The adjoint of each output is an inverse transform of the upstream
+    gradient with endpoint bins weighted once and interior bins twice.
+    """
+    a = _wrap(a)
+    n = a.shape[-1]
+    re, im = rfft_kernel(a.data)
+    scale = _rfft_grad_scale(n)
+    zeros = np.zeros_like(re)
+
+    def bwd_re(g):
+        out, _ = irfft_kernel(g * scale, zeros, n)
+        return (out,)
+
+    def bwd_im(g):
+        out, _ = irfft_kernel(zeros, g * scale, n)
+        return (out,)
+
+    return _from_op(re, "rfft_re", (a,), bwd_re), _from_op(im, "rfft_im", (a,), bwd_im)
+
+
+def irfft(re, im, n: int) -> Tensor:
+    """Inverse half-complex transform back to ``n`` real samples.
+
+    The adjoint is a forward transform of the upstream gradient, scaled by
+    1/n at the endpoint bins and 2/n in the interior (imaginary endpoint
+    slots are structurally zero and receive no gradient).
+    """
+    re, im = _wrap(re), _wrap(im)
+    if re.shape != im.shape:
+        raise ValueError(f"re/im shape mismatch: {re.shape} vs {im.shape}")
+    out, _residual = irfft_kernel(re.data, im.data, n)
+    scale = _rfft_grad_scale(n)
+
+    def bwd(g):
+        gre, gim = rfft_kernel(g)
+        return gre / scale, gim / scale
+
+    return _from_op(out, "irfft", (re, im), bwd)
+
+
+def unfused_gate(y, w) -> Tensor:
+    """Spectral gating as the 11-node chain: two rfft pairs, four muls, sub, add, irfft."""
+    y, w = _wrap(y), _wrap(w)
+    wr, wi = rfft(w)
+    yr, yi = rfft(y)
+    re = T.sub(T.mul(yr, wr), T.mul(yi, wi))
+    im = T.add(T.mul(yr, wi), T.mul(yi, wr))
+    return irfft(re, im, y.shape[-1])
+
+
+def adam_step_per_parameter(state: dict, named_params, lr: float,
+                            beta1: float = 0.9, beta2: float = 0.999,
+                            eps: float = 1e-8) -> None:
+    """Adam one parameter at a time, with the same ufunc sequence as the flat update.
+
+    ``state`` holds ``step`` and per-name ``m``/``v`` arrays, created on first use.
+    """
+    state["step"] = t = state.get("step", 0) + 1
+    bc1 = 1.0 - beta1 ** t
+    bc2 = 1.0 - beta2 ** t
+    for name, p in named_params:
+        g = p.grad
+        m = state.setdefault(("m", name), np.zeros_like(p.data))
+        v = state.setdefault(("v", name), np.zeros_like(p.data))
+        tmp = np.empty_like(g)
+        m *= beta1
+        np.multiply(g, 1.0 - beta1, out=tmp)
+        m += tmp
+        v *= beta2
+        np.multiply(g, g, out=tmp)
+        tmp *= 1.0 - beta2
+        v += tmp
+        np.divide(v, bc2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += eps
+        np.divide(m, tmp, out=tmp)
+        tmp *= lr / bc1
+        p.data[...] -= tmp
+
+
+def tape_census(out: Tensor) -> Counter:
+    """Recorded nodes per op kind in the graph behind ``out``, each node counted once."""
+    census, seen, todo = Counter(), set(), [out]
+    while todo:
+        t = todo.pop()
+        if id(t) in seen or t.node is None:
+            continue
+        seen.add(id(t))
+        census[t.node.op] += 1
+        todo.extend(t.node.parents)
+    return census
 
 
 def idft(spectrum: Spectrum) -> np.ndarray:

@@ -141,6 +141,22 @@ class TestConfigErrors:
         err = self.exits_2(capsys, ["param-count", "--config", str(p)])
         assert "alpha must be an integer" in err
 
+    @pytest.mark.parametrize("command", ["param-count", "run"])
+    @pytest.mark.parametrize("field, value", [
+        ("revin_affine", '"yes"'), ("revin_affine", "1"), ("revin_affine", "null"),
+        ("spectral", '{use_mlp: "no thanks"}'), ("spectral", "{use_mlp: 0}"),
+        ("spectral", "{use_mlp: null}"),
+    ])
+    def test_non_boolean_flag_exits_2(self, tmp_path, capsys, command, field, value):
+        # a non-empty string used to be read as true and build the MLP
+        p = tmp_path / "exp.yaml"
+        p.write_text("synthetic: {length: 300}\n"
+                     "model: {lookback: 16, horizon: 4, patch_len: 4, d_model: 8, n_heads: 2,"
+                     f" {field}: {value}}}\n")
+        err = self.exits_2(capsys, [command, "--config", str(p)])
+        assert "must be true or false" in err
+        assert ("use_mlp" if field == "spectral" else field) in err
+
     def test_fractional_batch_size_exits_2(self, tmp_path, capsys):
         err = self.param_count(tmp_path, capsys, "train: {batch_size: 32.5}\n")
         assert "batch_size" in err

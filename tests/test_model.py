@@ -454,13 +454,9 @@ class TestFusedLayers:
             np.testing.assert_allclose(norm._buffers["running_mean"], rm, rtol=0, atol=1e-12)
             np.testing.assert_allclose(norm._buffers["running_var"], rv, rtol=0, atol=1e-12)
 
-    # the acceptance shape: post-embedding (as the pinned benchmark runs it,
-    # 148 nodes unfused) and pre-embedding with three attention blocks (168)
-    @pytest.mark.parametrize("overrides,limit", [
-        (dict(total_layers=3, alpha=1), 80),
-        (dict(total_layers=4, alpha=1, filter_placement="pre-embedding"), 95),
-    ])
-    def test_training_step_tape_size(self, overrides, limit):
+    @staticmethod
+    def training_step_census(overrides):
+        """Op kinds on one acceptance-shape training step's tape, walked from the loss."""
         from spectral_forecaster.training import mse_loss
 
         cfg = ModelConfig(lookback=96, horizon=96, patch_len=8, d_model=16, n_heads=4,
@@ -469,14 +465,24 @@ class TestFusedLayers:
         rng = np.random.default_rng(1)
         loss = mse_loss(model(rng.standard_normal((16, 96)), rng=rng),
                         rng.standard_normal((16, 96)))
-        seen, todo = set(), [loss]
-        while todo:
-            t = todo.pop()
-            if id(t) in seen or t.node is None:
-                continue
-            seen.add(id(t))
-            todo.extend(t.node.parents)
-        assert len(seen) <= limit
+        return ref.tape_census(loss)
+
+    # the acceptance shape: post-embedding (as the pinned benchmark runs it,
+    # 148 nodes unfused) and pre-embedding with three attention blocks (168)
+    @pytest.mark.parametrize("overrides,limit", [
+        (dict(total_layers=3, alpha=1), 80),
+        (dict(total_layers=4, alpha=1, filter_placement="pre-embedding"), 95),
+    ])
+    def test_training_step_tape_size(self, overrides, limit):
+        assert sum(self.training_step_census(overrides).values()) <= limit
+
+    def test_pinned_step_tape_guard(self):
+        # the pinned benchmark's step: 74 nodes with gating as an 11-node
+        # rfft/mul/irfft chain, 64 with it as one spectral_gate node
+        census = self.training_step_census(dict(total_layers=3, alpha=1))
+        assert sum(census.values()) <= 64
+        assert census["spectral_gate"] == 1
+        assert not census.keys() & {"rfft_re", "rfft_im", "irfft"}
 
 
 class TestCheckpoint:
@@ -506,6 +512,28 @@ class TestCheckpoint:
 
         x = np.random.default_rng(12).standard_normal((3, 16))
         np.testing.assert_array_equal(model.predict(x), again.predict(x))
+
+    def test_load_restores_into_parameter_arena(self, tmp_path, monkeypatch):
+        from spectral_forecaster.model import load_checkpoint, save_checkpoint
+        from spectral_forecaster.nn import Module
+
+        model = self.trained_looking_model()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        packed = []
+        pack = Module.parameter_arena
+        monkeypatch.setattr(Module, "parameter_arena",
+                            lambda self: packed.append(pack(self)) or packed[-1])
+        again = load_checkpoint(path)
+        # packed once, when the model was built, and loaded into those views
+        assert len(packed) == 1
+        arena = packed[0]
+        assert all(p.data.base is arena for p in again.parameters())
+        # parameters lead the payload in arena order, so the arena is its head
+        n_buffers = sum(b.size for _, b in again.named_buffers())
+        payload = path.read_bytes()[-8 * (arena.size + n_buffers):]
+        assert payload[:8 * arena.size] == arena.astype("<f8").tobytes()
+        np.testing.assert_array_equal(arena, model.parameter_arena())
 
     def test_bad_magic_rejected(self, tmp_path):
         from spectral_forecaster.errors import DataError

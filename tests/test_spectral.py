@@ -35,6 +35,16 @@ class TestApplyFilter:
             expected = naive_circular_convolution(w, y)
             assert np.abs(out - expected).max() < 1e-9
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 17, 336])
+    def test_gate_op_equals_circular_convolution_per_row(self, n):
+        rng = np.random.default_rng(250 + n)
+        w = rng.standard_normal(n)
+        y = rng.standard_normal((3, n))
+        out = T.spectral_gate(Tensor(y), Tensor(w)).data
+        for row, expected_in in zip(out, y):
+            expected = naive_circular_convolution(w, expected_in)
+            assert np.abs(row - expected).max() < 1e-9 * max(1.0, np.abs(expected).max())
+
     def test_impulse_is_identity(self):
         y = np.random.default_rng(1).standard_normal(8)
         w = np.zeros(8)

@@ -199,7 +199,7 @@ class TestGradientsAgainstFiniteDifferences:
         pi = rng.standard_normal((2, n // 2 + 1))
 
         def fn(a, wr, wi):
-            re, im = T.rfft(a)
+            re, im = ref.rfft(a)
             return ref.sum(re * wr) + ref.sum(im * wi)
 
         gradcheck(fn, x, pr, pi)
@@ -208,11 +208,11 @@ class TestGradientsAgainstFiniteDifferences:
     def test_irfft(self, n):
         rng = np.random.default_rng(40 + n)
         base = rng.standard_normal((2, n))
-        re0, im0 = T.rfft(Tensor(base))
+        re0, im0 = ref.rfft(Tensor(base))
         proj = rng.standard_normal((2, n))
 
         def fn(r, i, p):
-            return ref.sum(T.irfft(r, i, n) * p)
+            return ref.sum(ref.irfft(r, i, n) * p)
 
         gradcheck(fn, re0.data, im0.data, proj)
 
@@ -223,12 +223,73 @@ class TestGradientsAgainstFiniteDifferences:
         w = rng.standard_normal(n) * 0.5
 
         def fn(a, f):
-            fr, fi = T.rfft(f)
-            ar, ai = T.rfft(a)
-            out = T.irfft(ar * fr - ai * fi, ar * fi + ai * fr, n)
+            out = ref.unfused_gate(a, f)
             return T.mean(out * out)
 
         gradcheck(fn, x, w)
+
+
+class TestSpectralGate:
+    """``T.spectral_gate`` against finite differences and the unfused 11-node chain."""
+
+    LAYOUTS = ("1d", "2d", "3d", "swapped")
+
+    @staticmethod
+    def signal(rng, n, layout):
+        """A gate input and the view that reaches the gate (a swapaxes view for "swapped")."""
+        shape = {"1d": (n,), "2d": (3, n), "3d": (2, 2, n), "swapped": (2, n, 3)}[layout]
+        y = rng.standard_normal(shape)
+        view = (lambda a: T.swapaxes(a, -1, -2)) if layout == "swapped" else (lambda a: a)
+        return y, view
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 17, 336])
+    def test_gradcheck(self, n, layout):
+        rng = np.random.default_rng(80 + n)
+        y, view = self.signal(rng, n, layout)
+        w = rng.standard_normal(n)
+        gated = view(Tensor(y)).data
+        assert gated.flags.c_contiguous == (layout != "swapped" or n == 1)
+        proj = rng.standard_normal(gated.shape)
+        gradcheck(lambda a, f: ref.sum(T.spectral_gate(view(a), f) * proj), y, w)
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 17, 336])
+    def test_matches_unfused_chain(self, n, layout):
+        rng = np.random.default_rng(90 + n)
+        y, view = self.signal(rng, n, layout)
+        w = rng.standard_normal(n)
+        proj = rng.standard_normal(view(Tensor(y)).shape)
+        results = []
+        for gate in (T.spectral_gate, ref.unfused_gate):
+            a, f = Parameter(y.copy()), Parameter(w.copy())
+            out = gate(view(a), f)
+            backward(ref.sum(out * proj))
+            results.append((out.data, a.grad, f.grad))
+        (fused, gy, gw), (chain, gy_ref, gw_ref) = results
+        np.testing.assert_array_equal(fused, chain)
+        np.testing.assert_allclose(gy, gy_ref, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(gw, gw_ref, rtol=1e-12, atol=1e-12)
+
+    def test_one_node_replaces_eleven(self):
+        y, w = Parameter(np.ones((2, 8))), Parameter(np.ones(8))
+        assert ref.tape_census(T.spectral_gate(y, w)) == {"spectral_gate": 1}
+        assert sum(ref.tape_census(ref.unfused_gate(y, w)).values()) == 11
+
+    def test_untracked_signal_gets_no_gradient_work(self):
+        rng = np.random.default_rng(5)
+        y = Tensor(rng.standard_normal((2, 6)))
+        w = Parameter(rng.standard_normal(6))
+        out = T.spectral_gate(y, w)
+        assert out.node.backward_fn(np.ones((2, 6)))[0] is None
+        backward(ref.sum(out))
+        assert y.grad is None and w.grad is not None
+
+    def test_filter_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="cannot gate"):
+            T.spectral_gate(Tensor(np.ones((2, 8))), Tensor(np.ones(7)))
+        with pytest.raises(ValueError, match="cannot gate"):
+            T.spectral_gate(Tensor(np.ones((2, 8))), Tensor(np.ones((1, 8))))
 
 
 class TestSharedWeightMatmul:

@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+import reference as ref
 from spectral_forecaster.data import WindowSample, WindowSet
 from spectral_forecaster.errors import ConfigError, NumericError
+from spectral_forecaster.model import FilterFormer, ModelConfig
 from spectral_forecaster.nn import Linear, Module
-from spectral_forecaster.numeric import Tensor, backward, no_grad
+from spectral_forecaster.numeric import Parameter, Tensor, backward, no_grad
 from spectral_forecaster.training import (
     LR_GRID,
     AdamState,
@@ -140,6 +142,56 @@ class TestAdam:
             np.testing.assert_allclose(model.w.data, ref_theta, rtol=1e-12, atol=1e-15)
         assert state.step == 5
 
+    @staticmethod
+    def mixed_model(seed):
+        """Matrix, vector and 0-d parameters across two nesting levels."""
+        rng = np.random.default_rng(seed)
+        model = Module()
+        model.lin = Linear(5, 3, rng)
+        model.scale = Parameter(np.array(0.7))
+        model.gain = Parameter(rng.standard_normal(4))
+        return model
+
+    def test_parameters_are_views_of_one_arena(self):
+        model = FilterFormer(
+            ModelConfig(lookback=16, horizon=4, patch_len=4, d_model=8, n_heads=2,
+                        total_layers=2, alpha=1, revin_affine=True),
+            np.random.default_rng(0))
+        params = model.parameters()
+        values = np.concatenate([p.data.reshape(-1) for p in params])
+        arena = model.parameter_arena()
+        assert model.parameter_arena() is arena
+        assert all(np.shares_memory(p.data, arena) for p in params)
+        np.testing.assert_array_equal(arena, values)
+        arena[0] = 42.0
+        assert params[0].data.reshape(-1)[0] == 42.0
+
+    def test_bare_module_packs_late_parameters(self):
+        model = self.mixed_model(1)
+        arena = model.parameter_arena()
+        model.extra = Parameter(np.arange(3.0))
+        repacked = model.parameter_arena()
+        assert repacked is not arena and repacked.size == arena.size + 3
+        assert all(p.data.base is repacked for p in model.parameters())
+        np.testing.assert_array_equal(repacked, np.concatenate(
+            [p.data.reshape(-1) for p in model.parameters()]))
+        np.testing.assert_array_equal(model.extra.data, np.arange(3.0))
+
+    def test_flat_update_bit_identical_to_per_parameter_loop(self):
+        flat, loop = self.mixed_model(2), self.mixed_model(2)
+        state = AdamState.for_model(flat)
+        ref_state = {}
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            for (_, p), (_, q) in zip(flat.named_parameters(), loop.named_parameters()):
+                p.grad = rng.standard_normal(p.shape)
+                q.grad = p.grad.copy()
+            adam_step(state, list(flat.named_parameters()), lr=0.01)
+            ref.adam_step_per_parameter(ref_state, list(loop.named_parameters()), lr=0.01)
+            for (name, p), (_, q) in zip(flat.named_parameters(), loop.named_parameters()):
+                assert p.data.tobytes() == q.data.tobytes(), name
+        assert state.step == ref_state["step"] == 5
+
     def test_nan_gradient_names_parameter(self):
         model = LinearStub(4, 2, np.random.default_rng(0))
         state = AdamState.for_model(model)
@@ -148,6 +200,18 @@ class TestAdam:
         model.lin.weight.grad[0, 0] = np.nan
         with pytest.raises(NumericError, match="lin.weight"):
             adam_step(state, list(model.named_parameters()), lr=0.1)
+
+    def test_non_finite_gradient_names_the_parameter_holding_it(self):
+        # the flat check fails first; the name comes from a lookup afterwards
+        model = self.mixed_model(4)
+        state = AdamState.for_model(model)
+        for _, p in model.named_parameters():
+            p.grad = np.zeros(p.shape)
+        model.lin.bias.grad[1] = np.inf
+        before = state.arena.copy()
+        with pytest.raises(NumericError, match="parameter lin.bias at step 1"):
+            adam_step(state, list(model.named_parameters()), lr=0.1)
+        np.testing.assert_array_equal(state.arena, before)
 
     def test_missing_gradient_rejected(self):
         model = LinearStub(4, 2, np.random.default_rng(0))
