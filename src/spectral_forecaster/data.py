@@ -18,6 +18,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ConfigError, DataError, config_int
+from .fileio import atomic_write
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,7 +257,7 @@ def stack_windows(samples) -> tuple[np.ndarray, np.ndarray]:
 
 def write_series_csv(path, rs: RawSeries) -> None:
     """Write a RawSeries in the load_csv layout; the timestamp is the step index."""
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["date", *rs.channel_names])
         for t in range(rs.n_steps):

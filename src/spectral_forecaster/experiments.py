@@ -29,6 +29,7 @@ from .data import (
     synth_three_sine,
 )
 from .errors import ConfigError, config_int
+from .fileio import atomic_write
 from .model import FilterFormer, ModelConfig, count_parameters, save_checkpoint
 from .numeric import rfft_kernel
 from .spectral import amplitude_spectrum, write_amplitude_csv
@@ -293,14 +294,14 @@ def run(config: ExperimentConfig) -> RunReport:
     )
     report_path = os.path.join(config.out_dir, f"{config.tag}_report.json")
     report.artifacts.append(report_path)
-    with open(report_path, "w") as fh:
+    with atomic_write(report_path) as fh:
         json.dump(report.to_dict(relative_to=config.out_dir), fh, indent=2, sort_keys=True)
         fh.write("\n")
     return report
 
 
 def _write_sweep_csv(path, column: str, rows) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([column, "mse", "mae"])
         for setting, metrics in rows:
@@ -346,14 +347,24 @@ def ablate_alpha(config: ExperimentConfig, alphas) -> tuple[list, str]:
 
 
 def ablate_filter_placement(config: ExperimentConfig) -> tuple[list, str]:
-    """Train both filter placements plus the filterless baseline, same seed."""
+    """Train both filter placements plus the filterless baseline, same seed.
+
+    All three rows hold the same ``total_layers - alpha`` attention blocks;
+    they differ only in the filters and where those sit.
+    """
     base = dataclasses.replace(config.model, horizon=config.horizons[0])
     if base.alpha < 1:
         raise ConfigError("placement ablation needs alpha >= 1 in the base model")
+    if base.alpha == base.total_layers:
+        raise ConfigError(
+            f"placement ablation needs at least one attention block: "
+            f"alpha={base.alpha} equals total_layers={base.total_layers}"
+        )
     settings = [
         ("post-embedding", dataclasses.replace(base, filter_placement="post-embedding")),
         ("pre-embedding", dataclasses.replace(base, filter_placement="pre-embedding")),
-        ("none", dataclasses.replace(base, alpha=0, filter_placement="post-embedding")),
+        ("none", dataclasses.replace(base, alpha=0, total_layers=base.total_layers - base.alpha,
+                                     filter_placement="post-embedding")),
     ]
     return _sweep(config, "placement", settings)
 
@@ -385,7 +396,7 @@ def export_spectra(model: FilterFormer, probe: np.ndarray, out_dir, tag: str) ->
     pre = _mean_amplitude(fin)
     post = _mean_amplitude(fout)
     path = os.path.join(out_dir, f"{tag}_embedding_spectrum.csv")
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["bin_index", "pre_amplitude", "post_amplitude"])
         for k in range(pre.shape[0]):

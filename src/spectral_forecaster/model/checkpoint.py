@@ -15,6 +15,7 @@ import struct
 import numpy as np
 
 from ..errors import ConfigError, DataError
+from ..fileio import atomic_write
 from ..numeric.tensor import Tensor
 from .network import FilterFormer, ModelConfig, count_parameters
 
@@ -35,7 +36,7 @@ def save_checkpoint(model: FilterFormer, path) -> None:
         {"config": model.config.to_dict(), "entries": entries},
         sort_keys=True,
     ).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack(">I", len(header)))
         fh.write(header)

@@ -156,6 +156,13 @@ class AttentionBlock(Module):
     d_model width; the concatenated (n_heads * d_model) output is projected
     back to d_model. Q/K/V maps carry no bias. Dropout hits the attention
     weights and the MLP interior only.
+
+    The value path runs reassociated, as one ``T.head_mix`` node:
+    ``sum_h A_h (y Wv_h) Wo_h = [A_1 y | ... | A_H y] [Wv_h Wo_h]_h``. The
+    same function with the same parameters (``wv``, ``out_proj``), at
+    h * d^3 + R * n * h * d^2 multiply-adds instead of 2 * R * n * h * d^2
+    for R rows of n patches (the attention products aside): fewer whenever
+    R * n > d, which every training batch and predict chunk meets.
     """
 
     def __init__(self, d_model: int, n_heads: int, d_k: int, ffn_hidden: int,
@@ -174,25 +181,22 @@ class AttentionBlock(Module):
         self.mlp = FeedForward(d_model, ffn_hidden, d_model, rng, activation, dropout)
         self.norm2 = BatchNorm(d_model)
 
-    def _split_heads(self, x: Tensor, width: int) -> Tensor:
+    def _split_heads(self, x: Tensor) -> Tensor:
         rows, n = x.shape[0], x.shape[1]
-        return T.swapaxes(T.reshape(x, (rows, n, self.n_heads, width)), 1, 2)
+        return T.swapaxes(T.reshape(x, (rows, n, self.n_heads, self.d_k)), 1, 2)
 
     def forward(self, y: Tensor, rng: np.random.Generator | None = None) -> Tensor:
         if y.ndim != 3 or y.shape[-1] != self.d_model:
             raise ValueError(
                 f"expected (rows, patches, {self.d_model}) input, got shape {y.shape}"
             )
-        rows, n = y.shape[0], y.shape[1]
-        q = self._split_heads(T.matmul(y, self.wq), self.d_k)
-        k = self._split_heads(T.matmul(y, self.wk), self.d_k)
-        v = self._split_heads(T.matmul(y, self.wv), self.d_model)
+        q = self._split_heads(T.matmul(y, self.wq))
+        k = self._split_heads(T.matmul(y, self.wk))
         scores = T.mul(T.matmul(q, T.swapaxes(k, -1, -2)), 1.0 / np.sqrt(self.d_k))
         attn = T.softmax(scores, axis=-1)
         attn = self.attn_drop(attn, rng)
-        o = T.matmul(attn, v)
-        o = T.reshape(T.swapaxes(o, 1, 2), (rows, n, self.n_heads * self.d_model))
-        y1 = self.norm1(T.add(y, self.out_proj(o)))
+        o = T.head_mix(attn, y, self.wv, self.out_proj.weight, self.out_proj.bias)
+        y1 = self.norm1(T.add(y, o))
         y2 = self.norm2(T.add(y1, self.mlp(y1, rng)))
         return y2
 

@@ -39,6 +39,7 @@ __all__ = [
     "relu",
     "gelu",
     "softmax",
+    "head_mix",
     "unfold",
     "spectral_gate",
 ]
@@ -565,6 +566,52 @@ def softmax(a, axis: int = -1) -> Tensor:
         return (out * (g - inner),)
 
     return _from_op(out, "softmax", (a,), bwd)
+
+
+def head_mix(attn, y, wv, wo, bias) -> Tensor:
+    """Multi-head attention's value path, ``sum_h attn_h @ (y @ wv_h) @ wo_h + bias``, one node.
+
+    ``attn`` is (rows, h, n, n), ``y`` (rows, n, d), ``wv`` (d, h * dv) and
+    ``wo`` (h * dv, d_out); head h owns columns ``h*dv:(h+1)*dv`` of ``wv``
+    and the same rows of ``wo``. Reassociated as
+    ``[attn_1 @ y | ... | attn_h @ y] @ [wv_h @ wo_h]_h``: the per-head
+    weight products cost h * d * dv * d_out once, and each row then costs
+    n * h * d * d_out instead of n * h * dv * (d + d_out). With dv = d, as
+    in the attention block, that saves work whenever rows * n exceeds
+    d_out. The small ``attn`` is permuted, not the wide values, so the mixed
+    values come out in the (rows * n, h * d) layout of the final GEMM.
+    """
+    attn, y, wv, wo, bias = (_wrap(t) for t in (attn, y, wv, wo, bias))
+    rows, h, n = attn.shape[:3]
+    d = y.shape[-1]
+    dv = wv.shape[1] // h
+    d_out = wo.shape[1]
+    if (attn.shape != (rows, h, n, n) or y.shape != (rows, n, d) or wv.shape != (d, h * dv)
+            or wo.shape != (h * dv, d_out) or bias.shape != (d_out,)):
+        raise ValueError(
+            f"head_mix shapes do not fit: attn {attn.shape}, y {y.shape}, "
+            f"wv {wv.shape}, wo {wo.shape}, bias {bias.shape}"
+        )
+    wv3 = wv.data.reshape(d, h, dv).transpose(1, 0, 2)    # (h, d, dv)
+    wo3 = wo.data.reshape(h, dv, d_out)
+    mix = (wv3 @ wo3).reshape(h * d, d_out)
+    # row i * h + head of ``at`` holds query i's attention weights under that head
+    at = attn.data.transpose(0, 2, 1, 3).reshape(rows, n * h, n)
+    z = (at @ y.data).reshape(rows * n, h * d)
+    out = z @ mix
+    out += bias.data
+
+    def bwd(g):
+        g2 = g.reshape(rows * n, d_out)
+        gmix = (z.T @ g2).reshape(h, d, d_out)
+        gz = (g2 @ mix.T).reshape(rows, n * h, d)
+        g_attn = (gz @ np.swapaxes(y.data, 1, 2)).reshape(rows, n, h, n).transpose(0, 2, 1, 3)
+        gy = np.swapaxes(at, 1, 2) @ gz
+        gwv = (gmix @ np.swapaxes(wo3, 1, 2)).transpose(1, 0, 2).reshape(d, h * dv)
+        gwo = (np.swapaxes(wv3, 1, 2) @ gmix).reshape(h * dv, d_out)
+        return g_attn, gy, gwv, gwo, g2.sum(axis=0)
+
+    return _from_op(out.reshape(rows, n, d_out), "head_mix", (attn, y, wv, wo, bias), bwd)
 
 
 def spectral_gate(y, w) -> Tensor:

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .fileio import atomic_write
 from .nn import BatchNorm, FeedForward, InstanceNorm, Module
 from .numeric import tensor as T
 from .numeric.fft import Spectrum, dft
@@ -144,7 +145,7 @@ class SpectralBlock(Module):
 def write_amplitude_csv(path, amplitudes: np.ndarray) -> None:
     """Write a spectrum as ``bin_index,amplitude`` rows."""
     amplitudes = np.asarray(amplitudes, dtype=np.float64)
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["bin_index", "amplitude"])
         for k, a in enumerate(amplitudes):

@@ -17,6 +17,7 @@ import numpy as np
 
 from .data import WindowSet, stack_windows
 from .errors import ConfigError, NumericError
+from .fileio import atomic_write
 from .numeric import Tensor, backward
 from .numeric import tensor as T
 
@@ -243,7 +244,7 @@ def evaluate(model, samples) -> Metrics:
 
 def write_loss_curve(path, history) -> None:
     """CSV of per-epoch losses: epoch,train_mse,val_mse."""
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["epoch", "train_mse", "val_mse"])
         for epoch, train_mse, val_mse in history:
@@ -252,7 +253,7 @@ def write_loss_curve(path, history) -> None:
 
 def write_metrics_csv(path, rows) -> None:
     """CSV of per-horizon metrics: horizon,mse,mae."""
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["horizon", "mse", "mae"])
         for horizon, metrics in rows:

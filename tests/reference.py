@@ -4,8 +4,10 @@ The tape ops ``sum``, ``var`` and ``sqrt`` serve as loss reducers and as the
 unfused mean/var/sub/div chain that ``tensor.normalize`` is checked against.
 ``rfft`` and ``irfft`` are tape ops over ``(re, im)`` tensor pairs; chained
 with four muls, a sub and an add they form the unfused gating that
-``tensor.spectral_gate`` is checked against. ``adam_step_per_parameter`` is
-the per-parameter Adam loop that the flat arena update must match bit for bit.
+``tensor.spectral_gate`` is checked against. ``unfused_head_mix`` is the
+7-node attention value chain that ``tensor.head_mix`` is checked against.
+``adam_step_per_parameter`` is the per-parameter Adam loop that the flat
+arena update must match bit for bit.
 ``tape_census`` counts a graph's nodes per op kind.
 ``idft``, ``apply_filter``, ``spectral_block_forward`` and ``embed_patches``
 are array-in conveniences over the package's own entry points.
@@ -113,6 +115,18 @@ def unfused_gate(y, w) -> Tensor:
     re = T.sub(T.mul(yr, wr), T.mul(yi, wi))
     im = T.add(T.mul(yr, wi), T.mul(yi, wr))
     return irfft(re, im, y.shape[-1])
+
+
+def unfused_head_mix(attn, y, wv, wo, bias) -> Tensor:
+    """Attention's value path as the 7-node chain: values, split heads, mix, merge, project."""
+    attn, y = _wrap(attn), _wrap(y)
+    rows, h, n = attn.shape[:3]
+    dv = wv.shape[1] // h
+    v = T.matmul(y, wv)
+    v = T.swapaxes(T.reshape(v, (rows, n, h, dv)), 1, 2)
+    o = T.matmul(attn, v)
+    o = T.reshape(T.swapaxes(o, 1, 2), (rows, n, h * dv))
+    return T.matmul(o, wo, bias=bias)
 
 
 def adam_step_per_parameter(state: dict, named_params, lr: float,

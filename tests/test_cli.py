@@ -207,6 +207,14 @@ class TestAblationCommands:
         for name in ("post-embedding", "pre-embedding", "none"):
             assert name in out
 
+    def test_ablate_placement_without_attention_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "exp.yaml"
+        p.write_text(MICRO_YAML.format(out=tmp_path / "out").replace("total_layers: 2",
+                                                                       "total_layers: 1"))
+        assert cli.main(["ablate-placement", "--config", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "at least one attention block" in err
+
     def test_bad_list_flag_exits_2(self, tmp_path, capsys):
         code = cli.main([
             "ablate-layers", "--config", str(write_micro_config(tmp_path)),

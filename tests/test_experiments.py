@@ -236,9 +236,44 @@ class TestAblations:
         with pytest.raises(ConfigError):
             ablate_filter_placement(cfg)
 
+    def test_placement_rows_share_one_attention_stack(self, tmp_path, monkeypatch):
+        import spectral_forecaster.experiments as experiments
+        from spectral_forecaster.model import AttentionBlock
+
+        counts = []
+        train_once = experiments._train_once
+
+        def counting(config, model_cfg, series):
+            trained = train_once(config, model_cfg, series)
+            counts.append(sum(isinstance(b, AttentionBlock) for b in trained[0].blocks))
+            return trained
+
+        monkeypatch.setattr(experiments, "_train_once", counting)
+        cfg = micro_config(
+            tmp_path / "st",
+            model=ModelConfig(lookback=16, horizon=4, patch_len=4, d_model=8,
+                              n_heads=2, total_layers=3, alpha=2, dropout=0.0),
+        )
+        ablate_filter_placement(cfg)
+        assert counts == [1, 1, 1]
+
+    def test_placement_needs_an_attention_block(self, tmp_path):
+        cfg = micro_config(
+            tmp_path / "pa",
+            model=ModelConfig(lookback=16, horizon=4, patch_len=4, d_model=8,
+                              n_heads=2, total_layers=1, alpha=1),
+        )
+        with pytest.raises(ConfigError, match="at least one attention block"):
+            ablate_filter_placement(cfg)
+
     def test_sweeps_share_data_and_seed(self, tmp_path):
-        # alpha=0 rows of two different sweeps must agree exactly
-        cfg_a = micro_config(tmp_path / "x")
+        # alpha=0 rows of two different sweeps must agree exactly: the
+        # placement sweep's "none" row keeps total_layers - alpha = 1 block
+        cfg_a = micro_config(
+            tmp_path / "x",
+            model=ModelConfig(lookback=16, horizon=4, patch_len=4, d_model=8,
+                              n_heads=2, total_layers=1, alpha=1, dropout=0.0),
+        )
         cfg_b = micro_config(tmp_path / "y")
         rows_alpha, _ = ablate_alpha(cfg_a, [0])
         rows_place, _ = ablate_filter_placement(cfg_b)

@@ -292,6 +292,74 @@ class TestSpectralGate:
             T.spectral_gate(Tensor(np.ones((2, 8))), Tensor(np.ones((1, 8))))
 
 
+class TestHeadMix:
+    """``T.head_mix`` against finite differences and the 7-node value chain it replaced."""
+
+    # rows, heads, patches, model width, value width, output width
+    SHAPES = {
+        "base": (3, 2, 4, 5, 5, 5),
+        "one-head": (2, 1, 3, 4, 4, 4),
+        "one-patch": (2, 3, 1, 4, 4, 4),
+        "one-row": (1, 2, 3, 4, 4, 4),
+        "narrow-values": (2, 2, 3, 4, 3, 6),
+    }
+
+    @staticmethod
+    def operands(rng, shape, swapped):
+        """attn, y, wv, wo, bias, and the view that reaches head_mix (transposed if swapped)."""
+        rows, h, n, d, dv, d_out = shape
+        attn = rng.random((rows, h, n, n))
+        arrays = [attn, rng.standard_normal((rows, n, d)), rng.standard_normal((d, h * dv)),
+                  rng.standard_normal((h * dv, d_out)), rng.standard_normal(d_out)]
+        if swapped:
+            arrays[0] = np.ascontiguousarray(np.swapaxes(attn, -1, -2))
+            return arrays, lambda a: T.swapaxes(a, -1, -2)
+        return arrays, lambda a: a
+
+    @pytest.mark.parametrize("swapped", [False, True])
+    @pytest.mark.parametrize("name", SHAPES)
+    def test_matches_unfused_chain(self, name, swapped):
+        rng = np.random.default_rng(140 + len(name))
+        arrays, view = self.operands(rng, self.SHAPES[name], swapped)
+        rows, _, n, _, _, d_out = self.SHAPES[name]
+        proj = rng.standard_normal((rows, n, d_out))
+        results = []
+        for mix in (T.head_mix, ref.unfused_head_mix):
+            params = [Parameter(a.copy()) for a in arrays]
+            attn = view(params[0])
+            assert attn.data.flags.c_contiguous == (not swapped or n == 1)
+            out = mix(attn, *params[1:])
+            backward(ref.sum(out * proj))
+            results.append([out.data] + [p.grad for p in params])
+        for new, old in zip(*results):
+            assert new.shape == old.shape
+            np.testing.assert_allclose(new, old, rtol=1e-12, atol=1e-12 * np.abs(old).max())
+
+    @pytest.mark.parametrize("swapped", [False, True])
+    @pytest.mark.parametrize("name", SHAPES)
+    def test_gradcheck(self, name, swapped):
+        rng = np.random.default_rng(150 + len(name))
+        arrays, view = self.operands(rng, self.SHAPES[name], swapped)
+        rows, _, n, _, _, d_out = self.SHAPES[name]
+        proj = rng.standard_normal((rows, n, d_out))
+        gradcheck(lambda a, *rest: ref.sum(T.head_mix(view(a), *rest) * proj), *arrays)
+
+    def test_one_node_replaces_seven(self):
+        arrays, _ = self.operands(np.random.default_rng(160), self.SHAPES["base"], False)
+        params = [Parameter(a) for a in arrays]
+        assert ref.tape_census(T.head_mix(*params)) == {"head_mix": 1}
+        assert sum(ref.tape_census(ref.unfused_head_mix(*params)).values()) == 7
+
+    def test_shape_mismatch_rejected(self):
+        arrays, _ = self.operands(np.random.default_rng(161), self.SHAPES["base"], False)
+        for i, bad in enumerate([np.ones((3, 2, 4, 3)), np.ones((3, 4, 6)),
+                                 np.ones((5, 9)), np.ones((11, 5)), np.ones(4)]):
+            args = list(arrays)
+            args[i] = bad
+            with pytest.raises(ValueError, match="head_mix shapes"):
+                T.head_mix(*args)
+
+
 class TestSharedWeightMatmul:
     """A stacked activation times one 2-D weight: the weight gradient sums over every row."""
 
