@@ -168,8 +168,7 @@ class Dropout(Module):
             return x
         if rng is None:
             raise ValueError("dropout requires an rng in training mode")
-        mask = (rng.random(x.shape) >= self.p) / (1.0 - self.p)
-        return T.mul(x, mask)
+        return T.dropout(x, rng.random(x.shape) >= self.p, 1.0 / (1.0 - self.p))
 
 
 class BatchNorm(Module):

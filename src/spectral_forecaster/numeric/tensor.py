@@ -1,17 +1,21 @@
 """Reverse-mode automatic differentiation over float64 numpy storage.
 
 A :class:`Tensor` wraps an ndarray together with an optional :class:`TapeNode`
-recording the op that produced it. ``backward`` walks the recorded graph once
-in reverse topological order, accumulates gradients into ``requires_grad``
-leaves, and frees the tape as it goes; calling it twice on the same loss is
-an error. Ops are module-level functions; arithmetic operators delegate to
-them. Everything stays in float64; spectra appear only inside
+recording the op that produced it. A node names its parents by data-free
+handles, and its backward rule keeps only the shapes and arrays it reads, so
+an intermediate no rule reads is freed as soon as the forward drops it.
+``backward`` walks the recorded graph once in reverse topological order,
+accumulates gradients into ``requires_grad`` leaves, and frees each node as
+soon as it is processed; calling it twice on the same loss is an error. Ops
+are module-level functions; arithmetic operators delegate to them.
+Everything stays in float64; spectra appear only inside
 :func:`spectral_gate`, so the whole graph is real-valued.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 
 import numpy as np
 
@@ -40,6 +44,7 @@ __all__ = [
     "gelu",
     "softmax",
     "head_mix",
+    "dropout",
     "unfold",
     "spectral_gate",
 ]
@@ -60,7 +65,12 @@ def no_grad():
 
 
 class TapeNode:
-    """One recorded op: its parents and the rule mapping output grad to parent grads."""
+    """One recorded op: its parents and the rule mapping output grad to parent grads.
+
+    ``parents`` holds each leaf operand itself and, for a recorded operand,
+    its :class:`_Ref`; ``backward_fn`` closes over shapes and the arrays it
+    reads, never over a Tensor.
+    """
 
     __slots__ = ("op", "parents", "backward_fn")
 
@@ -70,10 +80,20 @@ class TapeNode:
         self.backward_fn = backward_fn
 
 
+class _Ref:
+    """Data-free handle of a recorded output: its node, shared by every consumer."""
+
+    __slots__ = ("node", "requires_grad")
+
+    def __init__(self, node: TapeNode):
+        self.node = node
+        self.requires_grad = True
+
+
 class Tensor:
     """Float64 array with optional gradient tracking."""
 
-    __slots__ = ("data", "grad", "requires_grad", "node", "_backward_done")
+    __slots__ = ("data", "grad", "requires_grad", "_ref", "_backward_done")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -82,8 +102,13 @@ class Tensor:
         self.data = arr
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self.node = None
+        self._ref = None
         self._backward_done = False
+
+    @property
+    def node(self) -> TapeNode | None:
+        """The op that produced this tensor, until backward frees it."""
+        return None if self._ref is None else self._ref.node
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -164,7 +189,7 @@ def _make(data: np.ndarray, requires_grad: bool = False) -> Tensor:
     t.data = data
     t.grad = None
     t.requires_grad = requires_grad
-    t.node = None
+    t._ref = None
     t._backward_done = False
     return t
 
@@ -177,10 +202,20 @@ def _tracked(t: Tensor) -> bool:
     return t.requires_grad or t.node is not None
 
 
+def _recording(parents) -> bool:
+    """Whether an op on ``parents`` records a node; ops skip backward-only work otherwise."""
+    if _grad_enabled:
+        for p in parents:  # a plain loop: this runs for every op, and any() costs more
+            if _tracked(p):
+                return True
+    return False
+
+
 def _from_op(data: np.ndarray, op: str, parents: tuple, backward_fn) -> Tensor:
-    if _grad_enabled and any(_tracked(p) for p in parents):
+    if _recording(parents):
         out = _make(data, requires_grad=True)
-        out.node = TapeNode(op, parents, backward_fn)
+        handles = tuple([p if p._ref is None else p._ref for p in parents])
+        out._ref = _Ref(TapeNode(op, handles, backward_fn))
         return out
     return _make(data)
 
@@ -204,9 +239,10 @@ def backward(loss: Tensor) -> None:
         raise ValueError("backward was already called on this loss; build a fresh graph")
     loss._backward_done = True
 
-    topo: list[Tensor] = []
+    root = loss if loss._ref is None else loss._ref
+    topo: list = []  # the root, handles and leaves, parents before children
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    stack: list = [(root, False)]
     while stack:
         t, expanded = stack.pop()
         if expanded:
@@ -221,17 +257,23 @@ def backward(loss: Tensor) -> None:
                 if id(p) not in seen and _tracked(p):
                     stack.append((p, False))
 
-    grads: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=np.float64)}
-    for t in reversed(topo):
+    # popping drops each entry, and unlinking its node frees the arrays the
+    # rule kept, as soon as it has run
+    grads: dict[int, np.ndarray] = {id(root): np.ones((), dtype=np.float64)}
+    while topo:
+        t = topo.pop()
         g = grads.pop(id(t), None)
         if g is None:
             continue
-        if t.node is None:
-            if t.requires_grad:
+        node = t.node
+        if node is None:
+            # a handle whose node an earlier backward freed takes no gradient
+            if t.requires_grad and isinstance(t, Tensor):
                 t.grad = g if t.grad is None else t.grad + g
             continue
-        parent_grads = t.node.backward_fn(g)
-        for p, pg in zip(t.node.parents, parent_grads):
+        t.node = None
+        parent_grads = node.backward_fn(g)
+        for p, pg in zip(node.parents, parent_grads):
             if pg is None or not _tracked(p):
                 continue
             key = id(p)
@@ -239,49 +281,55 @@ def backward(loss: Tensor) -> None:
                 grads[key] = grads[key] + pg
             else:
                 grads[key] = pg
-        t.node = None
 
 
 def add(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    out = a.data + b.data
+    sa, sb, ta, tb = a.shape, b.shape, _tracked(a), _tracked(b)
 
     def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return (_unbroadcast(g, sa) if ta else None), (_unbroadcast(g, sb) if tb else None)
 
-    return _from_op(out, "add", (a, b), bwd)
+    return _from_op(a.data + b.data, "add", (a, b), bwd)
 
 
 def sub(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    out = a.data - b.data
+    sa, sb, ta, tb = a.shape, b.shape, _tracked(a), _tracked(b)
 
     def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(np.negative(g), b.shape)
+        return ((_unbroadcast(g, sa) if ta else None),
+                (_unbroadcast(np.negative(g), sb) if tb else None))
 
-    return _from_op(out, "sub", (a, b), bwd)
+    return _from_op(a.data - b.data, "sub", (a, b), bwd)
 
 
 def mul(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    out = a.data * b.data
+    sa, sb, ta, tb = a.shape, b.shape, _tracked(a), _tracked(b)
+    # each operand's data is kept only for the other operand's gradient
+    ad = a.data if tb else None
+    bd = b.data if ta else None
 
     def bwd(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        return ((_unbroadcast(g * bd, sa) if ta else None),
+                (_unbroadcast(g * ad, sb) if tb else None))
 
-    return _from_op(out, "mul", (a, b), bwd)
+    return _from_op(a.data * b.data, "mul", (a, b), bwd)
 
 
 def div(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    out = a.data / b.data
+    sa, sb, ta, tb = a.shape, b.shape, _tracked(a), _tracked(b)
+    ad = a.data if tb else None
+    bd = b.data
 
     def bwd(g):
-        ga = _unbroadcast(g / b.data, a.shape)
-        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
+        ga = _unbroadcast(g / bd, sa) if ta else None
+        gb = _unbroadcast(-g * ad / (bd * bd), sb) if tb else None
         return ga, gb
 
-    return _from_op(out, "div", (a, b), bwd)
+    return _from_op(a.data / b.data, "div", (a, b), bwd)
 
 
 def neg(a) -> Tensor:
@@ -304,17 +352,20 @@ def matmul(a, b, bias=None) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError(f"matmul needs at least 2-D operands, got {a.shape} @ {b.shape}")
+    sa, sb, ta, tb = a.shape, b.shape, _tracked(a), _tracked(b)
+    # each operand's data is kept only for the other operand's gradient
+    bd = b.data if ta else None
     if b.ndim > 2:
         if bias is not None:
             raise ValueError(f"bias needs a 2-D weight, got weight shape {b.shape}")
-        out = a.data @ b.data
+        ad = a.data if tb else None
 
         def bwd(g):
-            ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
-            gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+            ga = _unbroadcast(g @ np.swapaxes(bd, -1, -2), sa) if ta else None
+            gb = _unbroadcast(np.swapaxes(ad, -1, -2) @ g, sb) if tb else None
             return ga, gb
 
-        return _from_op(out, "matmul", (a, b), bwd)
+        return _from_op(a.data @ b.data, "matmul", (a, b), bwd)
 
     k, n = b.shape
     if a.shape[-1] != k:
@@ -328,13 +379,16 @@ def matmul(a, b, bias=None) -> Tensor:
             raise ValueError(f"bias shape {bias.shape} does not match output width {n}")
         out += bias.data
         parents = (a, b, bias)
+    with_bias = bias is not None
+    if not tb:
+        a2 = None
 
     def bwd(g):
         g2 = g.reshape(-1, n)
-        grads = ((g2 @ b.data.T).reshape(a.shape), a2.T @ g2)
-        return grads if bias is None else grads + (g2.sum(axis=0),)
+        grads = ((g2 @ bd.T).reshape(sa) if ta else None, a2.T @ g2 if tb else None)
+        return grads + (g2.sum(axis=0),) if with_bias else grads
 
-    return _from_op(out.reshape(a.shape[:-1] + (n,)), "matmul", parents, bwd)
+    return _from_op(out.reshape(sa[:-1] + (n,)), "matmul", parents, bwd)
 
 
 def transpose(a, axes=None) -> Tensor:
@@ -390,9 +444,10 @@ def unfold(a, size: int, step: int) -> Tensor:
     # fancy indexing with a leading ellipsis lays the result out subspace-first;
     # force C order so the products downstream see row-major patches
     out = np.ascontiguousarray(a.data[..., idx])
+    shape = a.shape
 
     def bwd(g):
-        ga = np.zeros(a.shape)
+        ga = np.zeros(shape)
         for i in range(n):
             ga[..., i * step:i * step + size] += g[..., i, :]
         return (ga,)
@@ -401,14 +456,17 @@ def unfold(a, size: int, step: int) -> Tensor:
 
 
 def mean(a, axis=None, keepdims: bool = False) -> Tensor:
+    """Mean over ``axis`` (None, an int or a tuple of ints, as in numpy)."""
     a = _wrap(a)
     out = a.data.mean(axis=axis, keepdims=keepdims)
-    count = a.size if axis is None else a.shape[axis]
+    shape = a.shape
+    axes = None if axis is None else tuple(np.atleast_1d(axis).tolist())
+    count = a.size if axes is None else math.prod(shape[ax] for ax in axes)
 
     def bwd(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g / count, a.shape).copy(),)
+        if axes is not None and not keepdims:
+            g = np.expand_dims(g, axes)
+        return (np.broadcast_to(g / count, shape).copy(),)
 
     return _from_op(out, "mean", (a,), bwd)
 
@@ -432,14 +490,15 @@ def normalize(a, axis, eps: float, gamma, beta) -> tuple[Tensor, np.ndarray, np.
     v = np.mean(xhat * xhat, axis=axis, keepdims=True)
     std = np.sqrt(v + eps)
     xhat /= std
-    out = xhat * gamma.data
+    gd = gamma.data
+    out = xhat * gd
     out += beta.data
     rows = tuple(range(a.ndim - 1))
 
     def bwd(g):
         ggamma = (g * xhat).sum(axis=rows)
         gbeta = g.sum(axis=rows)
-        gx = g * gamma.data
+        gx = g * gd
         proj = np.mean(gx * xhat, axis=axis, keepdims=True)
         gx -= gx.mean(axis=axis, keepdims=True)
         gx -= xhat * proj
@@ -527,32 +586,35 @@ def gelu(a) -> Tensor:
     """Exact gaussian-error-linear unit, 0.5 * x * (1 + erf(x / sqrt(2))).
 
     erf is :func:`_erf`, a numpy port of the Cephes library's ``ndtr.c``
-    rational approximations, within 4 ulp of ``math.erf``. The forward
-    keeps exp(-x^2 / 2), which the erf computes anyway, and the backward
-    reuses it as sqrt(2 pi) times the normal density.
+    rational approximations, within 4 ulp of ``math.erf``. When the node is
+    recorded, each chunk also forms the derivative cdf + x * exp(-x^2 / 2) /
+    sqrt(2 pi) from the erf's own exp, and the node keeps only that array.
     """
     a = _wrap(a)
     x = np.ascontiguousarray(a.data).reshape(-1)
-    cdf = np.empty_like(x)
-    e = np.empty_like(x)
     out = np.empty_like(x)
+    deriv = np.empty_like(x) if _recording((a,)) else None
+    chunk = min(x.size, _GELU_CHUNK)
+    cdf, e = np.empty(chunk), np.empty(chunk)  # per-chunk scratch
     for lo in range(0, x.size, _GELU_CHUNK):
         part = slice(lo, lo + _GELU_CHUNK)
-        c = cdf[part]
-        _erf(x[part] * _INV_SQRT2, c, e[part])
+        xc = x[part]
+        c, ec = cdf[:xc.size], e[:xc.size]
+        _erf(xc * _INV_SQRT2, c, ec)
         c += 1.0
         c *= 0.5
-        np.multiply(x[part], c, out=out[part])
+        np.multiply(xc, c, out=out[part])
+        if deriv is not None:
+            d = deriv[part]
+            np.multiply(ec, _INV_SQRT_2PI, out=d)
+            d *= xc
+            d += c
+    shape = a.shape
 
     def bwd(g):
-        d = np.multiply(e, _INV_SQRT_2PI)
-        d *= x
-        d += cdf
-        d = d.reshape(a.shape)
-        d *= g
-        return (d,)
+        return (np.multiply(deriv.reshape(shape), g),)
 
-    return _from_op(out.reshape(a.shape), "gelu", (a,), bwd)
+    return _from_op(out.reshape(shape), "gelu", (a,), bwd)
 
 
 def softmax(a, axis: int = -1) -> Tensor:
@@ -580,6 +642,9 @@ def head_mix(attn, y, wv, wo, bias) -> Tensor:
     in the attention block, that saves work whenever rows * n exceeds
     d_out. The small ``attn`` is permuted, not the wide values, so the mixed
     values come out in the (rows * n, h * d) layout of the final GEMM.
+    The node keeps the permuted ``attn`` and ``y``, not the mixed values,
+    which are h times wider than ``y``: the backward recomputes them with
+    one batched product.
     """
     attn, y, wv, wo, bias = (_wrap(t) for t in (attn, y, wv, wo, bias))
     rows, h, n = attn.shape[:3]
@@ -597,21 +662,45 @@ def head_mix(attn, y, wv, wo, bias) -> Tensor:
     mix = (wv3 @ wo3).reshape(h * d, d_out)
     # row i * h + head of ``at`` holds query i's attention weights under that head
     at = attn.data.transpose(0, 2, 1, 3).reshape(rows, n * h, n)
-    z = (at @ y.data).reshape(rows * n, h * d)
-    out = z @ mix
+    yd = y.data
+    out = (at @ yd).reshape(rows * n, h * d) @ mix
     out += bias.data
 
     def bwd(g):
         g2 = g.reshape(rows * n, d_out)
+        z = (at @ yd).reshape(rows * n, h * d)
         gmix = (z.T @ g2).reshape(h, d, d_out)
+        del z  # the widest array here: gone before the next products allocate
         gz = (g2 @ mix.T).reshape(rows, n * h, d)
-        g_attn = (gz @ np.swapaxes(y.data, 1, 2)).reshape(rows, n, h, n).transpose(0, 2, 1, 3)
+        g_attn = (gz @ np.swapaxes(yd, 1, 2)).reshape(rows, n, h, n).transpose(0, 2, 1, 3)
         gy = np.swapaxes(at, 1, 2) @ gz
         gwv = (gmix @ np.swapaxes(wo3, 1, 2)).transpose(1, 0, 2).reshape(d, h * dv)
         gwo = (np.swapaxes(wv3, 1, 2) @ gmix).reshape(h * dv, d_out)
         return g_attn, gy, gwv, gwo, g2.sum(axis=0)
 
     return _from_op(out.reshape(rows, n, d_out), "head_mix", (attn, y, wv, wo, bias), bwd)
+
+
+def dropout(a, keep: np.ndarray, scale: float) -> Tensor:
+    """Inverted dropout, ``a * keep * scale`` for a boolean mask ``keep``, one node.
+
+    The node keeps the one-byte mask and the scalar, not a float mask.
+    Multiplying by ``keep`` and then by ``scale`` gives the same bits as
+    multiplying by the float mask ``keep * scale``: each element is either
+    multiplied by exactly 1 and then by ``scale``, or zeroed.
+    """
+    a = _wrap(a)
+    if keep.shape != a.shape:
+        raise ValueError(f"dropout mask of shape {keep.shape} does not match {a.shape}")
+    out = a.data * keep
+    out *= scale
+
+    def bwd(g):
+        gx = g * keep
+        gx *= scale
+        return (gx,)
+
+    return _from_op(out, "dropout", (a,), bwd)
 
 
 def spectral_gate(y, w) -> Tensor:
@@ -630,13 +719,16 @@ def spectral_gate(y, w) -> Tensor:
     yr, yi = rfft_kernel(y.data)
     wr, wi = rfft_kernel(w.data)
     out, _residual = irfft_kernel(yr * wr - yi * wi, yr * wi + yi * wr, n)
+    ty, tw = _tracked(y), _tracked(w)
+    if not tw:
+        yr = yi = None  # read only for the filter's gradient
 
     def bwd(g):
         gr, gi = rfft_kernel(g)
         gy = gw = None
-        if _tracked(y):
+        if ty:
             gy, _ = irfft_kernel(gr * wr + gi * wi, gi * wr - gr * wi, n)
-        if _tracked(w):
+        if tw:
             rows = tuple(range(g.ndim - 1))
             re = (gr * yr + gi * yi).sum(axis=rows)
             im = (gi * yr - gr * yi).sum(axis=rows)

@@ -6,6 +6,10 @@ unfused mean/var/sub/div chain that ``tensor.normalize`` is checked against.
 with four muls, a sub and an add they form the unfused gating that
 ``tensor.spectral_gate`` is checked against. ``unfused_head_mix`` is the
 7-node attention value chain that ``tensor.head_mix`` is checked against.
+``two_array_gelu``, ``float_mask_dropout`` and ``z_keeping_head_mix`` are the
+earlier forms of the GELU node (keeping the cdf and exp arrays), of dropout
+(a ``mul`` by a float mask) and of ``head_mix`` (keeping the mixed values),
+which the leaner nodes must match bit for bit.
 ``adam_step_per_parameter`` is the per-parameter Adam loop that the flat
 arena update must match bit for bit.
 ``tape_census`` counts a graph's nodes per op kind.
@@ -22,7 +26,9 @@ import numpy as np
 from spectral_forecaster.model.network import PatchEmbedding
 from spectral_forecaster.numeric import tensor as T
 from spectral_forecaster.numeric.fft import Spectrum, irfft_kernel, n_bins, rfft_kernel
-from spectral_forecaster.numeric.tensor import Tensor, _from_op, _wrap
+from spectral_forecaster.numeric.tensor import (
+    _GELU_CHUNK, _INV_SQRT2, _INV_SQRT_2PI, Tensor, _erf, _from_op, _wrap,
+)
 from spectral_forecaster.spectral import SpectralBlock, SpectralFilter
 
 
@@ -127,6 +133,70 @@ def unfused_head_mix(attn, y, wv, wo, bias) -> Tensor:
     o = T.matmul(attn, v)
     o = T.reshape(T.swapaxes(o, 1, 2), (rows, n, h * dv))
     return T.matmul(o, wo, bias=bias)
+
+
+def two_array_gelu(a) -> Tensor:
+    """GELU whose node keeps the cdf and exp(-x^2 / 2) arrays and forms the derivative in backward."""
+    a = _wrap(a)
+    x = np.ascontiguousarray(a.data).reshape(-1)
+    cdf = np.empty_like(x)
+    e = np.empty_like(x)
+    out = np.empty_like(x)
+    for lo in range(0, x.size, _GELU_CHUNK):
+        part = slice(lo, lo + _GELU_CHUNK)
+        c = cdf[part]
+        _erf(x[part] * _INV_SQRT2, c, e[part])
+        c += 1.0
+        c *= 0.5
+        np.multiply(x[part], c, out=out[part])
+
+    def bwd(g):
+        d = np.multiply(e, _INV_SQRT_2PI)
+        d *= x
+        d += cdf
+        d = d.reshape(a.shape)
+        d *= g
+        return (d,)
+
+    return _from_op(out.reshape(a.shape), "gelu", (a,), bwd)
+
+
+def float_mask_dropout(self, x: Tensor, rng: np.random.Generator | None = None) -> Tensor:
+    """``Dropout.forward`` as a ``mul`` by the float64 mask ``keep / (1 - p)``."""
+    if not self.training or self.p == 0.0:
+        return x
+    if rng is None:
+        raise ValueError("dropout requires an rng in training mode")
+    mask = (rng.random(x.shape) >= self.p) / (1.0 - self.p)
+    return T.mul(x, mask)
+
+
+def z_keeping_head_mix(attn, y, wv, wo, bias) -> Tensor:
+    """``head_mix`` whose node keeps the (rows * n, h * d) mixed values ``z`` for backward."""
+    attn, y, wv, wo, bias = (_wrap(t) for t in (attn, y, wv, wo, bias))
+    rows, h, n = attn.shape[:3]
+    d = y.shape[-1]
+    dv = wv.shape[1] // h
+    d_out = wo.shape[1]
+    wv3 = wv.data.reshape(d, h, dv).transpose(1, 0, 2)
+    wo3 = wo.data.reshape(h, dv, d_out)
+    mix = (wv3 @ wo3).reshape(h * d, d_out)
+    at = attn.data.transpose(0, 2, 1, 3).reshape(rows, n * h, n)
+    z = (at @ y.data).reshape(rows * n, h * d)
+    out = z @ mix
+    out += bias.data
+
+    def bwd(g):
+        g2 = g.reshape(rows * n, d_out)
+        gmix = (z.T @ g2).reshape(h, d, d_out)
+        gz = (g2 @ mix.T).reshape(rows, n * h, d)
+        g_attn = (gz @ np.swapaxes(y.data, 1, 2)).reshape(rows, n, h, n).transpose(0, 2, 1, 3)
+        gy = np.swapaxes(at, 1, 2) @ gz
+        gwv = (gmix @ np.swapaxes(wo3, 1, 2)).transpose(1, 0, 2).reshape(d, h * dv)
+        gwo = (np.swapaxes(wv3, 1, 2) @ gmix).reshape(h * dv, d_out)
+        return g_attn, gy, gwv, gwo, g2.sum(axis=0)
+
+    return _from_op(out.reshape(rows, n, d_out), "head_mix", (attn, y, wv, wo, bias), bwd)
 
 
 def adam_step_per_parameter(state: dict, named_params, lr: float,

@@ -1,6 +1,7 @@
 """Tape mechanics and per-op gradient rules against finite differences."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -642,3 +643,120 @@ class TestErfAndGelu:
         pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
         np.testing.assert_allclose(a.grad, (x > 0) + x * pdf, rtol=1e-13, atol=0)
         gradcheck(lambda a: ref.sum(T.gelu(a) * 0.7), x)
+
+
+def _grads_of(op, arrays, proj):
+    """The output of ``op`` on Parameters made from ``arrays`` and their gradients under ``proj``."""
+    params = [Parameter(a.copy()) for a in arrays]
+    out = op(*params)
+    backward(ref.sum(out * proj))
+    return [out.data] + [p.grad for p in params]
+
+
+class TestRetainedState:
+    """Nodes keep only what their rule reads, and still give the same bits as before."""
+
+    @pytest.mark.parametrize("shape", [(0,), (3, 4), (T._GELU_CHUNK,), (T._GELU_CHUNK + 5,),
+                                       (101, 210)])
+    def test_gelu_matches_two_array_form(self, shape):
+        rng = np.random.default_rng(170)
+        x = rng.standard_normal(shape) * 3.0
+        if len(shape) == 2:
+            x = x.T  # a non-contiguous input
+        proj = rng.standard_normal(x.shape)
+        new = _grads_of(T.gelu, [x], proj)
+        old = _grads_of(ref.two_array_gelu, [x], proj)
+        for a, b in zip(new, old):
+            np.testing.assert_array_equal(a, b)
+        with no_grad():
+            out = T.gelu(Tensor(x))
+        assert out.node is None
+        np.testing.assert_array_equal(out.data, new[0])
+
+    @pytest.mark.parametrize("p", [0.1, 0.3, 0.5])
+    def test_dropout_matches_float_mask(self, p):
+        rng = np.random.default_rng(171)
+        x = rng.standard_normal((4, 5, 6))
+        keep = rng.random(x.shape) >= p
+        proj = rng.standard_normal(x.shape)
+        new = _grads_of(lambda a: T.dropout(a, keep, 1.0 / (1.0 - p)), [x], proj)
+        old = _grads_of(lambda a: T.mul(a, keep / (1.0 - p)), [x], proj)
+        for a, b in zip(new, old):
+            np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(np.signbit(a), np.signbit(b))
+
+    def test_dropout_is_one_node_over_a_bool_mask(self):
+        from spectral_forecaster.nn import Dropout
+
+        x = Parameter(np.ones((3, 4)))
+        out = Dropout(0.5)(x, np.random.default_rng(172))
+        assert ref.tape_census(out) == {"dropout": 1}
+        masks = [c.cell_contents for c in out.node.backward_fn.__closure__
+                 if isinstance(c.cell_contents, np.ndarray)]
+        assert [m.dtype for m in masks] == [np.bool_]
+        with pytest.raises(ValueError, match="dropout mask"):
+            T.dropout(x, np.ones((4, 3), dtype=bool), 2.0)
+
+    @pytest.mark.parametrize("name", TestHeadMix.SHAPES)
+    def test_head_mix_matches_z_keeping_form(self, name):
+        shape = TestHeadMix.SHAPES[name]
+        rng = np.random.default_rng(173 + len(name))
+        arrays, _ = TestHeadMix.operands(rng, shape, False)
+        rows, _, n, _, _, d_out = shape
+        proj = rng.standard_normal((rows, n, d_out))
+        new = _grads_of(T.head_mix, arrays, proj)
+        old = _grads_of(ref.z_keeping_head_mix, arrays, proj)
+        for a, b in zip(new, old):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("keepdims", [False, True])
+    @pytest.mark.parametrize("axis", [(0, 1), (0, 2), (-1, 0), (1,), 2])
+    def test_mean_over_several_axes(self, axis, keepdims):
+        rng = np.random.default_rng(174)
+        x = rng.standard_normal((3, 4, 5))
+        out = T.mean(Tensor(x), axis=axis, keepdims=keepdims)
+        np.testing.assert_array_equal(out.data, x.mean(axis=axis, keepdims=keepdims))
+        proj = rng.standard_normal(out.shape)
+        gradcheck(lambda a: ref.sum(T.mean(a, axis=axis, keepdims=keepdims) * proj), x)
+
+    def test_untracked_operand_gets_no_gradient_work(self):
+        rng = np.random.default_rng(175)
+        w, c = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
+        g = np.ones((3, 4))
+        for op in (T.add, T.sub, T.mul, T.div):
+            assert op(Parameter(w), c).node.backward_fn(g)[1] is None
+            assert op(c, Parameter(w)).node.backward_fn(g)[0] is None
+        a = rng.standard_normal((2, 5, 3))
+        assert T.matmul(a, Parameter(w)).node.backward_fn(np.ones((2, 5, 4)))[0] is None
+        assert T.matmul(Parameter(a), w).node.backward_fn(np.ones((2, 5, 4)))[1] is None
+        batched = rng.standard_normal((2, 3, 4))
+        assert T.matmul(a, Parameter(batched)).node.backward_fn(np.ones((2, 5, 4)))[0] is None
+        # and the tracked operand's gradient is unchanged
+        p = Parameter(a)
+        backward(ref.sum(T.mul(T.matmul(p, w), 0.5)))
+        np.testing.assert_allclose(p.grad, np.broadcast_to(0.5 * w.sum(axis=1), a.shape))
+
+    def test_parents_are_data_free_handles(self):
+        x = Parameter(np.arange(6.0).reshape(2, 3))
+        y = x * x
+        a, b = y * 2.0, y + 1.0
+        assert a.node.parents[0] is b.node.parents[0]
+        handle = a.node.parents[0]
+        assert not isinstance(handle, Tensor) and not hasattr(handle, "data")
+        assert handle.node is y.node and handle.requires_grad
+        assert y.node.parents == (x, x)  # a leaf stays itself
+        # nothing on a's tape holds y's data, so dropping y frees it
+        alive = weakref.ref(y.data)
+        del y
+        assert alive() is None
+        backward(ref.sum(a + b))
+        np.testing.assert_array_equal(x.grad, 6.0 * x.data)
+        assert handle.node is None and a.node is None
+
+    def test_second_graph_over_a_freed_intermediate(self):
+        x = Parameter(np.array([1.0, 2.0]))
+        y = x * 3.0
+        backward(ref.sum(y))
+        loss = ref.sum(y * x)  # y's node is gone: it now counts as a constant
+        backward(loss)
+        np.testing.assert_array_equal(x.grad, [3.0 + 3.0, 3.0 + 6.0])
