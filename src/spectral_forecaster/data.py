@@ -13,11 +13,11 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, config_int
+from .errors import ConfigError, DataError, config_section
 from .fileio import atomic_write
 
 
@@ -307,34 +307,6 @@ class SyntheticSpec:
         object.__setattr__(self, "length", int(self.length))
         object.__setattr__(self, "noise", float(self.noise))
 
-    def to_dict(self) -> dict:
-        return {
-            "components": [list(c) for c in self.components],
-            "length": self.length,
-            "noise": self.noise,
-        }
-
-    @classmethod
-    def from_dict(cls, d) -> "SyntheticSpec":
-        """Inverse of :meth:`to_dict`; every bad field raises ConfigError."""
-        if not isinstance(d, dict):
-            raise ConfigError(f"synthetic spec must be a mapping, got {d!r}")
-        unknown = set(d) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ConfigError(f"unknown synthetic spec keys {sorted(unknown)}")
-        kwargs = {}
-        for key, value in d.items():
-            try:
-                if key == "components":
-                    kwargs[key] = tuple(tuple(float(v) for v in c) for c in value)
-                elif key == "length":
-                    kwargs[key] = config_int("synthetic length", value)
-                else:
-                    kwargs[key] = float(value)
-            except (TypeError, ValueError, OverflowError):
-                raise ConfigError(f"synthetic {key} is malformed: {value!r}") from None
-        return cls(**kwargs)
-
 
 def synth_three_sine(spec: SyntheticSpec, rng: np.random.Generator | None = None) -> RawSeries:
     """Evaluate x_t = sum_j A_j sin(2 pi f_j t + phi_j) (+ noise) as one channel."""
@@ -353,7 +325,7 @@ def load_synthetic_spec(path) -> SyntheticSpec:
     """Read a SyntheticSpec from a JSON file with keys components/length/noise."""
     try:
         with open(path) as fh:
-            return SyntheticSpec.from_dict(json.load(fh))
+            return config_section(SyntheticSpec, json.load(fh), "synthetic")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid synthetic spec JSON: {exc}") from exc
     except ConfigError as exc:

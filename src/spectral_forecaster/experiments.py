@@ -28,7 +28,7 @@ from .data import (
     stack_windows,
     synth_three_sine,
 )
-from .errors import ConfigError, config_int
+from .errors import ConfigError, config_int, config_section
 from .fileio import atomic_write
 from .model import FilterFormer, ModelConfig, count_parameters, save_checkpoint
 from .numeric import rfft_kernel
@@ -49,7 +49,7 @@ class ExperimentConfig:
 
     Exactly one of `dataset` (CSV path) and `synthetic` must be set. The
     model is retrained once per entry in `horizons`, which defaults to the
-    model's own horizon.
+    model's own horizon. A YAML file names `exclude` as `exclude_channels`.
     """
 
     model: ModelConfig
@@ -57,7 +57,8 @@ class ExperimentConfig:
     split: SplitSpec = SplitSpec()
     dataset: str | None = None
     synthetic: SyntheticSpec | None = None
-    exclude: tuple = ()
+    exclude: tuple[int | str, ...] = dataclasses.field(
+        default=(), metadata={"key": "exclude_channels"})
     horizons: tuple[int, ...] = ()
     out_dir: str = "runs"
     tag: str = "run"
@@ -119,60 +120,6 @@ def tiny_experiment_config(out_dir: str = "runs/tiny", seed: int = 0,
     )
 
 
-def _float_field(section: str, key: str, value) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{section}.{key} must be a number, got {value!r}") from None
-
-
-def _int_list(name: str, value) -> tuple[int, ...]:
-    if not isinstance(value, list):
-        raise ConfigError(f"{name} must be a list of integers, got {value!r}")
-    return tuple(config_int(f"{name}.{i}", v) for i, v in enumerate(value))
-
-
-_TRAIN_INT_FIELDS = ("batch_size", "max_epochs", "patience", "seed")
-
-
-def _train_from_dict(raw: dict) -> TrainConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"train section must be a mapping, got {raw!r}")
-    known = {f.name for f in dataclasses.fields(TrainConfig)}
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"unknown train keys {sorted(unknown)}")
-    kwargs = {}
-    for key, value in raw.items():
-        if key == "learning_rate":
-            kwargs[key] = _float_field("train", key, value)  # YAML may give "1e-4" as text
-        elif key in _TRAIN_INT_FIELDS:
-            kwargs[key] = config_int(f"train.{key}", value)
-    return TrainConfig(**kwargs)
-
-
-def _split_from_dict(raw: dict) -> SplitSpec:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"split section must be a mapping, got {raw!r}")
-    known = {f.name for f in dataclasses.fields(SplitSpec)}
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"unknown split keys {sorted(unknown)}")
-    kwargs = dict(raw)
-    if kwargs.get("boundaries") is not None:
-        kwargs["boundaries"] = _int_list("split.boundaries", kwargs["boundaries"])
-    for key in ("train_frac", "val_frac", "test_frac"):
-        if key in kwargs:
-            kwargs[key] = _float_field("split", key, kwargs[key])
-    return SplitSpec(**kwargs)
-
-
-_TOP_LEVEL_KEYS = {
-    "model", "train", "split", "dataset", "synthetic",
-    "exclude_channels", "horizons", "out_dir", "tag",
-}
-
-
 def load_experiment_config(path) -> ExperimentConfig:
     """Parse a YAML experiment file; every schema problem raises ConfigError."""
     try:
@@ -182,51 +129,18 @@ def load_experiment_config(path) -> ExperimentConfig:
         raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: experiment config must be a mapping")
-    unknown = set(raw) - _TOP_LEVEL_KEYS
-    if unknown:
-        raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
-    if "model" not in raw:
-        raise ConfigError(f"{path}: missing required section: model")
-
-    horizons = _int_list("horizons", raw.get("horizons", []))
-    model_dict = raw["model"]
-    if not isinstance(model_dict, dict):
-        raise ConfigError(f"{path}: model section must be a mapping")
-    model_dict = dict(model_dict)
-    if "dropout" in model_dict:
-        model_dict["dropout"] = _float_field("model", "dropout", model_dict["dropout"])
-    if "horizon" not in model_dict:
-        if not horizons:
-            raise ConfigError(f"{path}: set model.horizon or a horizons list")
-        model_dict["horizon"] = horizons[0]
     try:
-        model = ModelConfig.from_dict(model_dict)
-    except TypeError as exc:
-        raise ConfigError(f"{path}: bad model section: {exc}") from exc
-
-    dataset = raw.get("dataset")
-    split_raw = raw.get("split")
-    if split_raw is not None:
-        split = _split_from_dict(split_raw)
-    elif dataset is not None:
-        split = SplitSpec.for_name(dataset)
-    else:
-        split = SplitSpec()
-
-    try:
-        return ExperimentConfig(
-            model=model,
-            train=_train_from_dict(raw.get("train", {})),
-            split=split,
-            dataset=str(dataset) if dataset is not None else None,
-            synthetic=SyntheticSpec.from_dict(raw["synthetic"]) if "synthetic" in raw else None,
-            exclude=tuple(raw.get("exclude_channels", ())),
-            horizons=horizons,
-            out_dir=str(raw.get("out_dir", "runs")),
-            tag=str(raw.get("tag", "run")),
-        )
-    except TypeError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        model = raw.get("model")
+        if isinstance(model, dict) and "horizon" not in model:
+            horizons = raw.get("horizons")
+            if not (isinstance(horizons, list) and horizons):
+                raise ConfigError("set model.horizon or a horizons list")
+            model["horizon"] = config_int("horizons.0", horizons[0])
+        if raw.get("split") is None:  # absent or null: the dataset's standard protocol
+            raw["split"] = dataclasses.asdict(SplitSpec.for_name(raw.get("dataset") or ""))
+        return config_section(ExperimentConfig, raw, "")
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def load_series(config: ExperimentConfig) -> RawSeries:

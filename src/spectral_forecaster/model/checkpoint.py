@@ -9,12 +9,13 @@ bit-exact: float64 -> bytes -> float64 is lossless.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import struct
 
 import numpy as np
 
-from ..errors import ConfigError, DataError
+from ..errors import ConfigError, DataError, config_section
 from ..fileio import atomic_write
 from ..numeric.tensor import Tensor
 from .network import FilterFormer, ModelConfig, count_parameters
@@ -33,7 +34,7 @@ def save_checkpoint(model: FilterFormer, path) -> None:
         chunks.append(raw)
         offset += len(raw)
     header = json.dumps(
-        {"config": model.config.to_dict(), "entries": entries},
+        {"config": dataclasses.asdict(model.config), "entries": entries},
         sort_keys=True,
     ).encode("utf-8")
     with atomic_write(path, "wb") as fh:
@@ -65,7 +66,7 @@ def load_checkpoint(path) -> FilterFormer:
     entries = _checked_entries(path, header)
     payload = blob[header_start + header_len:]
     try:
-        cfg = ModelConfig.from_dict(header["config"])
+        cfg = config_section(ModelConfig, header["config"], "config")
         n_params = count_parameters(cfg)[0]
         # size the model from the config before allocating it
         if 8 * n_params > len(payload):

@@ -10,11 +10,11 @@ seeded the same way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ConfigError, config_bool, config_int
+from ..errors import ConfigError
 from ..numeric import tensor as T
 from ..numeric.tensor import Parameter, Tensor, no_grad
 from ..spectral import SpectralBlock, SpectralBlockConfig, SpectralFilter
@@ -22,15 +22,6 @@ from ..nn import BatchNorm, Dropout, FeedForward, Linear, Module, ModuleList, xa
 from .revin import RevIN, RevInState, revin_denormalize, revin_normalize
 
 PLACEMENTS = ("post-embedding", "pre-embedding")
-_INT_FIELDS = ("lookback", "horizon", "patch_len", "stride", "d_model", "n_heads", "d_k",
-               "total_layers", "alpha", "ffn_hidden")
-_SPECTRAL_INT_FIELDS = ("mlp_hidden", "filtered_axis_length")
-
-
-def _check_ints(d: dict, names, prefix: str = "") -> None:
-    for name in names:
-        if d.get(name) is not None:
-            d[name] = config_int(prefix + name, d[name])
 
 
 @dataclass(frozen=True)
@@ -102,34 +93,6 @@ class ModelConfig:
 
     def resolved_ffn_hidden(self) -> int:
         return self.ffn_hidden if self.ffn_hidden is not None else 2 * self.d_model
-
-    def to_dict(self) -> dict:
-        d = {f.name: getattr(self, f.name) for f in fields(self)}
-        d["spectral"] = {f.name: getattr(self.spectral, f.name) for f in fields(self.spectral)}
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        d = dict(d)
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
-        _check_ints(d, _INT_FIELDS)
-        if "revin_affine" in d:
-            d["revin_affine"] = config_bool("revin_affine", d["revin_affine"])
-        sp = d.get("spectral")
-        if isinstance(sp, dict):
-            sp_known = {f.name for f in fields(SpectralBlockConfig)}
-            sp_unknown = set(sp) - sp_known
-            if sp_unknown:
-                raise ConfigError(f"unknown spectral config keys: {sorted(sp_unknown)}")
-            sp = dict(sp)
-            _check_ints(sp, _SPECTRAL_INT_FIELDS, "spectral.")
-            if "use_mlp" in sp:
-                sp["use_mlp"] = config_bool("spectral.use_mlp", sp["use_mlp"])
-            d["spectral"] = SpectralBlockConfig(**sp)
-        return cls(**d)
 
 
 def patchify(x: np.ndarray, patch_len: int, stride: int) -> np.ndarray:

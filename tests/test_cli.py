@@ -178,6 +178,64 @@ class TestConfigErrors:
         assert str(spec_path) in err and next(iter(spec)) in err
         assert not (tmp_path / "s.csv").exists()
 
+    def test_bool_lookback_exits_2(self, tmp_path, capsys):
+        # true used to pass as the integer 1, failing later as "patch_len=4 exceeds lookback=1"
+        p = tmp_path / "exp.yaml"
+        p.write_text("synthetic: {length: 300}\n"
+                     "model: {lookback: true, horizon: 4, patch_len: 4, d_model: 8, n_heads: 2}\n")
+        err = self.exits_2(capsys, ["param-count", "--config", str(p)])
+        assert "model.lookback must be an integer, got True" in err
+
+    def test_bool_horizon_exits_2(self, tmp_path, capsys):
+        # used to be accepted as horizon 1
+        err = self.param_count(tmp_path, capsys, "horizons: [true]\n")
+        assert "horizons.0 must be an integer, got True" in err
+
+    @pytest.mark.parametrize("section, field", [
+        # exited 4 after eleven lines of numpy warnings
+        ("train: {learning_rate: .inf}", "train.learning_rate"),
+        # exited 4 as a non-finite gradient
+        ("train: {learning_rate: .nan}", "train.learning_rate"),
+        # exited 2 with "cannot convert float NaN to integer"
+        ("split: {train_frac: .nan}", "split.train_frac"),
+        # exited 3 as a data error
+        ("synthetic: {length: 300, noise: .inf}", "synthetic.noise"),
+        ("synthetic: {components: [[1, .nan, 0], [1, 0.1, 0], [1, 0.2, 0]]}",
+         "synthetic.components.0.1"),
+        ("model: {lookback: 16, horizon: 4, patch_len: 4, d_model: 8, n_heads: 2, dropout: -.inf}",
+         "model.dropout"),
+    ], ids=["lr-inf", "lr-nan", "train_frac-nan", "noise-inf", "component-nan", "dropout-inf"])
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, section, field):
+        sections = {"synthetic": "{length: 300}",
+                    "model": "{lookback: 16, horizon: 4, patch_len: 4, d_model: 8, n_heads: 2}",
+                    "train": "{max_epochs: 1, patience: 1}"}
+        key, _, value = section.partition(": ")
+        sections[key] = value
+        p = tmp_path / "exp.yaml"
+        p.write_text("".join(f"{k}: {v}\n" for k, v in sections.items()))
+        err = self.exits_2(capsys, ["run", "--config", str(p), "--out", str(tmp_path / "out")])
+        assert f"{field} must be a finite number" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("extra, message", [
+        # wrote the run into a directory named None
+        ("out_dir: null", "out_dir must be a string, got None"),
+        # was read one character at a time: "unknown channel 's'"
+        ("exclude_channels: synthetic", "exclude_channels must be a list, got 'synthetic'"),
+        ("exclude_channels: [true]", "exclude_channels.0 must be a string, got True"),
+        # said only "boundaries must be increasing positive ints"
+        ("split: {boundaries: [100, 150, 170]}", "split.boundaries must be a list of 2 items"),
+        ("tag: [a]", "tag must be a string, got ['a']"),
+    ], ids=["out_dir-null", "exclude-text", "exclude-bool", "boundaries-3", "tag-list"])
+    def test_bad_string_or_list_field_exits_2(self, tmp_path, capsys, monkeypatch, extra, message):
+        monkeypatch.chdir(tmp_path)
+        p = tmp_path / "exp.yaml"
+        p.write_text("synthetic: {length: 300}\n"
+                     "model: {lookback: 16, horizon: 4, patch_len: 4, d_model: 8, n_heads: 2}\n"
+                     "train: {max_epochs: 1, patience: 1}\n" + extra + "\n")
+        assert message in self.exits_2(capsys, ["run", "--config", str(p)])
+        assert os.listdir(tmp_path) == ["exp.yaml"]
+
 
 class TestAblationCommands:
     def test_ablate_alpha_default_range(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Loader, exclusion, windowing, and synthetic-generator behavior."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -259,7 +260,7 @@ class TestSyntheticSpec:
     def test_json_round_trip(self, tmp_path):
         spec = SyntheticSpec(length=512, noise=0.1)
         p = tmp_path / "spec.json"
-        p.write_text(json.dumps(spec.to_dict()))
+        p.write_text(json.dumps(dataclasses.asdict(spec)))
         assert load_synthetic_spec(p) == spec
 
     def test_bad_json_rejected(self, tmp_path):

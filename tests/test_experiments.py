@@ -150,6 +150,18 @@ model: {lookback: 16, patch_len: 4, d_model: 8, n_heads: 2}
         with pytest.raises(ConfigError, match="horizon"):
             load_experiment_config(p)
 
+    def test_number_keeps_its_text_in_string_fields(self, tmp_path):
+        p = self.write(tmp_path, """
+dataset: 12
+model: {lookback: 16, horizon: 4, patch_len: 4, d_model: 8, n_heads: 2}
+tag: 12
+out_dir: 3.5
+exclude_channels: [0, temp]
+""")
+        cfg = load_experiment_config(p)
+        assert (cfg.dataset, cfg.tag, cfg.out_dir) == ("12", "12", "3.5")
+        assert cfg.exclude == (0, "temp")  # an integer stays a channel index
+
 
 class TestRun:
     def test_artifacts_exist_and_report_is_consistent(self, tmp_path):

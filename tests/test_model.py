@@ -1,5 +1,6 @@
 """Config validation, patching, RevIN, block behavior, full-model invariants."""
 
+import dataclasses
 import tracemalloc
 import weakref
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectral_forecaster.errors import ConfigError
+from spectral_forecaster.errors import ConfigError, config_section
 from spectral_forecaster.model import (
     AttentionBlock,
     FilterFormer,
@@ -68,14 +69,16 @@ class TestModelConfig:
 
     def test_dict_round_trip(self):
         cfg = tiny_config(spectral=SpectralBlockConfig(use_mlp=False), stride=2)
-        again = ModelConfig.from_dict(cfg.to_dict())
+        again = config_section(ModelConfig, dataclasses.asdict(cfg), "model")
         assert again == cfg
 
     def test_unknown_keys_rejected(self):
-        d = tiny_config().to_dict()
-        d["window"] = 3
-        with pytest.raises(ConfigError):
-            ModelConfig.from_dict(d)
+        d = dataclasses.asdict(tiny_config())
+        with pytest.raises(ConfigError, match=r"\['model.window'\]"):
+            config_section(ModelConfig, {**d, "window": 3}, "model")
+        d["spectral"]["width"] = 3
+        with pytest.raises(ConfigError, match=r"\['model.spectral.width'\]"):
+            config_section(ModelConfig, d, "model")
 
 
 class TestPatchify:
