@@ -1,7 +1,8 @@
 """Command-line front end: runs, ablations, spectrum export, utilities.
 
-Exit codes: 0 success, 2 configuration problems, 3 data problems (missing or
-malformed files), 4 numeric failures (divergence, non-finite values).
+Exit codes: 0 success, 2 configuration problems (including a size too large
+to allocate), 3 data problems (missing or malformed files), 4 numeric failures
+(divergence, non-finite values).
 """
 
 from __future__ import annotations
@@ -227,6 +228,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         # library-level precondition failures on user-supplied values
         print(f"invalid value: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # sizes come from the config, so a refused allocation is a config problem
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 2
     except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)

@@ -24,15 +24,18 @@ MAGIC = b"SFCKPT1\n"
 
 
 def save_checkpoint(model: FilterFormer, path) -> None:
+    """Write the parameter arena as one block, then each buffer.
+
+    Parameters lead ``named_state`` in arena order, so the bytes are those of
+    every entry written in turn, with no per-parameter copy.
+    """
+    arena = model.parameter_arena()
     entries = []
-    chunks = []
     offset = 0
     for name, value in model.named_state():
         arr = value.data if isinstance(value, Tensor) else value
-        raw = np.ascontiguousarray(arr, dtype="<f8").tobytes()
         entries.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        chunks.append(raw)
-        offset += len(raw)
+        offset += 8 * arr.size
     header = json.dumps(
         {"config": dataclasses.asdict(model.config), "entries": entries},
         sort_keys=True,
@@ -41,8 +44,9 @@ def save_checkpoint(model: FilterFormer, path) -> None:
         fh.write(MAGIC)
         fh.write(struct.pack(">I", len(header)))
         fh.write(header)
-        for raw in chunks:
-            fh.write(raw)
+        fh.write(np.ascontiguousarray(arena, dtype="<f8"))
+        for _, b in model.named_buffers():
+            fh.write(np.ascontiguousarray(b, dtype="<f8"))
 
 
 def load_checkpoint(path) -> FilterFormer:
@@ -64,7 +68,7 @@ def load_checkpoint(path) -> FilterFormer:
     except ValueError as exc:
         raise DataError(f"{path}: corrupt checkpoint header: {exc}") from exc
     entries = _checked_entries(path, header)
-    payload = blob[header_start + header_len:]
+    payload = memoryview(blob)[header_start + header_len:]  # a window, not a copy
     try:
         cfg = config_section(ModelConfig, header["config"], "config")
         n_params = count_parameters(cfg)[0]

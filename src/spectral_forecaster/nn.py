@@ -75,6 +75,28 @@ class Module:
         object.__setattr__(self, "_arena", arena)
         return arena
 
+    def gradient_arena(self) -> np.ndarray:
+        """One flat float64 array for every parameter's gradient, in the parameter arena's layout.
+
+        Binds each ``Parameter.grad_view`` to its slice, so ``backward``
+        writes gradients straight into the arena. Allocated on the first
+        call (the optimizer's), so a model that only predicts never holds
+        one; later calls return the same array until a parameter is added or
+        replaced.
+        """
+        params = self.parameters()
+        arena = self.__dict__.get("_grad_arena")
+        if arena is not None and all(
+                p.grad_view is not None and p.grad_view.base is arena for p in params):
+            return arena
+        arena = np.zeros(sum(p.size for p in params))
+        offset = 0
+        for p in params:
+            p.grad_view = arena[offset:offset + p.size].reshape(p.shape)
+            offset += p.size
+        object.__setattr__(self, "_grad_arena", arena)
+        return arena
+
     def named_buffers(self, prefix: str = ""):
         for name, b in self._buffers.items():
             yield prefix + name, b

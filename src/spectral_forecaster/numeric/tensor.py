@@ -5,7 +5,8 @@ recording the op that produced it. A node names its parents by data-free
 handles, and its backward rule keeps only the shapes and arrays it reads, so
 an intermediate no rule reads is freed as soon as the forward drops it.
 ``backward`` walks the recorded graph once in reverse topological order,
-accumulates gradients into ``requires_grad`` leaves, and frees each node as
+accumulates gradients into ``requires_grad`` leaves (in place for a
+:class:`Parameter` bound to a gradient arena), and frees each node as
 soon as it is processed; calling it twice on the same loss is an error. Ops
 are module-level functions; arithmetic operators delegate to them.
 Everything stays in float64; spectra appear only inside
@@ -177,10 +178,18 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """Trainable leaf tensor; modules collect these by attribute name."""
+    """Trainable leaf tensor; modules collect these by attribute name.
+
+    ``grad_view``, once :meth:`Module.gradient_arena` binds it, is this
+    parameter's slice of the model's gradient arena: ``backward`` writes the
+    gradient there instead of keeping a fresh array.
+    """
+
+    __slots__ = ("grad_view",)
 
     def __init__(self, data):
         super().__init__(data, requires_grad=True)
+        self.grad_view = None
 
 
 def _make(data: np.ndarray, requires_grad: bool = False) -> Tensor:
@@ -269,7 +278,7 @@ def backward(loss: Tensor) -> None:
         if node is None:
             # a handle whose node an earlier backward freed takes no gradient
             if t.requires_grad and isinstance(t, Tensor):
-                t.grad = g if t.grad is None else t.grad + g
+                _accumulate(t, g)
             continue
         t.node = None
         parent_grads = node.backward_fn(g)
@@ -281,6 +290,19 @@ def backward(loss: Tensor) -> None:
                 grads[key] = grads[key] + pg
             else:
                 grads[key] = pg
+
+
+def _accumulate(leaf: Tensor, g: np.ndarray) -> None:
+    """Add ``g`` to a leaf's gradient, in place when the leaf has an arena view."""
+    view = leaf.grad_view if isinstance(leaf, Parameter) else None
+    if view is None:
+        # rules may hand the same array to several parents, so never add in place
+        leaf.grad = g if leaf.grad is None else leaf.grad + g
+    elif leaf.grad is view:
+        view += g
+    else:
+        np.copyto(view, g if leaf.grad is None else leaf.grad + g)
+        leaf.grad = view
 
 
 def add(a, b) -> Tensor:

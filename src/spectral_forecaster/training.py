@@ -10,6 +10,7 @@ internal per-window renormalization is invisible here.
 from __future__ import annotations
 
 import csv
+import ctypes
 import math
 from dataclasses import dataclass, field
 
@@ -83,17 +84,26 @@ def mae(pred, target) -> float:
     return float(np.mean(np.abs(pa - ta)))
 
 
+# elements per Adam block: its five block-sized arrays (1.25 MB) stay in cache
+# across the update's passes
+ADAM_BLOCK = 32768
+
+
 @dataclass
 class AdamState:
     """Flat first/second moment estimates over the model's parameter arena.
 
-    ``arena`` is :meth:`Module.parameter_arena`; ``m`` and ``v`` share its
-    layout, so one elementwise update covers every parameter.
+    ``arena`` is :meth:`Module.parameter_arena` and ``grads`` is
+    :meth:`Module.gradient_arena`; ``m`` and ``v`` share their layout, so
+    one elementwise update covers every parameter. ``scratch`` is the one
+    block-sized temporary the update runs through.
     """
 
     arena: np.ndarray
+    grads: np.ndarray
     m: np.ndarray
     v: np.ndarray
+    scratch: np.ndarray
     step: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
@@ -102,45 +112,58 @@ class AdamState:
     @classmethod
     def for_model(cls, model) -> "AdamState":
         arena = model.parameter_arena()
-        return cls(arena=arena, m=np.zeros_like(arena), v=np.zeros_like(arena))
+        return cls(arena=arena, grads=model.gradient_arena(), m=np.zeros_like(arena),
+                   v=np.zeros_like(arena), scratch=np.empty(min(arena.size, ADAM_BLOCK)))
 
 
 def adam_step(state: AdamState, named_params, lr: float) -> None:
     """One Adam update of the whole parameter arena, in place.
 
-    ``named_params`` is the model's ``named_parameters()`` in order; their
-    gradients are gathered into one flat array in the arena's layout. The
-    update runs through one scratch array with ``out=`` ufuncs.
+    ``named_params`` is the model's ``named_parameters()`` in order. A
+    gradient that is not already its parameter's view into ``state.grads``
+    (one set by hand) is copied in. After one finiteness check over the
+    gradient arena, the update runs block by block through
+    ``state.scratch`` with ``out=`` ufuncs, so it allocates no
+    parameter-sized array; a rejected step leaves every state untouched.
     """
-    names, grads = [], []
+    views = []
     for name, p in named_params:
         if p.grad is None:
             raise ValueError(f"parameter {name} has no gradient")
-        names.append(name)
-        grads.append(p.grad.reshape(-1))
-    state.step += 1
-    t = state.step
-    g = np.concatenate(grads)
-    if not np.isfinite(g).all():
-        name = next(n for n, gn in zip(names, grads) if not np.isfinite(gn).all())
-        raise NumericError(f"non-finite gradient for parameter {name} at step {t}")
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
-    m, v = state.m, state.v
-    tmp = np.empty_like(g)
-    m *= state.beta1
-    np.multiply(g, 1.0 - state.beta1, out=tmp)
-    m += tmp
-    v *= state.beta2
-    np.multiply(g, g, out=tmp)
-    tmp *= 1.0 - state.beta2
-    v += tmp
-    np.divide(v, bc2, out=tmp)
-    np.sqrt(tmp, out=tmp)
-    tmp += state.eps
-    np.divide(m, tmp, out=tmp)
-    tmp *= lr / bc1
-    state.arena -= tmp
+        if p.grad is not p.grad_view:
+            np.copyto(p.grad_view, p.grad)
+        views.append((name, p.grad_view))
+    grads = state.grads
+    t = state.step + 1
+    # a sum is finite only if every term is; an overflowing sum of finite terms
+    # finds no culprit below and the step goes on
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = math.isfinite(grads.sum())
+    if not finite:
+        for name, g in views:
+            if not np.isfinite(g).all():
+                raise NumericError(f"non-finite gradient for parameter {name} at step {t}")
+    state.step = t
+    b1, b2 = state.beta1, state.beta2
+    bc1 = 1.0 - b1 ** t
+    bc2 = 1.0 - b2 ** t
+    for lo in range(0, grads.size, ADAM_BLOCK):
+        hi = lo + ADAM_BLOCK
+        g, m, v = grads[lo:hi], state.m[lo:hi], state.v[lo:hi]
+        tmp = state.scratch[:g.size]
+        m *= b1
+        np.multiply(g, 1.0 - b1, out=tmp)
+        m += tmp
+        v *= b2
+        np.multiply(g, g, out=tmp)
+        tmp *= 1.0 - b2
+        v += tmp
+        np.divide(v, bc2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += state.eps
+        np.divide(m, tmp, out=tmp)
+        tmp *= lr / bc1
+        state.arena[lo:hi] -= tmp
 
 
 @dataclass
@@ -165,6 +188,25 @@ def _raw_metrics(model, rows_x: np.ndarray, rows_y: np.ndarray) -> tuple[float, 
         return float(np.mean(err * err)), float(np.mean(np.abs(err)))
 
 
+def _keep_heap_between_steps() -> None:
+    """Keep a training step's freed memory in the heap for the next step to reuse.
+
+    glibc raises its mmap and trim thresholds only after the process frees a
+    large mmapped array. A step that frees none (Adam holds no
+    parameter-sized temporary) leaves them low: each step's activations are
+    then mapped or trimmed away and faulted in again on the next step.
+    Fixed thresholds stop that. Where libc has no ``mallopt``, nothing is set.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
+
+
 def fit(model, windows: WindowSet, cfg: TrainConfig) -> FitResult:
     """Train until max_epochs or until val MSE stops improving for `patience` epochs.
 
@@ -174,6 +216,7 @@ def fit(model, windows: WindowSet, cfg: TrainConfig) -> FitResult:
     """
     if not windows.train or not windows.val:
         raise ValueError("fit needs nonempty train and val streams")
+    _keep_heap_between_steps()
     shuffle_rng = np.random.default_rng([cfg.seed, 1])
     dropout_rng = np.random.default_rng([cfg.seed, 2])
     state = AdamState.for_model(model)

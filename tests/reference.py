@@ -10,8 +10,11 @@ with four muls, a sub and an add they form the unfused gating that
 earlier forms of the GELU node (keeping the cdf and exp arrays), of dropout
 (a ``mul`` by a float mask) and of ``head_mix`` (keeping the mixed values),
 which the leaner nodes must match bit for bit.
-``adam_step_per_parameter`` is the per-parameter Adam loop that the flat
-arena update must match bit for bit.
+``adam_step_per_parameter`` is the per-parameter Adam loop and
+``adam_step_gathered`` the earlier flat update over a concatenated gradient;
+the blocked arena update must match both bit for bit.
+``save_checkpoint_per_entry`` is the earlier checkpoint writer, one bytes copy
+per entry, whose files ``save_checkpoint`` must reproduce byte for byte.
 ``tape_census`` counts a graph's nodes per op kind.
 ``idft``, ``apply_filter``, ``spectral_block_forward`` and ``embed_patches``
 are array-in conveniences over the package's own entry points.
@@ -19,9 +22,14 @@ are array-in conveniences over the package's own entry points.
 
 from __future__ import annotations
 
+import dataclasses
+import json
+import struct
 from collections import Counter
 
 import numpy as np
+
+from spectral_forecaster.model.checkpoint import MAGIC
 
 from spectral_forecaster.model.network import PatchEmbedding
 from spectral_forecaster.numeric import tensor as T
@@ -227,6 +235,54 @@ def adam_step_per_parameter(state: dict, named_params, lr: float,
         np.divide(m, tmp, out=tmp)
         tmp *= lr / bc1
         p.data[...] -= tmp
+
+
+def adam_step_gathered(state, named_params, lr: float) -> None:
+    """Adam over a gradient gathered by ``np.concatenate``, with one arena-sized scratch."""
+    grads = [p.grad.reshape(-1) for _, p in named_params]
+    state.step += 1
+    t = state.step
+    g = np.concatenate(grads)
+    bc1 = 1.0 - state.beta1 ** t
+    bc2 = 1.0 - state.beta2 ** t
+    m, v = state.m, state.v
+    tmp = np.empty_like(g)
+    m *= state.beta1
+    np.multiply(g, 1.0 - state.beta1, out=tmp)
+    m += tmp
+    v *= state.beta2
+    np.multiply(g, g, out=tmp)
+    tmp *= 1.0 - state.beta2
+    v += tmp
+    np.divide(v, bc2, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += state.eps
+    np.divide(m, tmp, out=tmp)
+    tmp *= lr / bc1
+    state.arena -= tmp
+
+
+def save_checkpoint_per_entry(model, path) -> None:
+    """The checkpoint format written one ``tobytes`` copy per named array."""
+    entries = []
+    chunks = []
+    offset = 0
+    for name, value in model.named_state():
+        arr = value.data if isinstance(value, Tensor) else value
+        raw = np.ascontiguousarray(arr, dtype="<f8").tobytes()
+        entries.append({"name": name, "shape": list(arr.shape), "offset": offset})
+        chunks.append(raw)
+        offset += len(raw)
+    header = json.dumps(
+        {"config": dataclasses.asdict(model.config), "entries": entries},
+        sort_keys=True,
+    ).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(MAGIC)
+        fh.write(struct.pack(">I", len(header)))
+        fh.write(header)
+        for raw in chunks:
+            fh.write(raw)
 
 
 def tape_census(out: Tensor) -> Counter:

@@ -71,6 +71,15 @@ class TestRunCommand:
         p.write_text("synthetic: {length: 300}\nmodel: {lookback: 16}\n")
         assert cli.main(["run", "--config", str(p)]) == 2
 
+    def test_unallocatable_size_exits_2_with_one_line(self, tmp_path, capsys):
+        # 8 PB: beyond the address space, so numpy refuses at once, allocating nothing
+        p = tmp_path / "exp.yaml"
+        p.write_text(MICRO_YAML.format(out=tmp_path / "out").replace(
+            "length: 300", "length: 1000000000000000"))
+        assert cli.main(["run", "--config", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("out of memory: ") and err.count("\n") == 1
+
     def test_numeric_failure_exits_4(self, tmp_path, monkeypatch, capsys):
         def explode(config):
             raise NumericError("validation loss diverged at epoch 3")

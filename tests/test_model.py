@@ -550,6 +550,19 @@ class TestCheckpoint:
         x = np.random.default_rng(12).standard_normal((3, 16))
         np.testing.assert_array_equal(model.predict(x), again.predict(x))
 
+    @pytest.mark.parametrize("placement", ["post-embedding", "pre-embedding"])
+    def test_arena_writer_matches_per_entry_writer_byte_for_byte(self, tmp_path, placement):
+        from spectral_forecaster.model import save_checkpoint
+
+        model = FilterFormer(tiny_config(alpha=1, revin_affine=True, filter_placement=placement),
+                             np.random.default_rng(9))
+        model.train()(np.random.default_rng(10).standard_normal((4, 16)),
+                      rng=np.random.default_rng(11))
+        assert any(b.size for _, b in model.named_buffers())
+        save_checkpoint(model, tmp_path / "arena.ckpt")
+        ref.save_checkpoint_per_entry(model, tmp_path / "entries.ckpt")
+        assert (tmp_path / "arena.ckpt").read_bytes() == (tmp_path / "entries.ckpt").read_bytes()
+
     def test_load_restores_into_parameter_arena(self, tmp_path, monkeypatch):
         from spectral_forecaster.model import load_checkpoint, save_checkpoint
         from spectral_forecaster.nn import Module

@@ -12,6 +12,7 @@ from spectral_forecaster.model import FilterFormer, ModelConfig
 from spectral_forecaster.nn import Linear, Module
 from spectral_forecaster.numeric import Parameter, Tensor, backward, no_grad
 from spectral_forecaster.training import (
+    ADAM_BLOCK,
     LR_GRID,
     AdamState,
     Metrics,
@@ -177,20 +178,30 @@ class TestAdam:
             [p.data.reshape(-1) for p in model.parameters()]))
         np.testing.assert_array_equal(model.extra.data, np.arange(3.0))
 
+    @staticmethod
+    def multi_block_model(seed):
+        """Parameters spanning 2.5 Adam blocks: block edges and a short last block."""
+        rng = np.random.default_rng(seed)
+        model = Module()
+        model.a = Parameter(rng.standard_normal(ADAM_BLOCK + 7))
+        model.b = Parameter(rng.standard_normal((3, ADAM_BLOCK // 2 - 1)))
+        return model
+
     def test_flat_update_bit_identical_to_per_parameter_loop(self):
-        flat, loop = self.mixed_model(2), self.mixed_model(2)
-        state = AdamState.for_model(flat)
-        ref_state = {}
-        rng = np.random.default_rng(3)
-        for _ in range(5):
-            for (_, p), (_, q) in zip(flat.named_parameters(), loop.named_parameters()):
-                p.grad = rng.standard_normal(p.shape)
-                q.grad = p.grad.copy()
-            adam_step(state, list(flat.named_parameters()), lr=0.01)
-            ref.adam_step_per_parameter(ref_state, list(loop.named_parameters()), lr=0.01)
-            for (name, p), (_, q) in zip(flat.named_parameters(), loop.named_parameters()):
-                assert p.data.tobytes() == q.data.tobytes(), name
-        assert state.step == ref_state["step"] == 5
+        for build in (self.mixed_model, self.multi_block_model):
+            flat, loop = build(2), build(2)
+            state = AdamState.for_model(flat)
+            ref_state = {}
+            rng = np.random.default_rng(3)
+            for _ in range(5):
+                for (_, p), (_, q) in zip(flat.named_parameters(), loop.named_parameters()):
+                    p.grad = rng.standard_normal(p.shape)
+                    q.grad = p.grad.copy()
+                adam_step(state, list(flat.named_parameters()), lr=0.01)
+                ref.adam_step_per_parameter(ref_state, list(loop.named_parameters()), lr=0.01)
+                for (name, p), (_, q) in zip(flat.named_parameters(), loop.named_parameters()):
+                    assert p.data.tobytes() == q.data.tobytes(), name
+            assert state.step == ref_state["step"] == 5
 
     def test_nan_gradient_names_parameter(self):
         model = LinearStub(4, 2, np.random.default_rng(0))
@@ -206,18 +217,123 @@ class TestAdam:
         model = self.mixed_model(4)
         state = AdamState.for_model(model)
         for _, p in model.named_parameters():
-            p.grad = np.zeros(p.shape)
+            p.grad = np.ones(p.shape)
+        adam_step(state, list(model.named_parameters()), lr=0.1)
         model.lin.bias.grad[1] = np.inf
-        before = state.arena.copy()
-        with pytest.raises(NumericError, match="parameter lin.bias at step 1"):
+        before = [a.copy() for a in (state.arena, state.m, state.v)]
+        with pytest.raises(NumericError, match="parameter lin.bias at step 2"):
             adam_step(state, list(model.named_parameters()), lr=0.1)
-        np.testing.assert_array_equal(state.arena, before)
+        # a rejected step advances nothing: not the bias-correction counter either
+        assert state.step == 1
+        for after, kept in zip((state.arena, state.m, state.v), before):
+            assert after.tobytes() == kept.tobytes()
 
     def test_missing_gradient_rejected(self):
         model = LinearStub(4, 2, np.random.default_rng(0))
         state = AdamState.for_model(model)
         with pytest.raises(ValueError, match="no gradient"):
             adam_step(state, list(model.named_parameters()), lr=0.1)
+
+
+def arena_model(seed=0, dropout=0.0):
+    return FilterFormer(
+        ModelConfig(lookback=16, horizon=4, patch_len=4, d_model=8, n_heads=2,
+                    total_layers=2, alpha=1, revin_affine=True, dropout=dropout),
+        np.random.default_rng(seed))
+
+
+def forward_backward(model, seed=5):
+    x = np.random.default_rng(seed).standard_normal((3, 16))
+    y = np.random.default_rng(seed + 1).standard_normal((3, 4))
+    backward(mse_loss(model.train()(x), y))
+
+
+class TestGradientArena:
+    def test_backward_writes_every_gradient_into_the_arena(self):
+        model, loose = arena_model(), arena_model()
+        grads = AdamState.for_model(model).grads
+        forward_backward(model)
+        forward_backward(loose)
+        offset = 0
+        for (name, p), (_, q) in zip(model.named_parameters(), loose.named_parameters()):
+            assert p.grad is p.grad_view and p.grad.base is grads, name
+            assert q.grad_view is None and not np.shares_memory(q.grad, grads), name
+            # same values as the fresh per-leaf array, at the parameter arena's offset
+            assert p.grad.tobytes() == q.grad.tobytes(), name
+            assert grads[offset:offset + p.size].tobytes() == q.grad.tobytes(), name
+            offset += p.size
+        assert offset == grads.size
+
+    def test_second_backward_accumulates_in_place(self):
+        model, loose = arena_model(), arena_model()
+        AdamState.for_model(model)
+        forward_backward(model, seed=5)
+        forward_backward(loose, seed=5)
+        held = [p.grad for p in model.parameters()]
+        forward_backward(model, seed=7)
+        forward_backward(loose, seed=7)
+        for p, q, g in zip(model.parameters(), loose.parameters(), held):
+            assert p.grad is g
+            assert p.grad.tobytes() == q.grad.tobytes()
+
+    def test_zero_grad_unsets_gradients_but_keeps_the_views(self):
+        model = arena_model()
+        AdamState.for_model(model)
+        forward_backward(model)
+        model.zero_grad()
+        assert all(p.grad is None and p.grad_view is not None for p in model.parameters())
+        with pytest.raises(ValueError, match="no gradient"):
+            adam_step(AdamState.for_model(model), model.named_parameters(), 0.1)
+
+    def test_predict_and_load_checkpoint_allocate_no_arena(self, tmp_path):
+        from spectral_forecaster.model import load_checkpoint, save_checkpoint
+
+        model = arena_model()
+        x = np.random.default_rng(3).standard_normal((2, 16))
+        model.predict(x)
+        save_checkpoint(model, tmp_path / "m.ckpt")
+        again = load_checkpoint(tmp_path / "m.ckpt")
+        again.predict(x)
+        for m in (model, again):
+            assert "_grad_arena" not in m.__dict__
+            assert all(p.grad_view is None and p.grad is None for p in m.parameters())
+
+    def test_adam_step_allocates_at_most_one_block(self):
+        import tracemalloc
+
+        model = Module()
+        model.big = Parameter(np.zeros((1200, 1000)))
+        model.lin = Linear(5, 3, np.random.default_rng(0))
+        state = AdamState.for_model(model)
+        state.grads[...] = np.random.default_rng(1).standard_normal(state.grads.size)
+        for p in model.parameters():
+            p.grad = p.grad_view
+        tracemalloc.start()
+        try:
+            adam_step(state, model.named_parameters(), 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert state.arena.size > 1_200_000
+        assert peak <= 8 * ADAM_BLOCK, peak
+
+    def test_three_fit_steps_match_the_gathered_update(self, monkeypatch):
+        import spectral_forecaster.training as training
+
+        rng = np.random.default_rng(6)
+        ws = window_set(rng.standard_normal((40, 16)), rng.standard_normal((40, 4)))
+        cfg = TrainConfig(learning_rate=1e-2, batch_size=8, max_epochs=1, patience=1, seed=3)
+
+        def train():
+            model = arena_model(dropout=0.1)
+            result = fit(model, ws, cfg)
+            return model.parameter_arena().tobytes(), result.history
+
+        blocked = train()
+        monkeypatch.setattr(training, "adam_step", ref.adam_step_gathered)
+        gathered = train()
+        assert len(ws.train) == 3 * cfg.batch_size
+        assert blocked == gathered
 
 
 class TestTrainConfig:
@@ -313,6 +429,15 @@ class TestFit:
         assert runs[0][0] == runs[1][0]
         for n in runs[0][1]:
             np.testing.assert_array_equal(runs[0][1][n], runs[1][1][n])
+
+    def test_libc_without_mallopt_leaves_the_allocator_alone(self, monkeypatch):
+        import spectral_forecaster.training as training
+
+        monkeypatch.setattr(training.ctypes, "CDLL", lambda name: object())
+        ws = learnable_windows()
+        result = fit(LinearStub(8, 4, np.random.default_rng(1)), ws,
+                     TrainConfig(learning_rate=0.02, max_epochs=2, patience=2))
+        assert result.stopped_epoch == 2
 
     def test_empty_streams_rejected(self):
         ws = learnable_windows()
