@@ -146,13 +146,13 @@ def cmd_param_count(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    if not args.out:
+        raise ConfigError("synth needs --out <csv path>")
     spec = load_synthetic_spec(args.spec) if args.spec else SyntheticSpec()
     rng = None
     if spec.noise > 0:
         rng = np.random.default_rng([args.seed if args.seed is not None else 0, 3])
     series = synth_three_sine(spec, rng)
-    if not args.out:
-        raise ConfigError("synth needs --out <csv path>")
     write_series_csv(args.out, series)
     print(f"wrote {series.n_steps} steps to {args.out}")
     return 0

@@ -31,7 +31,7 @@ from .data import (
 from .errors import ConfigError, config_int, config_section
 from .fileio import atomic_write
 from .model import FilterFormer, ModelConfig, count_parameters, save_checkpoint
-from .numeric import rfft_kernel
+from .numeric.tensor import rfft_kernel
 from .spectral import amplitude_spectrum, write_amplitude_csv
 from .training import (
     Metrics,

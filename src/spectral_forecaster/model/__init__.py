@@ -7,11 +7,9 @@ from .network import (
     ForecastHead,
     ModelConfig,
     PatchEmbedding,
-    attention_block_forward,
     count_parameters,
-    patchify,
 )
-from .revin import RevIN, RevInState, revin_denormalize, revin_normalize
+from .revin import RevIN, RevInState, revin_normalize
 
 __all__ = [
     "AttentionBlock",
@@ -21,11 +19,8 @@ __all__ = [
     "PatchEmbedding",
     "RevIN",
     "RevInState",
-    "attention_block_forward",
     "count_parameters",
     "load_checkpoint",
-    "patchify",
-    "revin_denormalize",
     "revin_normalize",
     "save_checkpoint",
 ]

@@ -19,7 +19,7 @@ from ..numeric import tensor as T
 from ..numeric.tensor import Parameter, Tensor, no_grad
 from ..spectral import SpectralBlock, SpectralBlockConfig, SpectralFilter
 from ..nn import BatchNorm, Dropout, FeedForward, Linear, Module, ModuleList, xavier_uniform
-from .revin import RevIN, RevInState, revin_denormalize, revin_normalize
+from .revin import RevIN, RevInState
 
 PLACEMENTS = ("post-embedding", "pre-embedding")
 
@@ -95,11 +95,6 @@ class ModelConfig:
         return self.ffn_hidden if self.ffn_hidden is not None else 2 * self.d_model
 
 
-def patchify(x: np.ndarray, patch_len: int, stride: int) -> np.ndarray:
-    """Slice the last axis into windows: patch i covers [i*stride, i*stride + patch_len)."""
-    return T.unfold(np.asarray(x, dtype=np.float64), patch_len, stride).data
-
-
 class PatchEmbedding(Module):
     """Y = patches @ E + Pos with learnable E (patch_len, d_model) and Pos (n, d_model)."""
 
@@ -162,14 +157,6 @@ class AttentionBlock(Module):
         y1 = self.norm1(T.add(y, o))
         y2 = self.norm2(T.add(y1, self.mlp(y1, rng)))
         return y2
-
-
-def attention_block_forward(block: AttentionBlock, y: Tensor,
-                            rng: np.random.Generator | None = None) -> Tensor:
-    """Run one attention block; accepts (patches, d_model) or batched rows."""
-    if y.ndim == 2:
-        return T.reshape(block(T.reshape(y, (1,) + y.shape), rng), y.shape)
-    return block(y, rng)
 
 
 class ForecastHead(Module):

@@ -45,16 +45,6 @@ def revin_normalize(x: np.ndarray) -> tuple[np.ndarray, RevInState]:
     return (x - mean) / std, RevInState(mean=mean, std=std)
 
 
-def revin_denormalize(y: np.ndarray, state: RevInState) -> np.ndarray:
-    """Invert :func:`revin_normalize` on a forecast sharing the state's rows."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape[:-1] != state.mean.shape[:-1]:
-        raise ValueError(
-            f"state covers rows {state.mean.shape[:-1]}, forecast has rows {y.shape[:-1]}"
-        )
-    return y * state.std + state.mean
-
-
 class RevIN(Module):
     """Module wrapper adding the optional learnable affine pair.
 

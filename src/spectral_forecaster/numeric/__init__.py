@@ -1,6 +1,5 @@
-"""Numeric core: half-complex Fourier transforms and reverse-mode autodiff."""
+"""Numeric core: reverse-mode autodiff over float64 numpy arrays."""
 
-from .fft import Spectrum, dft, irfft_kernel, n_bins, rfft_kernel
 from .tensor import (
     Parameter,
     TapeNode,
@@ -10,11 +9,6 @@ from .tensor import (
 )
 
 __all__ = [
-    "Spectrum",
-    "dft",
-    "rfft_kernel",
-    "irfft_kernel",
-    "n_bins",
     "Tensor",
     "Parameter",
     "TapeNode",

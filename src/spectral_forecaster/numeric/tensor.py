@@ -8,9 +8,8 @@ an intermediate no rule reads is freed as soon as the forward drops it.
 accumulates gradients into ``requires_grad`` leaves (in place for a
 :class:`Parameter` bound to a gradient arena), and frees each node as
 soon as it is processed; calling it twice on the same loss is an error. Ops
-are module-level functions; arithmetic operators delegate to them.
-Everything stays in float64; spectra appear only inside
-:func:`spectral_gate`, so the whole graph is real-valued.
+are module-level functions. Everything stays in float64; spectra appear only
+inside :func:`spectral_gate`, so the whole graph is real-valued.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import math
 import numpy as np
 
 from ..errors import NumericError
-from .fft import irfft_kernel, rfft_kernel
 
 __all__ = [
     "Tensor",
@@ -33,7 +31,6 @@ __all__ = [
     "sub",
     "mul",
     "div",
-    "neg",
     "matmul",
     "transpose",
     "swapaxes",
@@ -48,6 +45,8 @@ __all__ = [
     "dropout",
     "unfold",
     "spectral_gate",
+    "rfft_kernel",
+    "irfft_kernel",
 ]
 
 _grad_enabled = True
@@ -126,55 +125,9 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        """A view of the same data, cut off from the tape."""
-        return _make(self.data, requires_grad=False)
-
-    def backward(self) -> None:
-        backward(self)
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, axes=None):
-        return transpose(self, axes)
-
-    def swapaxes(self, a: int, b: int):
-        return swapaxes(self, a, b)
 
 
 class Parameter(Tensor):
@@ -352,15 +305,6 @@ def div(a, b) -> Tensor:
         return ga, gb
 
     return _from_op(a.data / b.data, "div", (a, b), bwd)
-
-
-def neg(a) -> Tensor:
-    a = _wrap(a)
-
-    def bwd(g):
-        return (np.negative(g),)
-
-    return _from_op(np.negative(a.data), "neg", (a,), bwd)
 
 
 def matmul(a, b, bias=None) -> Tensor:
@@ -725,14 +669,31 @@ def dropout(a, keep: np.ndarray, scale: float) -> Tensor:
     return _from_op(out, "dropout", (a,), bwd)
 
 
+def rfft_kernel(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of ``np.fft.rfft`` along the last axis, ``n // 2 + 1`` bins.
+
+    numpy returns exact zeros for the imaginary parts of the first bin and,
+    at even lengths, of the last bin.
+    """
+    spec = np.fft.rfft(x, axis=-1)
+    return spec.real, spec.imag
+
+
+def irfft_kernel(re: np.ndarray, im: np.ndarray, n: int) -> np.ndarray:
+    """Inverse of :func:`rfft_kernel`: ``n`` real samples along the last axis."""
+    return np.fft.irfft(re + 1j * im, n=n, axis=-1)
+
+
 def spectral_gate(y, w) -> Tensor:
     """Circular convolution of ``y`` with the filter ``w`` along the last axis, one node.
 
-    The forward multiplies the half-complex spectra, ``irfft(rfft(y) * rfft(w))``
-    (GFNet's global filter). The backward is circular correlation done the
-    same way: ``gy = irfft(G * conj(W))`` and ``gw = irfft(sum_rows G * conj(Y))``
-    with ``G = rfft(g)``, the row sum taken on the spectra before the single
-    inverse transform. A gradient no parent needs is not computed.
+    The forward multiplies the spectra, ``irfft(rfft(y) * rfft(w))`` (GFNet's
+    global filter), in real arithmetic on their real and imaginary parts. The
+    backward is circular correlation done the same way: ``gy = irfft(G *
+    conj(W))`` and ``gw = irfft(sum_rows G * conj(Y))`` with ``G = rfft(g)``,
+    the row sum taken on the spectra before the single inverse transform. A
+    gradient no parent needs is not computed. Both kernels are looked up as
+    module globals on every call, so a probe that replaces them sees each one.
     """
     y, w = _wrap(y), _wrap(w)
     n = y.shape[-1]
@@ -740,7 +701,7 @@ def spectral_gate(y, w) -> Tensor:
         raise ValueError(f"filter of shape {w.shape} cannot gate axis of length {n}")
     yr, yi = rfft_kernel(y.data)
     wr, wi = rfft_kernel(w.data)
-    out, _residual = irfft_kernel(yr * wr - yi * wi, yr * wi + yi * wr, n)
+    out = irfft_kernel(yr * wr - yi * wi, yr * wi + yi * wr, n)
     ty, tw = _tracked(y), _tracked(w)
     if not tw:
         yr = yi = None  # read only for the filter's gradient
@@ -749,12 +710,12 @@ def spectral_gate(y, w) -> Tensor:
         gr, gi = rfft_kernel(g)
         gy = gw = None
         if ty:
-            gy, _ = irfft_kernel(gr * wr + gi * wi, gi * wr - gr * wi, n)
+            gy = irfft_kernel(gr * wr + gi * wi, gi * wr - gr * wi, n)
         if tw:
             rows = tuple(range(g.ndim - 1))
             re = (gr * yr + gi * yi).sum(axis=rows)
             im = (gi * yr - gr * yi).sum(axis=rows)
-            gw, _ = irfft_kernel(re, im, n)
+            gw = irfft_kernel(re, im, n)
         return gy, gw
 
     return _from_op(out, "spectral_gate", (y, w), bwd)

@@ -4,8 +4,7 @@ A filter is a real parameter vector ``w`` whose transfer function is its own
 transform. Applying it multiplies the signal's spectrum by the transfer,
 bin by bin, which equals circular convolution of the two sequences in time.
 Both ``w`` and the signal are real, so the product spectrum keeps conjugate
-symmetry and the inverse transform is real again; the tiny imaginary
-residual is discarded after the inverse.
+symmetry and its inverse transform is real.
 
 The block wraps the filter in normalization: batch-normalize, filter along
 the embedding axis of every patch row, instance-normalize, then optionally a
@@ -24,7 +23,6 @@ from .errors import ConfigError
 from .fileio import atomic_write
 from .nn import BatchNorm, FeedForward, InstanceNorm, Module
 from .numeric import tensor as T
-from .numeric.fft import Spectrum, dft
 from .numeric.tensor import Parameter, Tensor
 
 FILTER_INIT_STD = 0.02
@@ -72,25 +70,9 @@ class SpectralFilter(Module):
         w[0] += 1.0
         self.w = Parameter(w)
 
-    def transfer(self) -> Spectrum:
-        """Current transfer function, recomputed from ``w`` (never cached)."""
-        return dft(self.w.data)
-
-    def apply(self, y):
-        """Filter ``y`` along its last axis; equals circular convolution with ``w``.
-
-        Accepts a Tensor (gradients flow into both ``y`` and ``w``) or a plain
-        array/sequence (returns an ndarray). On the tape the gating is one
-        :func:`~spectral_forecaster.numeric.tensor.spectral_gate` node.
-        """
-        as_tensor = isinstance(y, Tensor)
-        yt = y if as_tensor else Tensor(np.asarray(y, dtype=np.float64))
-        if yt.shape[-1] != self.n_f:
-            raise ValueError(
-                f"filter of length {self.n_f} cannot gate axis of length {yt.shape[-1]}"
-            )
-        out = T.spectral_gate(yt, self.w)
-        return out if as_tensor else out.data
+    def apply(self, y: Tensor) -> Tensor:
+        """Filter ``y`` along its last axis; equals circular convolution with ``w``."""
+        return T.spectral_gate(y, self.w)
 
     def forward(self, y):
         return self.apply(y)
@@ -98,7 +80,8 @@ class SpectralFilter(Module):
 
 def amplitude_spectrum(f: SpectralFilter) -> np.ndarray:
     """Per-bin transfer magnitudes |P_k|, length ``n_f // 2 + 1``."""
-    return f.transfer().amplitudes()
+    re, im = T.rfft_kernel(f.w.data)
+    return np.hypot(re, im)
 
 
 class SpectralBlock(Module):

@@ -16,7 +16,8 @@ the blocked arena update must match both bit for bit.
 ``save_checkpoint_per_entry`` is the earlier checkpoint writer, one bytes copy
 per entry, whose files ``save_checkpoint`` must reproduce byte for byte.
 ``tape_census`` counts a graph's nodes per op kind.
-``idft``, ``apply_filter``, ``spectral_block_forward`` and ``embed_patches``
+``apply_filter``, ``patchify``, ``revin_denormalize``,
+``attention_block_forward``, ``spectral_block_forward`` and ``embed_patches``
 are array-in conveniences over the package's own entry points.
 """
 
@@ -31,11 +32,12 @@ import numpy as np
 
 from spectral_forecaster.model.checkpoint import MAGIC
 
-from spectral_forecaster.model.network import PatchEmbedding
+from spectral_forecaster.model.network import AttentionBlock, PatchEmbedding
+from spectral_forecaster.model.revin import RevInState
 from spectral_forecaster.numeric import tensor as T
-from spectral_forecaster.numeric.fft import Spectrum, irfft_kernel, n_bins, rfft_kernel
 from spectral_forecaster.numeric.tensor import (
-    _GELU_CHUNK, _INV_SQRT2, _INV_SQRT_2PI, Tensor, _erf, _from_op, _wrap,
+    _GELU_CHUNK, _INV_SQRT2, _INV_SQRT_2PI, Tensor, _erf, _from_op, _wrap, irfft_kernel,
+    rfft_kernel,
 )
 from spectral_forecaster.spectral import SpectralBlock, SpectralFilter
 
@@ -71,7 +73,7 @@ def sqrt(a) -> Tensor:
 
 def _rfft_grad_scale(n: int) -> np.ndarray:
     # interior bins appear twice in the implied full spectrum, endpoints once
-    w = np.full(n_bins(n), 0.5 * n)
+    w = np.full(n // 2 + 1, 0.5 * n)
     w[0] = n
     if n % 2 == 0:
         w[-1] = n
@@ -91,12 +93,10 @@ def rfft(a) -> tuple[Tensor, Tensor]:
     zeros = np.zeros_like(re)
 
     def bwd_re(g):
-        out, _ = irfft_kernel(g * scale, zeros, n)
-        return (out,)
+        return (irfft_kernel(g * scale, zeros, n),)
 
     def bwd_im(g):
-        out, _ = irfft_kernel(zeros, g * scale, n)
-        return (out,)
+        return (irfft_kernel(zeros, g * scale, n),)
 
     return _from_op(re, "rfft_re", (a,), bwd_re), _from_op(im, "rfft_im", (a,), bwd_im)
 
@@ -111,7 +111,7 @@ def irfft(re, im, n: int) -> Tensor:
     re, im = _wrap(re), _wrap(im)
     if re.shape != im.shape:
         raise ValueError(f"re/im shape mismatch: {re.shape} vs {im.shape}")
-    out, _residual = irfft_kernel(re.data, im.data, n)
+    out = irfft_kernel(re.data, im.data, n)
     scale = _rfft_grad_scale(n)
 
     def bwd(g):
@@ -298,15 +298,40 @@ def tape_census(out: Tensor) -> Counter:
     return census
 
 
-def idft(spectrum: Spectrum) -> np.ndarray:
-    """Inverse transform back to a real sequence of ``origin_length`` samples."""
-    out, _residual = irfft_kernel(spectrum.re, spectrum.im, spectrum.origin_length)
-    return out
-
-
 def apply_filter(f: SpectralFilter, y):
-    """Spectral gating of ``y`` by filter ``f`` (circular convolution in time)."""
-    return f.apply(y)
+    """Spectral gating of ``y`` by filter ``f`` (circular convolution in time).
+
+    A Tensor comes back as a Tensor; a plain array or sequence as an ndarray.
+    """
+    as_tensor = isinstance(y, Tensor)
+    yt = y if as_tensor else Tensor(np.asarray(y, dtype=np.float64))
+    if yt.shape[-1] != f.n_f:
+        raise ValueError(f"filter of length {f.n_f} cannot gate axis of length {yt.shape[-1]}")
+    out = f.apply(yt)
+    return out if as_tensor else out.data
+
+
+def patchify(x: np.ndarray, patch_len: int, stride: int) -> np.ndarray:
+    """Slice the last axis into windows: patch i covers [i*stride, i*stride + patch_len)."""
+    return T.unfold(np.asarray(x, dtype=np.float64), patch_len, stride).data
+
+
+def revin_denormalize(y: np.ndarray, state: RevInState) -> np.ndarray:
+    """Invert ``revin_normalize`` on a forecast sharing the state's rows."""
+    y = np.asarray(y, dtype=np.float64)
+    if y.shape[:-1] != state.mean.shape[:-1]:
+        raise ValueError(
+            f"state covers rows {state.mean.shape[:-1]}, forecast has rows {y.shape[:-1]}"
+        )
+    return y * state.std + state.mean
+
+
+def attention_block_forward(block: AttentionBlock, y: Tensor,
+                            rng: np.random.Generator | None = None) -> Tensor:
+    """Run one attention block; accepts (patches, d_model) or batched rows."""
+    if y.ndim == 2:
+        return T.reshape(block(T.reshape(y, (1,) + y.shape), rng), y.shape)
+    return block(y, rng)
 
 
 def spectral_block_forward(block: SpectralBlock, y: Tensor,

@@ -426,6 +426,13 @@ class TestUtilityCommands:
     def test_synth_without_out_exits_2(self, capsys):
         assert cli.main(["synth"]) == 2
 
+    def test_synth_without_out_checks_before_synthesising(self, tmp_path, capsys):
+        # a length far past any memory: the missing --out must be reported first
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"length": 10**15}))
+        assert cli.main(["synth", "--spec", str(spec_path)]) == 2
+        assert "synth needs --out" in capsys.readouterr().err
+
     def test_thread_cap_mentioned_in_help(self, capsys):
         with pytest.raises(SystemExit):
             cli.main(["--help"])

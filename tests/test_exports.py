@@ -10,7 +10,6 @@ import pytest
 
 MODULES = (
     "spectral_forecaster.numeric",
-    "spectral_forecaster.numeric.fft",
     "spectral_forecaster.numeric.tensor",
     "spectral_forecaster.model",
 )

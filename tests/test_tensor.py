@@ -39,21 +39,21 @@ class TestForward:
         rng = np.random.default_rng(0)
         a = rng.standard_normal((3, 4))
         b = rng.standard_normal((3, 4))
-        np.testing.assert_array_equal((Tensor(a) + Tensor(b)).data, a + b)
-        np.testing.assert_array_equal((Tensor(a) - 2.0).data, a - 2.0)
-        np.testing.assert_array_equal((Tensor(a) * Tensor(b)).data, a * b)
-        np.testing.assert_array_equal((Tensor(a) / 4.0).data, a / 4.0)
-        np.testing.assert_array_equal((-Tensor(a)).data, -a)
+        np.testing.assert_array_equal(T.add(Tensor(a), Tensor(b)).data, a + b)
+        np.testing.assert_array_equal(T.sub(Tensor(a), 2.0).data, a - 2.0)
+        np.testing.assert_array_equal(T.sub(2.0, Tensor(a)).data, 2.0 - a)
+        np.testing.assert_array_equal(T.mul(Tensor(a), Tensor(b)).data, a * b)
+        np.testing.assert_array_equal(T.div(Tensor(a), 4.0).data, a / 4.0)
 
     def test_matmul_matches_numpy(self):
         rng = np.random.default_rng(1)
         a = rng.standard_normal((2, 3, 4))
         b = rng.standard_normal((4, 5))
-        np.testing.assert_allclose((Tensor(a) @ Tensor(b)).data, a @ b)
+        np.testing.assert_allclose(T.matmul(Tensor(a), Tensor(b)).data, a @ b)
 
     def test_matmul_rejects_vectors(self):
         with pytest.raises(ValueError):
-            Tensor(np.ones(3)) @ Tensor(np.ones((3, 2)))
+            T.matmul(Tensor(np.ones(3)), Tensor(np.ones((3, 2))))
 
     def test_softmax_rows_sum_to_one(self):
         x = np.random.default_rng(2).standard_normal((5, 7)) * 30
@@ -70,7 +70,7 @@ class TestBackwardMechanics:
     def test_hand_checked_chain(self):
         x = Parameter(2.0)
         y = Parameter(3.0)
-        loss = x * y + x
+        loss = T.add(T.mul(x, y), x)
         backward(loss)
         assert x.grad == pytest.approx(4.0)
         assert y.grad == pytest.approx(2.0)
@@ -78,11 +78,11 @@ class TestBackwardMechanics:
     def test_scalar_loss_required(self):
         x = Parameter(np.ones(3))
         with pytest.raises(ValueError):
-            backward(x + 1.0)
+            backward(T.add(x, 1.0))
 
     def test_repeated_backward_rejected(self):
         x = Parameter(1.5)
-        loss = x * x
+        loss = T.mul(x, x)
         backward(loss)
         with pytest.raises(ValueError):
             backward(loss)
@@ -95,27 +95,28 @@ class TestBackwardMechanics:
 
     def test_grads_accumulate_across_graphs(self):
         x = Parameter(2.0)
-        backward(x * 3.0)
-        backward(x * 4.0)
+        backward(T.mul(x, 3.0))
+        backward(T.mul(x, 4.0))
         assert x.grad == pytest.approx(7.0)
 
     def test_shared_subexpression_accumulates(self):
         x = Parameter(3.0)
-        y = x * x
-        loss = y + y
+        y = T.mul(x, x)
+        loss = T.add(y, y)
         backward(loss)
         assert x.grad == pytest.approx(12.0)
 
     def test_detach_blocks_gradient(self):
+        # a Tensor over a parameter's data is a constant on the tape
         x = Parameter(2.0)
-        loss = x.detach() * x
+        loss = T.mul(Tensor(x.data), x)
         backward(loss)
         assert x.grad == pytest.approx(2.0)
 
     def test_no_grad_builds_no_tape(self):
         x = Parameter(2.0)
         with no_grad():
-            y = x * x
+            y = T.mul(x, x)
         assert y.node is None
         backward(y)
         assert x.grad is None
@@ -123,7 +124,7 @@ class TestBackwardMechanics:
     def test_broadcast_gradients_have_operand_shape(self):
         a = Parameter(np.ones((3, 1)))
         b = Parameter(np.ones(4))
-        loss = ref.sum(a + b)
+        loss = ref.sum(T.add(a, b))
         backward(loss)
         assert a.grad.shape == (3, 1)
         assert b.grad.shape == (4,)
@@ -136,12 +137,12 @@ class TestGradientsAgainstFiniteDifferences:
         rng = np.random.default_rng(10)
         a = rng.standard_normal((3, 4))
         b = rng.standard_normal((3, 4)) + 2.0
-        gradcheck(lambda x, y: T.mean(x * y + x / y - y), a, b)
+        gradcheck(lambda x, y: T.mean(T.sub(T.add(T.mul(x, y), T.div(x, y)), y)), a, b)
 
     def test_broadcasting(self):
         rng = np.random.default_rng(11)
         gradcheck(
-            lambda x, y: ref.sum(x * y),
+            lambda x, y: ref.sum(T.mul(x, y)),
             rng.standard_normal((2, 3, 1)),
             rng.standard_normal((3, 4)),
         )
@@ -149,7 +150,7 @@ class TestGradientsAgainstFiniteDifferences:
     def test_matmul_batched_against_weight(self):
         rng = np.random.default_rng(12)
         gradcheck(
-            lambda a, w: T.mean((a @ w) * (a @ w)),
+            lambda a, w: T.mean(T.mul(T.matmul(a, w), T.matmul(a, w))),
             rng.standard_normal((2, 3, 4)),
             rng.standard_normal((4, 5)),
         )
@@ -157,7 +158,7 @@ class TestGradientsAgainstFiniteDifferences:
     def test_matmul_equal_batch(self):
         rng = np.random.default_rng(13)
         gradcheck(
-            lambda a, b: ref.sum(a @ b),
+            lambda a, b: ref.sum(T.matmul(a, b)),
             rng.standard_normal((2, 3, 4)),
             rng.standard_normal((2, 4, 3)),
         )
@@ -166,17 +167,17 @@ class TestGradientsAgainstFiniteDifferences:
         rng = np.random.default_rng(14)
         x = rng.standard_normal((2, 3, 4))
         w = rng.standard_normal(24)
-        gradcheck(lambda a, p: ref.sum(T.flatten(a) * p), x, w)
-        gradcheck(lambda a: ref.sum(T.swapaxes(a, 0, 2) * 1.5), x)
-        gradcheck(lambda a: T.mean(T.transpose(a) * T.transpose(a)), x)
-        gradcheck(lambda a: ref.sum(T.reshape(a, (4, 6)) * 0.3), x)
+        gradcheck(lambda a, p: ref.sum(T.mul(T.flatten(a), p)), x, w)
+        gradcheck(lambda a: ref.sum(T.mul(T.swapaxes(a, 0, 2), 1.5)), x)
+        gradcheck(lambda a: T.mean(T.mul(T.transpose(a), T.transpose(a))), x)
+        gradcheck(lambda a: ref.sum(T.mul(T.reshape(a, (4, 6)), 0.3)), x)
 
     def test_reductions(self):
         rng = np.random.default_rng(15)
         x = rng.standard_normal((3, 5))
-        gradcheck(lambda a: ref.sum(T.mean(a, axis=0) * T.mean(a, axis=0)), x)
-        gradcheck(lambda a: ref.sum(ref.var(a, axis=1) * 2.0), x)
-        gradcheck(lambda a: T.mean(a) * 3.0, x)
+        gradcheck(lambda a: ref.sum(T.mul(T.mean(a, axis=0), T.mean(a, axis=0))), x)
+        gradcheck(lambda a: ref.sum(T.mul(ref.var(a, axis=1), 2.0)), x)
+        gradcheck(lambda a: T.mul(T.mean(a), 3.0), x)
         gradcheck(lambda a: ref.sum(ref.var(a, axis=0, keepdims=True)), x)
 
     def test_nonlinearities(self):
@@ -190,7 +191,7 @@ class TestGradientsAgainstFiniteDifferences:
         rng = np.random.default_rng(17)
         x = rng.standard_normal((3, 6))
         w = rng.standard_normal((3, 6))
-        gradcheck(lambda a, p: ref.sum(T.softmax(a, axis=-1) * p), x, w)
+        gradcheck(lambda a, p: ref.sum(T.mul(T.softmax(a, axis=-1), p)), x, w)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 12, 16, 21])
     def test_rfft(self, n):
@@ -201,7 +202,7 @@ class TestGradientsAgainstFiniteDifferences:
 
         def fn(a, wr, wi):
             re, im = ref.rfft(a)
-            return ref.sum(re * wr) + ref.sum(im * wi)
+            return T.add(ref.sum(T.mul(re, wr)), ref.sum(T.mul(im, wi)))
 
         gradcheck(fn, x, pr, pi)
 
@@ -213,7 +214,7 @@ class TestGradientsAgainstFiniteDifferences:
         proj = rng.standard_normal((2, n))
 
         def fn(r, i, p):
-            return ref.sum(ref.irfft(r, i, n) * p)
+            return ref.sum(T.mul(ref.irfft(r, i, n), p))
 
         gradcheck(fn, re0.data, im0.data, proj)
 
@@ -225,7 +226,7 @@ class TestGradientsAgainstFiniteDifferences:
 
         def fn(a, f):
             out = ref.unfused_gate(a, f)
-            return T.mean(out * out)
+            return T.mean(T.mul(out, out))
 
         gradcheck(fn, x, w)
 
@@ -252,7 +253,7 @@ class TestSpectralGate:
         gated = view(Tensor(y)).data
         assert gated.flags.c_contiguous == (layout != "swapped" or n == 1)
         proj = rng.standard_normal(gated.shape)
-        gradcheck(lambda a, f: ref.sum(T.spectral_gate(view(a), f) * proj), y, w)
+        gradcheck(lambda a, f: ref.sum(T.mul(T.spectral_gate(view(a), f), proj)), y, w)
 
     @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize("n", [1, 2, 3, 16, 17, 336])
@@ -265,7 +266,7 @@ class TestSpectralGate:
         for gate in (T.spectral_gate, ref.unfused_gate):
             a, f = Parameter(y.copy()), Parameter(w.copy())
             out = gate(view(a), f)
-            backward(ref.sum(out * proj))
+            backward(ref.sum(T.mul(out, proj)))
             results.append((out.data, a.grad, f.grad))
         (fused, gy, gw), (chain, gy_ref, gw_ref) = results
         np.testing.assert_array_equal(fused, chain)
@@ -330,7 +331,7 @@ class TestHeadMix:
             attn = view(params[0])
             assert attn.data.flags.c_contiguous == (not swapped or n == 1)
             out = mix(attn, *params[1:])
-            backward(ref.sum(out * proj))
+            backward(ref.sum(T.mul(out, proj)))
             results.append([out.data] + [p.grad for p in params])
         for new, old in zip(*results):
             assert new.shape == old.shape
@@ -343,7 +344,7 @@ class TestHeadMix:
         arrays, view = self.operands(rng, self.SHAPES[name], swapped)
         rows, _, n, _, _, d_out = self.SHAPES[name]
         proj = rng.standard_normal((rows, n, d_out))
-        gradcheck(lambda a, *rest: ref.sum(T.head_mix(view(a), *rest) * proj), *arrays)
+        gradcheck(lambda a, *rest: ref.sum(T.mul(T.head_mix(view(a), *rest), proj)), *arrays)
 
     def test_one_node_replaces_seven(self):
         arrays, _ = self.operands(np.random.default_rng(160), self.SHAPES["base"], False)
@@ -381,7 +382,7 @@ class TestSharedWeightMatmul:
         a, b = Parameter(x), Parameter(w)
         act = T.swapaxes(a, 0, -2) if swapped else a
         assert act.data.flags.c_contiguous is not swapped
-        backward(ref.sum((act @ b) * proj))
+        backward(ref.sum(T.mul(T.matmul(act, b), proj)))
         np.testing.assert_allclose(b.grad, self.batched_weight_grad(act.data, proj), atol=1e-12)
         np.testing.assert_allclose(
             a.grad, np.swapaxes(proj @ w.T, 0, -2) if swapped else proj @ w.T, atol=1e-12
@@ -391,10 +392,11 @@ class TestSharedWeightMatmul:
     def test_against_finite_differences(self, shape):
         rng = np.random.default_rng(80 + len(shape))
         x = rng.standard_normal(shape)
-        gradcheck(lambda a, w: T.mean((a @ w) * (a @ w)), x, rng.standard_normal((4, 3)))
+        gradcheck(lambda a, w: T.mean(T.mul(T.matmul(a, w), T.matmul(a, w))), x,
+                  rng.standard_normal((4, 3)))
         swapped = np.ascontiguousarray(np.swapaxes(x, 0, -2))
         gradcheck(
-            lambda a, w: T.mean(T.gelu(T.swapaxes(a, 0, -2) @ w)),
+            lambda a, w: T.mean(T.gelu(T.matmul(T.swapaxes(a, 0, -2), w))),
             swapped,
             rng.standard_normal((4, 3)),
         )
@@ -436,7 +438,7 @@ class TestNormalize:
             act = self.operand(a, swapped)
             axis = -1 if per_row else tuple(range(act.ndim - 1))
             out, _, _ = T.normalize(act, axis, 1e-5, gamma, beta)
-            return ref.sum(out * proj) + ref.sum(out * out) * 0.1
+            return T.add(ref.sum(T.mul(out, proj)), T.mul(ref.sum(T.mul(out, out)), 0.1))
 
         gradcheck(fn, x, 1.0 + 0.3 * rng.standard_normal(width), rng.standard_normal(width))
 
@@ -458,7 +460,7 @@ class TestNormalize:
                 out = T.normalize(act, axis, 1e-5, g, b)[0]
             else:
                 out = _old_normalize(act, per_row, 1e-5, g, b)
-            backward(ref.sum(out * proj))
+            backward(ref.sum(T.mul(out, proj)))
             results.append((out.data, a.grad, g.grad, b.grad))
         for new, old in zip(*results):
             np.testing.assert_allclose(new, old, rtol=0, atol=1e-12)
@@ -502,7 +504,7 @@ class TestMatmulBias:
             act = T.swapaxes(a, 0, -2) if swapped else a
             assert act.data.flags.c_contiguous is not swapped
             out = T.matmul(act, b, bias=c) if fused else T.add(T.matmul(act, b), c)
-            backward(ref.sum(out * proj))
+            backward(ref.sum(T.mul(out, proj)))
             results.append((out.data, a.grad, b.grad, c.grad))
         for new, old in zip(*results):
             np.testing.assert_allclose(new, old, rtol=0, atol=1e-12)
@@ -532,7 +534,7 @@ class TestMatmulBias:
     def test_inner_dimension_checked(self):
         # a folded product must not reshape a mismatched activation into fit
         with pytest.raises(ValueError):
-            Tensor(np.ones((3, 4))) @ Tensor(np.ones((6, 5)))
+            T.matmul(Tensor(np.ones((3, 4))), Tensor(np.ones((6, 5))))
 
 
 class TestUnfold:
@@ -559,7 +561,7 @@ class TestUnfold:
         out = T.unfold(a, size, step)
         assert out.shape == (2, 3, n, size)
         np.testing.assert_array_equal(out.data, (x @ mat).reshape(2, 3, n, size))
-        backward(ref.sum(out * proj))
+        backward(ref.sum(T.mul(out, proj)))
         np.testing.assert_allclose(a.grad, proj.reshape(2, 3, -1) @ mat.T, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("length,size,step", [(12, 4, 2), (13, 3, 5), (17, 4, 4)])
@@ -567,7 +569,7 @@ class TestUnfold:
         rng = np.random.default_rng(150 + length)
         n = (length - size) // step + 1
         gradcheck(
-            lambda a, p: ref.sum(T.gelu(T.unfold(a, size, step)) * p),
+            lambda a, p: ref.sum(T.mul(T.gelu(T.unfold(a, size, step)), p)),
             rng.standard_normal((3, length)), rng.standard_normal((3, n, size)),
         )
 
@@ -631,7 +633,7 @@ class TestErfAndGelu:
         # x / sqrt(2) crosses 1 in magnitude here, where erf changes approximation
         x = center + np.linspace(-1e-3, 1e-3, 12).reshape(3, 4)
         w = np.random.default_rng(161).standard_normal((3, 4))
-        gradcheck(lambda a, p: ref.sum(T.gelu(a) * p), x, w, eps=1e-7, rtol=1e-6, atol=1e-9)
+        gradcheck(lambda a, p: ref.sum(T.mul(T.gelu(a), p)), x, w, eps=1e-7, rtol=1e-6, atol=1e-9)
 
     def test_gelu_gradient_beyond_the_clip(self):
         # |x / sqrt(2)| > 8, where P/Q see a clipped argument
@@ -642,14 +644,14 @@ class TestErfAndGelu:
         np.testing.assert_array_equal(T.gelu(Tensor(x)).data, np.where(x > 0, x, -0.0))
         pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
         np.testing.assert_allclose(a.grad, (x > 0) + x * pdf, rtol=1e-13, atol=0)
-        gradcheck(lambda a: ref.sum(T.gelu(a) * 0.7), x)
+        gradcheck(lambda a: ref.sum(T.mul(T.gelu(a), 0.7)), x)
 
 
 def _grads_of(op, arrays, proj):
     """The output of ``op`` on Parameters made from ``arrays`` and their gradients under ``proj``."""
     params = [Parameter(a.copy()) for a in arrays]
     out = op(*params)
-    backward(ref.sum(out * proj))
+    backward(ref.sum(T.mul(out, proj)))
     return [out.data] + [p.grad for p in params]
 
 
@@ -717,7 +719,7 @@ class TestRetainedState:
         out = T.mean(Tensor(x), axis=axis, keepdims=keepdims)
         np.testing.assert_array_equal(out.data, x.mean(axis=axis, keepdims=keepdims))
         proj = rng.standard_normal(out.shape)
-        gradcheck(lambda a: ref.sum(T.mean(a, axis=axis, keepdims=keepdims) * proj), x)
+        gradcheck(lambda a: ref.sum(T.mul(T.mean(a, axis=axis, keepdims=keepdims), proj)), x)
 
     def test_untracked_operand_gets_no_gradient_work(self):
         rng = np.random.default_rng(175)
@@ -738,8 +740,8 @@ class TestRetainedState:
 
     def test_parents_are_data_free_handles(self):
         x = Parameter(np.arange(6.0).reshape(2, 3))
-        y = x * x
-        a, b = y * 2.0, y + 1.0
+        y = T.mul(x, x)
+        a, b = T.mul(y, 2.0), T.add(y, 1.0)
         assert a.node.parents[0] is b.node.parents[0]
         handle = a.node.parents[0]
         assert not isinstance(handle, Tensor) and not hasattr(handle, "data")
@@ -749,14 +751,14 @@ class TestRetainedState:
         alive = weakref.ref(y.data)
         del y
         assert alive() is None
-        backward(ref.sum(a + b))
+        backward(ref.sum(T.add(a, b)))
         np.testing.assert_array_equal(x.grad, 6.0 * x.data)
         assert handle.node is None and a.node is None
 
     def test_second_graph_over_a_freed_intermediate(self):
         x = Parameter(np.array([1.0, 2.0]))
-        y = x * 3.0
+        y = T.mul(x, 3.0)
         backward(ref.sum(y))
-        loss = ref.sum(y * x)  # y's node is gone: it now counts as a constant
+        loss = ref.sum(T.mul(y, x))  # y's node is gone: it now counts as a constant
         backward(loss)
         np.testing.assert_array_equal(x.grad, [3.0 + 3.0, 3.0 + 6.0])
