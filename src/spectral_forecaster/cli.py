@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 configuration problems (including a size too large
 to allocate), 3 data problems (missing or malformed files), 4 numeric failures
-(divergence, non-finite values).
+(divergence, non-finite values). Each error, and each warning, is one stderr
+line.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -214,6 +216,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warn_in_one_line(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -221,7 +227,9 @@ def main(argv=None) -> int:
         parser.print_help()
         return 2
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _warn_in_one_line
+            return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

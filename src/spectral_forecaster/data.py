@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,9 +59,72 @@ def load_csv(path, frequency: str = "") -> RawSeries:
     """Load a timestamp-plus-channels CSV into a RawSeries.
 
     Rejects ragged rows, non-numeric cells, and missing values, naming the
-    offending row and column (1-based, header is row 1). A missing file
-    raises the usual OSError from open().
+    offending row and column (1-based, header is row 1), and text that is
+    not in the locale's encoding. A missing file raises the usual OSError
+    from open().
+
+    The file is read with no Python object per cell: a check pass over
+    fixed-size chunks, then one pass of numpy's C text reader over the
+    channel columns. Any file on which that reader and ``float`` could
+    disagree, or that it cannot take whole, goes to the cell-by-cell scan,
+    which decides every error, so each value is bit-identical to
+    ``float(cell)``.
     """
+    try:
+        with open(path) as fh:
+            header = fh.readline()
+            values = _bulk_values(fh, header)
+        if values is None:
+            return _scan_csv(path, frequency)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not {exc.encoding} text: {exc.reason}") from None
+    names = tuple(name.strip() for name in header.rstrip("\n").split(",")[1:])
+    return RawSeries(names, values, frequency)
+
+
+# quotes need csv's rules; numpy strips the separators \x1c-\x1f around a
+# number as whitespace, float() does not. Agreement on every other character
+# is tested for ASCII only, so other text goes to the scan too.
+_BULK_DECLINES = '"\x1c\x1d\x1e\x1f'
+
+
+def _bulk_values(fh, header: str) -> np.ndarray | None:
+    """The (rows, channels) block below ``header``, or None to leave the file to the scan.
+
+    ``fh`` is a text file in universal-newline mode, positioned after the
+    header. A first pass over fixed-size chunks checks the characters and
+    counts commas and lines. numpy's reader then fails on any line with too
+    few fields, so one total of ``rows * (fields - 1)`` commas leaves no
+    line with too many; a blank line, which numpy skips, shows as a missing
+    row.
+    """
+    fields = header.count(",") + 1
+    if fields < 2 or '"' in header:
+        return None
+    commas = lines = 0
+    last = "\n"
+    while chunk := fh.read(1 << 16):
+        if not chunk.isascii() or any(ch in chunk for ch in _BULK_DECLINES):
+            return None
+        commas += chunk.count(",")
+        lines += chunk.count("\n")
+        last = chunk[-1]
+    rows = lines + (last != "\n")
+    if rows == 0 or commas != rows * (fields - 1):
+        return None
+    fh.seek(0)
+    try:
+        values = np.loadtxt(fh, delimiter=",", comments=None, skiprows=1,
+                            usecols=range(1, fields), ndmin=2)
+    except ValueError:
+        return None
+    if len(values) != rows or not np.isfinite(values).all():
+        return None
+    return values
+
+
+def _scan_csv(path, frequency: str) -> RawSeries:
+    """``load_csv`` one cell at a time with ``float``: the path that names every fault."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -180,11 +244,36 @@ class WindowSample:
     origin: int
 
 
+@dataclass(frozen=True, eq=False)
+class WindowStream(Sequence):
+    """The sliding windows of one segment, cut from the normalized series when read.
+
+    Item ``i`` (a numpy integer works too) is the WindowSample whose input
+    starts at ``origins[i]``; its arrays are views made on that read, so the
+    stream holds no array per window. A slice is again a stream.
+    """
+
+    series: np.ndarray  # the whole normalized series, (T, D)
+    origins: range
+    lookback: int
+    horizon: int
+
+    def __len__(self) -> int:
+        return len(self.origins)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return WindowStream(self.series, self.origins[i], self.lookback, self.horizon)
+        start = self.origins[i]
+        mid = start + self.lookback
+        return WindowSample(self.series[start:mid].T, self.series[mid:mid + self.horizon].T, start)
+
+
 @dataclass(eq=False)
 class WindowSet:
-    train: list[WindowSample]
-    val: list[WindowSample]
-    test: list[WindowSample]
+    train: Sequence[WindowSample]
+    val: Sequence[WindowSample]
+    test: Sequence[WindowSample]
     mean: np.ndarray  # per-channel train-segment statistics, shape (D,)
     std: np.ndarray
 
@@ -207,20 +296,26 @@ def make_windows(rs: RawSeries, split: SplitSpec, lookback: int, horizon: int) -
     train_vals = rs.values[:train_end]
     if train_end < 2:
         raise ValueError(f"train segment of length {train_end} has no statistics")
-    mean = train_vals.mean(axis=0)
-    std = train_vals.std(axis=0)  # population, matching the usual scaler
+    with np.errstate(all="ignore"):  # overflow is reported below, as a DataError
+        mean = train_vals.mean(axis=0)
+        std = train_vals.std(axis=0)  # population, matching the usual scaler
+        norm = rs.values - mean
+        norm /= std
     flat = std == 0.0
     if flat.any():
         names = [rs.channel_names[i] for i in np.flatnonzero(flat)]
         raise DataError(f"constant train-segment channels cannot be normalized: {names}")
-    norm = (rs.values - mean) / std
+    overflow = ~(np.isfinite(std) & np.isfinite(norm).all(axis=0))
+    if overflow.any():
+        names = [rs.channel_names[i] for i in np.flatnonzero(overflow)]
+        raise DataError(f"channels too large to normalize in float64: {names}")
 
     segments = {
         "train": (0, train_end),
         "val": (max(0, train_end - lookback), val_end),
         "test": (max(0, val_end - lookback), rs.n_steps),
     }
-    streams: dict[str, list[WindowSample]] = {}
+    streams: dict[str, WindowStream] = {}
     for name, (a, b) in segments.items():
         count = window_count(b - a, lookback, horizon)
         if count < 1:
@@ -228,17 +323,7 @@ def make_windows(rs: RawSeries, split: SplitSpec, lookback: int, horizon: int) -
                 f"{name} segment of length {b - a} is too short for "
                 f"lookback {lookback} + horizon {horizon}"
             )
-        samples = []
-        for start in range(a, a + count):
-            mid = start + lookback
-            samples.append(
-                WindowSample(
-                    input=norm[start:mid].T,
-                    target=norm[mid:mid + horizon].T,
-                    origin=start,
-                )
-            )
-        streams[name] = samples
+        streams[name] = WindowStream(norm, range(a, a + count), lookback, horizon)
     return WindowSet(
         train=streams["train"], val=streams["val"], test=streams["test"],
         mean=mean, std=std,

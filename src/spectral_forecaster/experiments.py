@@ -15,7 +15,6 @@ import json
 import os
 
 import numpy as np
-import yaml
 
 from .data import (
     RawSeries,
@@ -122,6 +121,8 @@ def tiny_experiment_config(out_dir: str = "runs/tiny", seed: int = 0,
 
 def load_experiment_config(path) -> ExperimentConfig:
     """Parse a YAML experiment file; every schema problem raises ConfigError."""
+    import yaml  # here, so that a start that reads no YAML never loads it
+
     try:
         with open(path) as fh:
             raw = yaml.safe_load(fh)

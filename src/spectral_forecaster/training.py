@@ -213,6 +213,8 @@ def fit(model, windows: WindowSet, cfg: TrainConfig) -> FitResult:
     The epoch with the lowest validation MSE wins (ties keep the earlier
     epoch) and its parameters and buffers are restored into the model before
     returning. A non-finite validation loss aborts with the failing epoch.
+    The best epoch's weights are copied only when a later epoch is about to
+    change them, so a run whose final epoch is best copies nothing.
     """
     if not windows.train or not windows.val:
         raise ValueError("fit needs nonempty train and val streams")
@@ -226,12 +228,19 @@ def fit(model, windows: WindowSet, cfg: TrainConfig) -> FitResult:
     history: list[tuple[int, float, float]] = []
     best_val = math.inf
     best_epoch = 0
-    best_params = np.empty_like(state.arena)
+    best_params: np.ndarray | None = None
     best_buffers: dict[str, np.ndarray] = {}
+    best_is_live = False  # the model holds the best epoch's weights, not yet copied
     epochs_since_improvement = 0
     stopped_epoch = 0
 
     for epoch in range(1, cfg.max_epochs + 1):
+        if best_is_live:
+            if best_params is None:
+                best_params = np.empty_like(state.arena)
+            best_params[...] = state.arena
+            best_buffers = {name: b.copy() for name, b in model.named_buffers()}
+            best_is_live = False
         model.train()
         order = shuffle_rng.permutation(len(windows.train))
         sq_sum = 0.0
@@ -257,17 +266,17 @@ def fit(model, windows: WindowSet, cfg: TrainConfig) -> FitResult:
         if val_mse < best_val:
             best_val = val_mse
             best_epoch = epoch
-            best_params[...] = state.arena
-            best_buffers = {name: b.copy() for name, b in model.named_buffers()}
+            best_is_live = True
             epochs_since_improvement = 0
         else:
             epochs_since_improvement += 1
             if epochs_since_improvement >= cfg.patience:
                 break
 
-    state.arena[...] = best_params
-    for name, b in model.named_buffers():
-        b[...] = best_buffers[name]
+    if not best_is_live:
+        state.arena[...] = best_params
+        for name, b in model.named_buffers():
+            b[...] = best_buffers[name]
     model.eval()
     return FitResult(
         model=model, history=history, best_epoch=best_epoch,

@@ -16,6 +16,8 @@ the blocked arena update must match both bit for bit.
 ``save_checkpoint_per_entry`` is the earlier checkpoint writer, one bytes copy
 per entry, whose files ``save_checkpoint`` must reproduce byte for byte.
 ``tape_census`` counts a graph's nodes per op kind.
+``load_csv_per_cell`` is the earlier CSV reader, one ``float`` per cell,
+whose values and error texts ``load_csv`` must reproduce.
 ``apply_filter``, ``patchify``, ``revin_denormalize``,
 ``attention_block_forward``, ``spectral_block_forward`` and ``embed_patches``
 are array-in conveniences over the package's own entry points.
@@ -23,13 +25,17 @@ are array-in conveniences over the package's own entry points.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
+import math
 import struct
 from collections import Counter
 
 import numpy as np
 
+from spectral_forecaster.data import RawSeries
+from spectral_forecaster.errors import DataError
 from spectral_forecaster.model.checkpoint import MAGIC
 
 from spectral_forecaster.model.network import AttentionBlock, PatchEmbedding
@@ -283,6 +289,42 @@ def save_checkpoint_per_entry(model, path) -> None:
         fh.write(header)
         for raw in chunks:
             fh.write(raw)
+
+
+def load_csv_per_cell(path, frequency: str = "") -> RawSeries:
+    """The timestamp-plus-channels CSV read with ``csv`` and one ``float`` per cell."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"{path}: empty file") from None
+        if len(header) < 2:
+            raise DataError(f"{path}: need a timestamp column plus at least one channel")
+        names = tuple(name.strip() for name in header[1:])
+        rows = []
+        for row_idx, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise DataError(
+                    f"{path}: row {row_idx} has {len(row)} fields, expected {len(header)}"
+                )
+            parsed = []
+            for col_idx, cell in enumerate(row[1:], start=2):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise DataError(
+                        f"{path}: row {row_idx}, column {col_idx}: not a number: {cell!r}"
+                    ) from None
+                if not math.isfinite(value):
+                    raise DataError(
+                        f"{path}: row {row_idx}, column {col_idx}: missing or non-finite value"
+                    )
+                parsed.append(value)
+            rows.append(parsed)
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    return RawSeries(names, np.array(rows), frequency)
 
 
 def tape_census(out: Tensor) -> Counter:

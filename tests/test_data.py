@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,7 @@ from spectral_forecaster.data import (
     RawSeries,
     SplitSpec,
     SyntheticSpec,
+    WindowStream,
     exclude_channels,
     load_csv,
     load_synthetic_spec,
@@ -20,9 +23,12 @@ from spectral_forecaster.data import (
     stack_windows,
     synth_three_sine,
     window_count,
+    write_series_csv,
 )
 from spectral_forecaster.errors import ConfigError, DataError
 from spectral_forecaster.numeric.tensor import rfft_kernel
+
+from reference import load_csv_per_cell
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -73,6 +79,58 @@ class TestLoadCsv:
         p.write_text("")
         with pytest.raises(DataError):
             load_csv(p)
+
+    def test_undecodable_text_is_a_data_error(self, tmp_path):
+        # used to escape as UnicodeDecodeError, a ValueError: exit 2, not 3
+        p = tmp_path / "latin1.csv"
+        p.write_bytes("date,temp °C\n1,1.0\n2,2.0\n".encode("latin-1"))
+        with pytest.raises(DataError, match="latin1.csv: not utf-8 text"):
+            load_csv(p)
+
+    @pytest.mark.parametrize("body, message", [
+        # numpy's reader skips blank lines
+        ("1,1.0,2.0\n\n2,3.0,4.0\n", "row 3 has 0 fields"),
+        # with usecols numpy ignores fields past the last channel
+        ("1,1.0,2.0,9.0\n2,3.0,4.0\n", "row 2 has 4 fields"),
+        # the extra commas make up the blank line's missing ones
+        ("1,1.0,2.0\n\n2,3.0,4.0,,\n", "row 3 has 0 fields"),
+    ], ids=["blank", "extra", "blank-and-extra"])
+    def test_rows_numpy_would_read_are_rejected(self, tmp_path, body, message):
+        p = tmp_path / "rows.csv"
+        p.write_text("date,a,b\n" + body)
+        with pytest.raises(DataError, match=message):
+            load_csv(p)
+
+    @pytest.mark.parametrize("cell, value", [("1_000", 1000.0), (" -2.5\t", -2.5), ("١٢", 12.0)])
+    def test_cells_only_float_reads_still_load(self, tmp_path, cell, value):
+        p = tmp_path / "odd.csv"
+        p.write_text(f"date,a\n1,1.0\n2,{cell}\n", encoding="utf-8")
+        assert load_csv(p).values[1, 0] == value
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_line_ends_load_bit_identically(self, tmp_path, newline):
+        rs = RawSeries(("a", "b"), np.random.default_rng(3).standard_normal((50, 2)) * 1e3)
+        plain = tmp_path / "plain.csv"
+        write_series_csv(plain, rs)
+        p = tmp_path / "ends.csv"
+        p.write_bytes(plain.read_bytes().replace(b"\n", newline.encode()))
+        out = load_csv(p)
+        assert out.values.tobytes() == rs.values.tobytes()
+        assert out.values.tobytes() == load_csv_per_cell(p).values.tobytes()
+
+    def test_wide_file_peak_memory_within_twice_the_result(self, tmp_path):
+        rs = RawSeries(tuple(f"c{i}" for i in range(100)),
+                       np.random.default_rng(0).standard_normal((2000, 100)))
+        p = tmp_path / "wide.csv"
+        write_series_csv(p, rs)
+        tracemalloc.start()
+        try:
+            out = load_csv(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.values.tobytes() == rs.values.tobytes()
+        assert peak <= 2 * out.values.nbytes
 
 
 class TestRawSeries:
@@ -227,6 +285,48 @@ class TestMakeWindows:
         np.testing.assert_array_equal(
             stack_windows(a.test)[0], stack_windows(b.test)[0]
         )
+
+    def test_streams_index_like_lists(self):
+        rs = self.series(n=400)
+        ws = make_windows(rs, SplitSpec(), 32, 8)
+        assert isinstance(ws.train, WindowStream)
+        listed = list(ws.train)
+        assert len(listed) == len(ws.train)
+        for i in (np.int64(0), np.int32(5), -1, len(ws.train) - 1):
+            assert ws.train[i].origin == listed[i].origin
+            np.testing.assert_array_equal(ws.train[i].input, listed[i].input)
+        head = ws.test[:5]
+        assert isinstance(head, WindowStream) and len(head) == 5
+        assert [s.origin for s in head] == [s.origin for s in list(ws.test)[:5]]
+        with pytest.raises(IndexError):
+            ws.val[len(ws.val)]
+
+    def test_samples_are_views_of_one_series(self):
+        ws = make_windows(self.series(n=400), SplitSpec(), 32, 8)
+        # the last train target is the tail of the first val input
+        assert np.shares_memory(ws.train[-1].target, ws.val[0].input)
+        assert not ws.train[0].input.flags.owndata
+
+    def test_windowing_holds_no_array_per_window(self):
+        rs = self.series(n=20_000, d=7)
+        tracemalloc.start()
+        try:
+            ws = make_windows(rs, SplitSpec(), 96, 96)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(ws.train) + len(ws.val) + len(ws.test) > 19_000
+        # the normalized series, its finiteness mask and a few small objects
+        assert peak <= 2 * rs.values.nbytes
+
+    def test_overflowing_statistics_rejected_without_warnings(self):
+        vals = self.series(n=400).values.copy()
+        vals[3, 1] = vals[4, 1] = 1e308  # finite, but their sum is not
+        rs = RawSeries(("c0", "c1", "c2"), vals)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=r"too large to normalize.*'c1'"):
+                make_windows(rs, SplitSpec(), 32, 8)
 
     def test_stack_shapes(self):
         ws = make_windows(self.series(n=400, d=3), SplitSpec(), 32, 8)

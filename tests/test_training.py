@@ -1,6 +1,7 @@
 """Loss functions, Adam against a reference implementation, fit mechanics, metrics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -408,6 +409,24 @@ class TestFit:
         )
         recomputed = evaluate(model, ws.val).mse
         assert recomputed == result.best_val
+
+    def test_best_snapshot_taken_only_before_weights_change(self):
+        # one epoch is the best and the last: fit copies no arena for a restore.
+        # Its peak is Adam's m and v plus one transient weight gradient (3.26
+        # arenas), 4.26 with a best-state copy.
+        rng = np.random.default_rng(0)
+        ws = window_set(rng.standard_normal((40, 512)), rng.standard_normal((40, 512)))
+        model = LinearStub(512, 512, np.random.default_rng(1))
+        arena_bytes = model.parameter_arena().nbytes
+        model.gradient_arena()  # allocated before tracing: it is not fit's to count
+        tracemalloc.start()
+        try:
+            result = fit(model, ws, TrainConfig(learning_rate=1e-3, max_epochs=1, patience=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.best_epoch == result.stopped_epoch == 1
+        assert peak < 3.75 * arena_bytes
 
     def test_divergent_validation_aborts_with_epoch(self):
         class Exploding(LinearStub):
