@@ -225,7 +225,7 @@ class SplitSpec:
         if self.boundaries is not None:
             a, b = self.boundaries
             if b > n_steps:
-                raise ValueError(f"boundary {b} exceeds series length {n_steps}")
+                raise DataError(f"boundary {b} exceeds series length {n_steps}")
             return a, b
         a = int(n_steps * self.train_frac)
         return a, a + int(n_steps * self.val_frac)
@@ -295,7 +295,7 @@ def make_windows(rs: RawSeries, split: SplitSpec, lookback: int, horizon: int) -
     train_end, val_end = split.cut_points(rs.n_steps)
     train_vals = rs.values[:train_end]
     if train_end < 2:
-        raise ValueError(f"train segment of length {train_end} has no statistics")
+        raise DataError(f"train segment of length {train_end} has no statistics")
     with np.errstate(all="ignore"):  # overflow is reported below, as a DataError
         mean = train_vals.mean(axis=0)
         std = train_vals.std(axis=0)  # population, matching the usual scaler
@@ -319,7 +319,7 @@ def make_windows(rs: RawSeries, split: SplitSpec, lookback: int, horizon: int) -
     for name, (a, b) in segments.items():
         count = window_count(b - a, lookback, horizon)
         if count < 1:
-            raise ValueError(
+            raise DataError(
                 f"{name} segment of length {b - a} is too short for "
                 f"lookback {lookback} + horizon {horizon}"
             )

@@ -18,7 +18,8 @@ from ..errors import ConfigError
 from ..numeric import tensor as T
 from ..numeric.tensor import Parameter, Tensor, no_grad
 from ..spectral import SpectralBlock, SpectralBlockConfig, SpectralFilter
-from ..nn import BatchNorm, Dropout, FeedForward, Linear, Module, ModuleList, xavier_uniform
+from ..nn import (_ACTIVATIONS, BatchNorm, Dropout, FeedForward, Linear, Module, ModuleList,
+                  xavier_uniform)
 from .revin import RevIN, RevInState
 
 PLACEMENTS = ("post-embedding", "pre-embedding")
@@ -80,8 +81,10 @@ class ModelConfig:
             )
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.activation not in ("gelu", "relu"):
-            raise ConfigError(f"activation must be gelu or relu, got {self.activation!r}")
+        if self.activation not in _ACTIVATIONS:
+            raise ConfigError(
+                f"activation must be one of {sorted(_ACTIVATIONS)}, got {self.activation!r}"
+            )
         if self.ffn_hidden is not None and self.ffn_hidden < 1:
             raise ConfigError(f"ffn_hidden must be >= 1, got {self.ffn_hidden}")
         if not isinstance(self.spectral, SpectralBlockConfig):
@@ -202,7 +205,7 @@ class FilterFormer(Module):
             ))
         self.blocks = ModuleList(blocks)
         self.head = ForecastHead(cfg.n_patches, cfg.d_model, cfg.horizon, rng)
-        self.parameter_arena()
+        self.state_arena()
 
     def spectral_filters(self) -> list[SpectralFilter]:
         """The learnable filters in stack order (empty for alpha=0)."""

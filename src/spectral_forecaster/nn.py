@@ -1,13 +1,17 @@
 """Module system and the shared layers every block is assembled from.
 
-Modules collect :class:`Parameter` attributes by name, recursively through
-submodules, which gives the checkpoint format and the optimizer a stable,
-deterministic parameter ordering (insertion order of attribute assignment).
+Modules collect :class:`Parameter` attributes and buffers by name,
+recursively through submodules, in a stable, deterministic order (insertion
+order of attribute assignment). The whole state lives in one flat arena laid
+out in that order, which the optimizer, the best-epoch snapshot and the
+checkpoint format all share.
 Forward passes that involve dropout take an explicit ``rng`` so training
 runs are reproducible from a single seed.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -44,36 +48,60 @@ class Module:
         """Track a non-trainable array that is still part of model state."""
         self._buffers[name] = np.asarray(value, dtype=np.float64)
 
-    def named_parameters(self, prefix: str = ""):
-        for name, p in self._params.items():
-            yield prefix + name, p
+    def named_modules(self, prefix: str = ""):
+        """This module, then every submodule depth first, each with its dotted prefix."""
+        yield prefix, self
         for name, m in self._modules.items():
-            yield from m.named_parameters(prefix + name + ".")
+            yield from m.named_modules(prefix + name + ".")
+
+    def named_parameters(self):
+        for prefix, m in self.named_modules():
+            for name, p in m._params.items():
+                yield prefix + name, p
 
     def parameters(self) -> list[Parameter]:
         return [p for _, p in self.named_parameters()]
 
-    def parameter_arena(self) -> np.ndarray:
-        """One flat float64 array holding every parameter, in ``named_parameters`` order.
+    def named_buffers(self):
+        for prefix, m in self.named_modules():
+            for name, b in m._buffers.items():
+                yield prefix + name, b
 
-        Each ``Parameter.data`` is a view into it, so an elementwise update of
-        the arena updates every parameter at once. Packing copies the current
-        values in and rebinds the views; later calls return the same array
-        until a parameter is added or replaced, which packs afresh.
+    def named_state(self):
+        """Every parameter's array, then every buffer, both in deterministic traversal order."""
+        for name, p in self.named_parameters():
+            yield name, p.data
+        yield from self.named_buffers()
+
+    def state_arena(self) -> np.ndarray:
+        """One flat float64 array holding the whole model state, in ``named_state`` order.
+
+        Each ``Parameter.data`` and each buffer is a view into it, so one
+        copy of the arena snapshots the model and one assignment restores
+        it. Packing copies the current values in and rebinds the views;
+        later calls return the same array until a parameter or buffer is
+        added or replaced, which packs afresh.
         """
-        params = self.parameters()
-        arena = self.__dict__.get("_arena")
-        if arena is not None and all(p.data.base is arena for p in params):
+        modules = [m for _, m in self.named_modules()]
+        params = [p for m in modules for p in m._params.values()]
+        buffers = [(m._buffers, name) for m in modules for name in m._buffers]
+        arrays = [p.data for p in params] + [table[name] for table, name in buffers]
+        arena = self.__dict__.get("_state_arena")
+        if arena is not None and all(a.base is arena for a in arrays):
             return arena
-        arena = np.empty(sum(p.size for p in params))
-        offset = 0
-        for p in params:
-            view = arena[offset:offset + p.size].reshape(p.shape)
-            view[...] = p.data
+        arena, views = _carve(arrays, np.empty)
+        for view, a in zip(views, arrays):
+            view[...] = a
+        for p, view in zip(params, views):
             p.data = view
-            offset += p.size
-        object.__setattr__(self, "_arena", arena)
+        for (table, name), view in zip(buffers, views[len(params):]):
+            table[name] = view
+        object.__setattr__(self, "_state_arena", arena)
         return arena
+
+    def parameter_arena(self) -> np.ndarray:
+        """The parameters' head of :meth:`state_arena`: every parameter, in ``named_parameters`` order."""
+        return self.state_arena()[:sum(p.size for p in self.parameters())]
 
     def gradient_arena(self) -> np.ndarray:
         """One flat float64 array for every parameter's gradient, in the parameter arena's layout.
@@ -89,24 +117,11 @@ class Module:
         if arena is not None and all(
                 p.grad_view is not None and p.grad_view.base is arena for p in params):
             return arena
-        arena = np.zeros(sum(p.size for p in params))
-        offset = 0
-        for p in params:
-            p.grad_view = arena[offset:offset + p.size].reshape(p.shape)
-            offset += p.size
+        arena, views = _carve([p.data for p in params], np.zeros)
+        for p, view in zip(params, views):
+            p.grad_view = view
         object.__setattr__(self, "_grad_arena", arena)
         return arena
-
-    def named_buffers(self, prefix: str = ""):
-        for name, b in self._buffers.items():
-            yield prefix + name, b
-        for name, m in self._modules.items():
-            yield from m.named_buffers(prefix + name + ".")
-
-    def named_state(self):
-        """Parameters then buffers, both in deterministic traversal order."""
-        yield from self.named_parameters()
-        yield from self.named_buffers()
 
     def train(self, mode: bool = True):
         object.__setattr__(self, "training", mode)
@@ -126,6 +141,22 @@ class Module:
 
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
+
+
+def packed_offsets(arrays) -> list[int]:
+    """Where each array starts when ``arrays`` are packed end to end, then the total size.
+
+    The one layout of model state: the state and gradient arenas are carved
+    by it, and a checkpoint's manifest records it.
+    """
+    return list(itertools.accumulate((a.size for a in arrays), initial=0))
+
+
+def _carve(arrays, allocate) -> tuple[np.ndarray, list[np.ndarray]]:
+    """A new flat arena from ``allocate(size)`` and one view of it per array, at its packed offset."""
+    offsets = packed_offsets(arrays)
+    arena = allocate(offsets[-1])
+    return arena, [arena[lo:lo + a.size].reshape(a.shape) for lo, a in zip(offsets, arrays)]
 
 
 class ModuleList(Module):
@@ -157,20 +188,16 @@ def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.nd
 
 
 class Linear(Module):
-    """y = x @ W (+ b), Xavier-uniform weight and zero bias.
+    """y = x @ W + b, Xavier-uniform weight and zero bias.
 
     The product and the bias are one tape node: every leading row of ``x``
     shares ``W``, so forward and backward each run one 2-D GEMM.
     """
 
-    def __init__(self, in_features: int, out_features: int, rng: np.random.Generator,
-                 bias: bool = True):
+    def __init__(self, in_features: int, out_features: int, rng: np.random.Generator):
         super().__init__()
         self.weight = Parameter(xavier_uniform(rng, in_features, out_features))
-        if bias:
-            self.bias = Parameter(np.zeros(out_features))
-        else:
-            self.bias = None
+        self.bias = Parameter(np.zeros(out_features))
 
     def forward(self, x: Tensor) -> Tensor:
         return T.matmul(x, self.weight, bias=self.bias)

@@ -22,9 +22,6 @@ from .fileio import atomic_write
 from .numeric import Tensor, backward
 from .numeric import tensor as T
 
-LR_GRID = (1e-4, 5e-4, 1e-3)
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     """Optimization settings. Loss is fixed to MSE.
@@ -73,15 +70,6 @@ def mse_loss(pred, target) -> Tensor:
         raise ValueError(f"shape mismatch: pred {pt.shape} vs target {ta.shape}")
     diff = T.sub(pt, ta)
     return T.mean(T.mul(diff, diff))
-
-
-def mae(pred, target) -> float:
-    """Mean absolute error over all elements."""
-    pa = pred.data if isinstance(pred, Tensor) else np.asarray(pred, dtype=np.float64)
-    ta = target.data if isinstance(target, Tensor) else np.asarray(target, dtype=np.float64)
-    if pa.shape != ta.shape:
-        raise ValueError(f"shape mismatch: pred {pa.shape} vs target {ta.shape}")
-    return float(np.mean(np.abs(pa - ta)))
 
 
 # elements per Adam block: its five block-sized arrays (1.25 MB) stay in cache
@@ -211,10 +199,10 @@ def fit(model, windows: WindowSet, cfg: TrainConfig) -> FitResult:
     """Train until max_epochs or until val MSE stops improving for `patience` epochs.
 
     The epoch with the lowest validation MSE wins (ties keep the earlier
-    epoch) and its parameters and buffers are restored into the model before
-    returning. A non-finite validation loss aborts with the failing epoch.
-    The best epoch's weights are copied only when a later epoch is about to
-    change them, so a run whose final epoch is best copies nothing.
+    epoch) and its whole state, parameters and buffers, is restored into the
+    model before returning. A non-finite validation loss aborts with the
+    failing epoch. The best epoch's state is copied only when a later epoch
+    is about to change it, so a run whose final epoch is best copies nothing.
     """
     if not windows.train or not windows.val:
         raise ValueError("fit needs nonempty train and val streams")
@@ -222,24 +210,23 @@ def fit(model, windows: WindowSet, cfg: TrainConfig) -> FitResult:
     shuffle_rng = np.random.default_rng([cfg.seed, 1])
     dropout_rng = np.random.default_rng([cfg.seed, 2])
     state = AdamState.for_model(model)
+    model_state = model.state_arena()
     params = list(model.named_parameters())
     val_x, val_y = _rows(windows.val)
 
     history: list[tuple[int, float, float]] = []
     best_val = math.inf
     best_epoch = 0
-    best_params: np.ndarray | None = None
-    best_buffers: dict[str, np.ndarray] = {}
-    best_is_live = False  # the model holds the best epoch's weights, not yet copied
+    best_state: np.ndarray | None = None
+    best_is_live = False  # the model holds the best epoch's state, not yet copied
     epochs_since_improvement = 0
     stopped_epoch = 0
 
     for epoch in range(1, cfg.max_epochs + 1):
         if best_is_live:
-            if best_params is None:
-                best_params = np.empty_like(state.arena)
-            best_params[...] = state.arena
-            best_buffers = {name: b.copy() for name, b in model.named_buffers()}
+            if best_state is None:
+                best_state = np.empty_like(model_state)
+            best_state[...] = model_state
             best_is_live = False
         model.train()
         order = shuffle_rng.permutation(len(windows.train))
@@ -274,9 +261,7 @@ def fit(model, windows: WindowSet, cfg: TrainConfig) -> FitResult:
                 break
 
     if not best_is_live:
-        state.arena[...] = best_params
-        for name, b in model.named_buffers():
-            b[...] = best_buffers[name]
+        model_state[...] = best_state
     model.eval()
     return FitResult(
         model=model, history=history, best_epoch=best_epoch,

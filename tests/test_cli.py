@@ -66,6 +66,16 @@ class TestRunCommand:
         assert cli.main(["run", "--config", str(p)]) == 3
         assert "data error" in capsys.readouterr().err
 
+    def test_series_too_short_for_its_split_exits_3(self, tmp_path, capsys):
+        data = tmp_path / "short.csv"
+        data.write_text("date,a\n" + "".join(f"{t},{np.sin(t):.6f}\n" for t in range(20)))
+        p = tmp_path / "exp.yaml"
+        p.write_text(MICRO_YAML.format(out=tmp_path / "out").replace(
+            "synthetic: {length: 300}", f"dataset: {data}"))
+        assert cli.main(["run", "--config", str(p)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "too short" in err and err.count("\n") == 1
+
     def test_malformed_config_exits_2(self, tmp_path, capsys):
         p = tmp_path / "exp.yaml"
         p.write_text("synthetic: {length: 300}\nmodel: {lookback: 16}\n")
@@ -393,6 +403,38 @@ class TestExportSpectraCommand:
         payload[8:16] = np.array([np.nan], dtype="<f8").tobytes()
         err = self.run_on_header(tmp_path, capsys, blob[start:start + hlen], bytes(payload))
         assert "non-finite" in err
+
+
+    @pytest.mark.parametrize("edit, message", [
+        ("reorder", "checkpoint entry 0 is {\"name\": \"embedding.pos\""),
+        ("true_in_shape", "the model expects {\"name\": \"head.lin.bias\", \"offset\": "),
+        ("trailing_bytes", "the payload holds"),
+    ])
+    def test_checkpoint_off_the_model_layout_exits_3(self, tmp_path, capsys, edit, message):
+        from spectral_forecaster.experiments import tiny_experiment_config
+        from spectral_forecaster.model import FilterFormer, save_checkpoint
+        from spectral_forecaster.model.checkpoint import MAGIC
+
+        # horizon 1 gives the head a bias of shape [1], where true would read as 1
+        cfg = dataclasses.replace(tiny_experiment_config().model, horizon=1)
+        ckpt = tmp_path / "good.ckpt"
+        save_checkpoint(FilterFormer(cfg, np.random.default_rng(0)), ckpt)
+        blob = ckpt.read_bytes()
+        start = len(MAGIC) + 4
+        hlen = int.from_bytes(blob[len(MAGIC):start], "big")
+        header, payload = json.loads(blob[start:start + hlen]), blob[start + hlen:]
+        entries = header["entries"]
+        if edit == "reorder":
+            # swapped with their offsets, so every name still finds its own bytes
+            entries[:2] = entries[1::-1]
+        elif edit == "true_in_shape":
+            bias = next(e for e in entries if e["name"] == "head.lin.bias")
+            assert bias["shape"] == [1]
+            bias["shape"] = [True]
+        else:
+            payload += bytes(8)
+        err = self.run_on_header(tmp_path, capsys, json.dumps(header).encode(), payload)
+        assert message in err
 
 
 class TestUtilityCommands:

@@ -194,7 +194,7 @@ class TestSplitSpec:
     def test_explicit_boundaries(self):
         s = SplitSpec(boundaries=(100, 150))
         assert s.cut_points(200) == (100, 150)
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError, match="boundary 150 exceeds series length 120"):
             s.cut_points(120)
         with pytest.raises(ConfigError):
             SplitSpec(boundaries=(150, 100))
@@ -268,8 +268,17 @@ class TestMakeWindows:
 
     def test_too_short_segment_names_itself(self):
         rs = self.series(n=191)
-        with pytest.raises(ValueError, match="train"):
+        with pytest.raises(DataError, match="train"):
             make_windows(rs, SplitSpec(), 96, 96)
+
+    def test_train_segment_without_statistics_is_a_data_error(self):
+        with pytest.raises(DataError, match="train segment of length 1 has no statistics"):
+            make_windows(self.series(n=300), SplitSpec(boundaries=(1, 150)), 4, 4)
+
+    def test_nonpositive_lookback_stays_a_contract_error(self):
+        with pytest.raises(ValueError, match="lookback and horizon must be >= 1") as info:
+            make_windows(self.series(), SplitSpec(), 0, 4)
+        assert not isinstance(info.value, DataError)
 
     def test_constant_channel_rejected(self):
         vals = np.ones((500, 2))

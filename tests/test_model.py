@@ -568,19 +568,47 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
         packed = []
-        pack = Module.parameter_arena
-        monkeypatch.setattr(Module, "parameter_arena",
+        pack = Module.state_arena
+        monkeypatch.setattr(Module, "state_arena",
                             lambda self: packed.append(pack(self)) or packed[-1])
         again = load_checkpoint(path)
         # packed once, when the model was built, and loaded into those views
-        assert len(packed) == 1
         arena = packed[0]
+        assert all(a is arena for a in packed)
         assert all(p.data.base is arena for p in again.parameters())
-        # parameters lead the payload in arena order, so the arena is its head
-        n_buffers = sum(b.size for _, b in again.named_buffers())
-        payload = path.read_bytes()[-8 * (arena.size + n_buffers):]
-        assert payload[:8 * arena.size] == arena.astype("<f8").tobytes()
-        np.testing.assert_array_equal(arena, model.parameter_arena())
+        # the payload is the state arena, so the parameter arena is its head
+        payload = path.read_bytes()[-arena.nbytes:]
+        assert payload == arena.astype("<f8").tobytes()
+        assert again.parameter_arena().tobytes() == model.parameter_arena().tobytes()
+
+    def test_nan_in_a_buffer_names_that_buffer(self, tmp_path):
+        from spectral_forecaster.errors import DataError
+        from spectral_forecaster.model import load_checkpoint, save_checkpoint
+
+        model = self.trained_looking_model()
+        # buffers trail the state arena, and the last one is a running_var
+        last = list(model.named_state())[-1][0]
+        assert last.endswith("running_var")
+        model.state_arena()[-1] = np.nan
+        path = tmp_path / "nan.ckpt"
+        save_checkpoint(model, path)
+        with pytest.raises(DataError) as info:
+            load_checkpoint(path)
+        assert str(info.value) == f"{path}: entry {last!r} holds non-finite values"
+
+    @pytest.mark.parametrize("placement", ["post-embedding", "pre-embedding"])
+    def test_per_entry_file_loads_bit_for_bit(self, tmp_path, placement):
+        from spectral_forecaster.model import load_checkpoint
+
+        model = FilterFormer(tiny_config(alpha=1, revin_affine=True, filter_placement=placement),
+                             np.random.default_rng(9))
+        model.train()(np.random.default_rng(10).standard_normal((4, 16)),
+                      rng=np.random.default_rng(11))
+        path = tmp_path / "entries.ckpt"
+        ref.save_checkpoint_per_entry(model, path)
+        again = load_checkpoint(path)
+        assert again.state_arena().tobytes() == path.read_bytes()[-again.state_arena().nbytes:]
+        assert again.state_arena().tobytes() == model.state_arena().tobytes()
 
     def test_bad_magic_rejected(self, tmp_path):
         from spectral_forecaster.errors import DataError
@@ -624,6 +652,41 @@ class TestCheckpoint:
                          + blob[start + hlen:])
         with pytest.raises(DataError):
             load_checkpoint(path)
+
+
+class TestStateArena:
+    def test_every_parameter_and_buffer_is_a_view_of_the_state_arena(self):
+        model = FilterFormer(tiny_config(alpha=1, revin_affine=True), np.random.default_rng(0))
+        arena = model.state_arena()
+        state = list(model.named_state())
+        assert any("running_var" in name for name, _ in state)
+        assert all(a.base is arena for _, a in state), [n for n, a in state if a.base is not arena]
+        assert arena.tobytes() == np.concatenate([a.reshape(-1) for _, a in state]).tobytes()
+        # BatchNorm's in-place running-stat updates land in the arena
+        before = arena.copy()
+        model.train()(np.random.default_rng(1).standard_normal((4, 16)),
+                      rng=np.random.default_rng(2))
+        assert model.state_arena() is arena
+        n_params = model.parameter_arena().size
+        moved = np.flatnonzero(arena != before)
+        assert moved.size and moved.min() >= n_params
+        running = [a for name, a in model.named_state() if "running" in name]
+        assert np.concatenate([a.reshape(-1) for a in running]).tobytes() == \
+            arena[n_params:].tobytes()
+
+    def test_buffer_added_late_repacks_the_arena(self):
+        from spectral_forecaster.nn import BatchNorm, Module
+
+        model = Module()
+        model.norm = BatchNorm(3)
+        arena = model.state_arena()
+        model.norm.register_buffer("count", np.array([5.0, 6.0]))
+        repacked = model.state_arena()
+        assert repacked is not arena and repacked.size == arena.size + 2
+        assert all(a.base is repacked for _, a in model.named_state())
+        assert [n for n, _ in model.named_state()][-1] == "norm.count"
+        np.testing.assert_array_equal(repacked[-2:], [5.0, 6.0])
+        np.testing.assert_array_equal(repacked[:arena.size], arena)
 
 
 class TestParameterCounting:
