@@ -411,7 +411,7 @@ def load_synthetic_spec(path) -> SyntheticSpec:
     try:
         with open(path) as fh:
             return config_section(SyntheticSpec, json.load(fh), "synthetic")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"{path}: invalid synthetic spec JSON: {exc}") from exc
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None

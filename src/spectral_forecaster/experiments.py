@@ -126,7 +126,7 @@ def load_experiment_config(path) -> ExperimentConfig:
     try:
         with open(path) as fh:
             raw = yaml.safe_load(fh)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, RecursionError) as exc:
         raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: experiment config must be a mapping")

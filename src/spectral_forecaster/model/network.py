@@ -2,10 +2,13 @@
 
 Channels are processed independently with shared weights, so the model
 consumes rows of shape (rows, lookback) where each row is one channel of one
-sample. Construction draws every random init from a single generator in a
-fixed order (embedding, then blocks front to back, then head); the alpha=0
+sample. ``FilterFormer(cfg)`` is the model's layout alone: every parameter
+declared by shape and init, nothing allocated. It is the one description of
+the model, which ``count_parameters`` and the checkpoint loader read. Given a
+generator, ``FilterFormer(cfg, rng)`` draws every random init from it in
+layout order (embedding, then blocks front to back, then head); the alpha=0
 model is therefore bit-identical to a hand-assembled attention backbone
-seeded the same way.
+initialised from the same generator.
 """
 
 from __future__ import annotations
@@ -98,13 +101,17 @@ class ModelConfig:
         return self.ffn_hidden if self.ffn_hidden is not None else 2 * self.d_model
 
 
+def _position_init(rng: np.random.Generator, view: np.ndarray) -> None:
+    view[...] = rng.normal(0.0, 0.02, size=view.shape)
+
+
 class PatchEmbedding(Module):
     """Y = patches @ E + Pos with learnable E (patch_len, d_model) and Pos (n, d_model)."""
 
-    def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
+    def __init__(self, cfg: ModelConfig):
         super().__init__()
-        self.proj = Parameter(xavier_uniform(rng, cfg.patch_len, cfg.d_model))
-        self.pos = Parameter(rng.normal(0.0, 0.02, size=(cfg.n_patches, cfg.d_model)))
+        self.proj = Parameter((cfg.patch_len, cfg.d_model), xavier_uniform)
+        self.pos = Parameter((cfg.n_patches, cfg.d_model), _position_init)
 
     def forward(self, patches: Tensor) -> Tensor:
         return T.add(T.matmul(patches, self.proj), self.pos)
@@ -127,19 +134,18 @@ class AttentionBlock(Module):
     """
 
     def __init__(self, d_model: int, n_heads: int, d_k: int, ffn_hidden: int,
-                 rng: np.random.Generator, activation: str = "gelu",
-                 dropout: float = 0.0):
+                 activation: str = "gelu", dropout: float = 0.0):
         super().__init__()
         self.d_model = d_model
         self.n_heads = n_heads
         self.d_k = d_k
-        self.wq = Parameter(xavier_uniform(rng, d_model, n_heads * d_k))
-        self.wk = Parameter(xavier_uniform(rng, d_model, n_heads * d_k))
-        self.wv = Parameter(xavier_uniform(rng, d_model, n_heads * d_model))
-        self.out_proj = Linear(n_heads * d_model, d_model, rng)
+        self.wq = Parameter((d_model, n_heads * d_k), xavier_uniform)
+        self.wk = Parameter((d_model, n_heads * d_k), xavier_uniform)
+        self.wv = Parameter((d_model, n_heads * d_model), xavier_uniform)
+        self.out_proj = Linear(n_heads * d_model, d_model)
         self.attn_drop = Dropout(dropout)
         self.norm1 = BatchNorm(d_model)
-        self.mlp = FeedForward(d_model, ffn_hidden, d_model, rng, activation, dropout)
+        self.mlp = FeedForward(d_model, ffn_hidden, d_model, activation, dropout)
         self.norm2 = BatchNorm(d_model)
 
     def _split_heads(self, x: Tensor) -> Tensor:
@@ -165,10 +171,9 @@ class AttentionBlock(Module):
 class ForecastHead(Module):
     """Flatten the patch axis and map (n_patches * d_model) to the horizon."""
 
-    def __init__(self, n_patches: int, d_model: int, horizon: int,
-                 rng: np.random.Generator):
+    def __init__(self, n_patches: int, d_model: int, horizon: int):
         super().__init__()
-        self.lin = Linear(n_patches * d_model, horizon, rng)
+        self.lin = Linear(n_patches * d_model, horizon)
 
     def forward(self, y: Tensor) -> Tensor:
         return self.lin(T.flatten(y, start_axis=1))
@@ -180,32 +185,31 @@ class FilterFormer(Module):
     With ``filter_placement="pre-embedding"`` the alpha learnable filters act
     directly on the normalized lookback series (length-L gating, no block
     normalization or MLP) and the embedded stack is attention-only.
+
+    Without ``rng`` the model is its layout only: parameters read their
+    placeholders, NaN for every drawn one, until ``init_state`` or a
+    checkpoint load fills them.
     """
 
-    def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
+    def __init__(self, cfg: ModelConfig, rng: np.random.Generator | None = None):
         super().__init__()
         self.config = cfg
         self.revin = RevIN(cfg.revin_affine)
         pre_embedding = cfg.filter_placement == "pre-embedding"
         # an empty list registers nothing, so post-embedding state is unchanged
         self.input_filters = ModuleList(
-            SpectralFilter(cfg.lookback, rng) for _ in range(cfg.alpha if pre_embedding else 0)
+            SpectralFilter(cfg.lookback) for _ in range(cfg.alpha if pre_embedding else 0)
         )
-        self.embedding = PatchEmbedding(cfg, rng)
-        blocks = []
-        for _ in range(0 if pre_embedding else cfg.alpha):
-            blocks.append(SpectralBlock(
-                cfg.d_model, cfg.n_patches, cfg.spectral, rng,
-                cfg.activation, cfg.dropout,
-            ))
-        for _ in range(cfg.total_layers - cfg.alpha):
-            blocks.append(AttentionBlock(
-                cfg.d_model, cfg.n_heads, cfg.d_k, cfg.resolved_ffn_hidden(), rng,
-                cfg.activation, cfg.dropout,
-            ))
+        self.embedding = PatchEmbedding(cfg)
+        blocks = [SpectralBlock(cfg.d_model, cfg.n_patches, cfg.spectral, cfg.activation,
+                                cfg.dropout) for _ in range(0 if pre_embedding else cfg.alpha)]
+        blocks += [AttentionBlock(cfg.d_model, cfg.n_heads, cfg.d_k, cfg.resolved_ffn_hidden(),
+                                  cfg.activation, cfg.dropout)
+                   for _ in range(cfg.total_layers - cfg.alpha)]
         self.blocks = ModuleList(blocks)
-        self.head = ForecastHead(cfg.n_patches, cfg.d_model, cfg.horizon, rng)
-        self.state_arena()
+        self.head = ForecastHead(cfg.n_patches, cfg.d_model, cfg.horizon)
+        if rng is not None:
+            self.init_state(rng)
 
     def spectral_filters(self) -> list[SpectralFilter]:
         """The learnable filters in stack order (empty for alpha=0)."""
@@ -272,51 +276,14 @@ class FilterFormer(Module):
 def count_parameters(model_or_config) -> tuple[int, dict[str, int]]:
     """Total trainable scalars plus a per-component breakdown.
 
-    Given a config, counts analytically; given a model, enumerates the
-    actual parameter arrays. The two must agree.
+    A config is counted on its layout, ``FilterFormer(cfg)``, which
+    allocates no parameter.
     """
-    if isinstance(model_or_config, ModelConfig):
-        return _analytic_count(model_or_config)
     model = model_or_config
+    if isinstance(model, ModelConfig):
+        model = FilterFormer(model)
     breakdown: dict[str, int] = {}
     for name, p in model.named_parameters():
         component = name.split(".")[0]
         breakdown[component] = breakdown.get(component, 0) + p.size
-    return sum(breakdown.values()), breakdown
-
-
-def _mlp_params(d_in: int, hidden: int, d_out: int) -> int:
-    return d_in * hidden + hidden + hidden * d_out + d_out
-
-
-def _analytic_count(cfg: ModelConfig) -> tuple[int, dict[str, int]]:
-    d, n = cfg.d_model, cfg.n_patches
-    breakdown: dict[str, int] = {}
-    if cfg.revin_affine:
-        breakdown["revin"] = 2
-    if cfg.filter_placement == "pre-embedding":
-        if cfg.alpha:
-            breakdown["input_filters"] = cfg.alpha * cfg.lookback
-        n_spectral = 0
-    else:
-        n_spectral = cfg.alpha
-    breakdown["embedding"] = cfg.patch_len * d + n * d
-    blocks = 0
-    for _ in range(n_spectral):
-        filtered = d if cfg.spectral.filter_axis == "embedding" else n
-        block = 2 * d + filtered + 2 * d  # batch-norm affine, filter, instance-norm affine
-        if cfg.spectral.use_mlp:
-            hidden = cfg.spectral.mlp_hidden if cfg.spectral.mlp_hidden is not None else 2 * d
-            block += _mlp_params(d, hidden, d)
-        blocks += block
-    for _ in range(cfg.total_layers - cfg.alpha):
-        block = 2 * d * (cfg.n_heads * cfg.d_k)          # wq, wk
-        block += d * (cfg.n_heads * d)                   # wv
-        block += cfg.n_heads * d * d + d                 # output projection
-        block += 2 * d + 2 * d                           # two batch-norm affines
-        block += _mlp_params(d, cfg.resolved_ffn_hidden(), d)
-        blocks += block
-    if blocks:
-        breakdown["blocks"] = blocks
-    breakdown["head"] = n * d * cfg.horizon + cfg.horizon
     return sum(breakdown.values()), breakdown

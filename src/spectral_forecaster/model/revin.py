@@ -57,8 +57,8 @@ class RevIN(Module):
         super().__init__()
         self.affine = affine
         if affine:
-            self.gamma = Parameter(np.ones(()))
-            self.beta = Parameter(np.zeros(()))
+            self.gamma = Parameter((), 1.0)
+            self.beta = Parameter((), 0.0)
 
     def normalize(self, x: np.ndarray) -> tuple[Tensor, RevInState]:
         xn, state = revin_normalize(x)

@@ -2,9 +2,12 @@
 
 Modules collect :class:`Parameter` attributes and buffers by name,
 recursively through submodules, in a stable, deterministic order (insertion
-order of attribute assignment). The whole state lives in one flat arena laid
-out in that order, which the optimizer, the best-epoch snapshot and the
-checkpoint format all share.
+order of attribute assignment). Constructors only declare them, by shape and
+init, so a freshly built module is its layout alone and holds no state.
+:meth:`Module.init_state` then allocates the one flat arena laid out in that
+order, which the optimizer, the best-epoch snapshot and the checkpoint format
+all share, and draws every random init straight into its view, in layout
+order.
 Forward passes that involve dropout take an explicit ``rng`` so training
 runs are reproducible from a single seed.
 """
@@ -73,30 +76,42 @@ class Module:
             yield name, p.data
         yield from self.named_buffers()
 
-    def state_arena(self) -> np.ndarray:
-        """One flat float64 array holding the whole model state, in ``named_state`` order.
+    def init_state(self, rng: np.random.Generator | None = None) -> "Module":
+        """Allocate the state arena, fill it and bind every view to it; returns ``self``.
 
-        Each ``Parameter.data`` and each buffer is a view into it, so one
-        copy of the arena snapshots the model and one assignment restores
-        it. Packing copies the current values in and rebinds the views;
-        later calls return the same array until a parameter or buffer is
-        added or replaced, which packs afresh.
+        Current values are copied in, and each declared draw ``init(rng,
+        view)`` then writes into its view, in ``named_state`` order, so the
+        layout fixes what each draw of ``rng`` becomes. Without ``rng``, a
+        drawn parameter reads NaN.
         """
         modules = [m for _, m in self.named_modules()]
         params = [p for m in modules for p in m._params.values()]
         buffers = [(m._buffers, name) for m in modules for name in m._buffers]
         arrays = [p.data for p in params] + [table[name] for table, name in buffers]
-        arena = self.__dict__.get("_state_arena")
-        if arena is not None and all(a.base is arena for a in arrays):
-            return arena
         arena, views = _carve(arrays, np.empty)
         for view, a in zip(views, arrays):
             view[...] = a
         for p, view in zip(params, views):
+            if rng is not None and callable(p.init):
+                p.init(rng, view)
             p.data = view
         for (table, name), view in zip(buffers, views[len(params):]):
             table[name] = view
         object.__setattr__(self, "_state_arena", arena)
+        return self
+
+    def state_arena(self) -> np.ndarray:
+        """One flat float64 array holding the whole model state, in ``named_state`` order.
+
+        Each ``Parameter.data`` and each buffer is a view into it, so one
+        copy of the arena snapshots the model and one assignment restores
+        it. The first call packs the arena with :meth:`init_state`; later
+        calls return the same array until a parameter or buffer is added or
+        replaced, which packs afresh.
+        """
+        arena = self.__dict__.get("_state_arena")
+        if arena is None or not all(a.base is arena for _, a in self.named_state()):
+            arena = self.init_state()._state_arena
         return arena
 
     def parameter_arena(self) -> np.ndarray:
@@ -182,9 +197,10 @@ class ModuleList(Module):
         return self._list[i]
 
 
-def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
+def xavier_uniform(rng: np.random.Generator, view: np.ndarray) -> None:
+    """Draw a (fan_in, fan_out) weight into ``view``."""
+    limit = np.sqrt(6.0 / sum(view.shape))
+    view[...] = rng.uniform(-limit, limit, size=view.shape)
 
 
 class Linear(Module):
@@ -194,10 +210,10 @@ class Linear(Module):
     shares ``W``, so forward and backward each run one 2-D GEMM.
     """
 
-    def __init__(self, in_features: int, out_features: int, rng: np.random.Generator):
+    def __init__(self, in_features: int, out_features: int):
         super().__init__()
-        self.weight = Parameter(xavier_uniform(rng, in_features, out_features))
-        self.bias = Parameter(np.zeros(out_features))
+        self.weight = Parameter((in_features, out_features), xavier_uniform)
+        self.bias = Parameter(out_features, 0.0)
 
     def forward(self, x: Tensor) -> Tensor:
         return T.matmul(x, self.weight, bias=self.bias)
@@ -233,10 +249,10 @@ class BatchNorm(Module):
         self.num_features = num_features
         self.momentum = momentum
         self.eps = eps
-        self.gamma = Parameter(np.ones(num_features))
-        self.beta = Parameter(np.zeros(num_features))
-        self.register_buffer("running_mean", np.zeros(num_features))
-        self.register_buffer("running_var", np.ones(num_features))
+        self.gamma = Parameter(num_features, 1.0)
+        self.beta = Parameter(num_features, 0.0)
+        self.register_buffer("running_mean", np.broadcast_to(0.0, num_features))
+        self.register_buffer("running_var", np.broadcast_to(1.0, num_features))
 
     def forward(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.num_features:
@@ -269,8 +285,8 @@ class InstanceNorm(Module):
         super().__init__()
         self.num_features = num_features
         self.eps = eps
-        self.gamma = Parameter(np.ones(num_features))
-        self.beta = Parameter(np.zeros(num_features))
+        self.gamma = Parameter(num_features, 1.0)
+        self.beta = Parameter(num_features, 0.0)
 
     def forward(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.num_features:
@@ -286,13 +302,13 @@ _ACTIVATIONS = {"gelu": T.gelu, "relu": T.relu}
 class FeedForward(Module):
     """Two-layer MLP: linear, activation, dropout, linear."""
 
-    def __init__(self, d_in: int, hidden: int, d_out: int, rng: np.random.Generator,
-                 activation: str = "gelu", dropout: float = 0.0):
+    def __init__(self, d_in: int, hidden: int, d_out: int, activation: str = "gelu",
+                 dropout: float = 0.0):
         super().__init__()
         if activation not in _ACTIVATIONS:
             raise ValueError(f"unknown activation {activation!r}, expected one of {sorted(_ACTIVATIONS)}")
-        self.lin1 = Linear(d_in, hidden, rng)
-        self.lin2 = Linear(hidden, d_out, rng)
+        self.lin1 = Linear(d_in, hidden)
+        self.lin2 = Linear(hidden, d_out)
         self.drop = Dropout(dropout)
         self.activation = activation
 

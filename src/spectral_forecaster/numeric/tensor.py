@@ -133,16 +133,26 @@ class Tensor:
 class Parameter(Tensor):
     """Trainable leaf tensor; modules collect these by attribute name.
 
+    ``Parameter(array)`` holds ``array``. ``Parameter(shape, init)`` is
+    declared by shape and holds no memory: ``init`` is a constant, or a draw
+    ``init(rng, view)`` that fills ``view`` in place. Until
+    :meth:`Module.init_state` or :meth:`Module.state_arena` gives it its view
+    of the state arena, ``data`` is a read-only zero-stride placeholder that
+    reads the constant, or NaN for a draw, so an undrawn model computes NaN.
+
     ``grad_view``, once :meth:`Module.gradient_arena` binds it, is this
     parameter's slice of the model's gradient arena: ``backward`` writes the
     gradient there instead of keeping a fresh array.
     """
 
-    __slots__ = ("grad_view",)
+    __slots__ = ("grad_view", "init")
 
-    def __init__(self, data):
-        super().__init__(data, requires_grad=True)
+    def __init__(self, data, init=None):
+        super().__init__(data if init is None else 0.0, requires_grad=True)
+        if init is not None:
+            self.data = np.broadcast_to(np.nan if callable(init) else float(init), data)
         self.grad_view = None
+        self.init = init
 
 
 def _make(data: np.ndarray, requires_grad: bool = False) -> Tensor:

@@ -36,7 +36,7 @@ class SpectralBlockConfig:
 
     ``filtered_axis_length`` may be left None and is then derived from the
     model (embedding width, or patch count for the per-patch-axis variant).
-    ``mlp_hidden`` defaults to twice the filtered length.
+    ``mlp_hidden`` defaults to ``2 * d_model``, whichever axis is filtered.
     """
 
     use_mlp: bool = True
@@ -57,25 +57,25 @@ class SpectralBlockConfig:
             )
 
 
+def _near_impulse(rng: np.random.Generator, view: np.ndarray) -> None:
+    """Draw a filter into ``view``: w ~ N(0, 0.02) with 1 added at the origin."""
+    view[...] = rng.normal(0.0, FILTER_INIT_STD, size=view.shape)
+    view[0] += 1.0
+
+
 class SpectralFilter(Module):
     """Trainable length-``n_f`` real filter applied by spectral gating."""
 
-    def __init__(self, n_f: int, rng: np.random.Generator):
+    def __init__(self, n_f: int):
         super().__init__()
         if n_f < 1:
             raise ValueError(f"filter length must be >= 1, got {n_f}")
         self.n_f = n_f
-        # near-impulse start: w ~ N(0, 0.02) with 1 added at the origin
-        w = rng.normal(0.0, FILTER_INIT_STD, size=n_f)
-        w[0] += 1.0
-        self.w = Parameter(w)
+        self.w = Parameter(n_f, _near_impulse)
 
     def apply(self, y: Tensor) -> Tensor:
         """Filter ``y`` along its last axis; equals circular convolution with ``w``."""
         return T.spectral_gate(y, self.w)
-
-    def forward(self, y):
-        return self.apply(y)
 
 
 def amplitude_spectrum(f: SpectralFilter) -> np.ndarray:
@@ -88,8 +88,7 @@ class SpectralBlock(Module):
     """Batch norm, spectral gating, instance norm, optional residual MLP."""
 
     def __init__(self, d_model: int, n_patches: int, cfg: SpectralBlockConfig,
-                 rng: np.random.Generator, activation: str = "gelu",
-                 dropout: float = 0.0):
+                 activation: str = "gelu", dropout: float = 0.0):
         super().__init__()
         n_f = d_model if cfg.filter_axis == "embedding" else n_patches
         if cfg.filtered_axis_length is not None and cfg.filtered_axis_length != n_f:
@@ -100,11 +99,11 @@ class SpectralBlock(Module):
         self.cfg = cfg
         self.d_model = d_model
         self.norm_in = BatchNorm(d_model)
-        self.filter = SpectralFilter(n_f, rng)
+        self.filter = SpectralFilter(n_f)
         self.norm_mid = InstanceNorm(d_model)
         if cfg.use_mlp:
             hidden = cfg.mlp_hidden if cfg.mlp_hidden is not None else 2 * d_model
-            self.mlp = FeedForward(d_model, hidden, d_model, rng, activation, dropout)
+            self.mlp = FeedForward(d_model, hidden, d_model, activation, dropout)
 
     def filter_input(self, y: Tensor) -> Tensor:
         """Batch-normalized ``y`` with the filtered axis moved last."""

@@ -86,7 +86,7 @@ def test_filter_equals_circular_convolution_oracle():
     worst = 0.0
     rng = np.random.default_rng(2027)
     for n in range(2, 33):
-        f = SpectralFilter(n, rng)
+        f = SpectralFilter(n).init_state(rng)
         for _ in range(100):
             w = rng.standard_normal(n)
             y = rng.standard_normal(n)
@@ -171,19 +171,19 @@ def test_every_trainable_component_passes_gradient_check():
     data = np.random.default_rng(6)
     total = 0
 
-    lin = Linear(5, 3, rng)
+    lin = Linear(5, 3).init_state(rng)
     total += _fd_check_params(lin.named_parameters(), _projection_loss(lin, data.standard_normal((4, 5)), 1), "Linear")
 
-    ffn = FeedForward(6, 9, 6, rng, dropout=0.0)
+    ffn = FeedForward(6, 9, 6, dropout=0.0).init_state(rng)
     total += _fd_check_params(ffn.named_parameters(), _projection_loss(ffn, data.standard_normal((3, 6)), 2), "FeedForward")
 
-    bn = BatchNorm(7)
+    bn = BatchNorm(7).init_state(rng)
     total += _fd_check_params(bn.named_parameters(), _projection_loss(bn, data.standard_normal((4, 7)), 3), "BatchNorm")
 
-    inorm = InstanceNorm(7)
+    inorm = InstanceNorm(7).init_state(rng)
     total += _fd_check_params(inorm.named_parameters(), _projection_loss(inorm, data.standard_normal((4, 3, 7)), 4), "InstanceNorm")
 
-    filt = SpectralFilter(9, rng)
+    filt = SpectralFilter(9).init_state(rng)
     total += _fd_check_params(
         [("w", filt.w)],
         _projection_loss(type("A", (), {"forward": staticmethod(lambda y: ref.apply_filter(filt, y))}), data.standard_normal(9), 5),
@@ -191,14 +191,14 @@ def test_every_trainable_component_passes_gradient_check():
     )
 
     cfg = tiny_experiment_config().model
-    emb = PatchEmbedding(cfg, rng)
+    emb = PatchEmbedding(cfg).init_state(rng)
     patches = ref.patchify(data.standard_normal((2, cfg.lookback)), cfg.patch_len, cfg.stride)
     total += _fd_check_params(emb.named_parameters(), _projection_loss(emb, patches, 6), "PatchEmbedding")
 
-    head = ForecastHead(cfg.n_patches, cfg.d_model, cfg.horizon, rng)
+    head = ForecastHead(cfg.n_patches, cfg.d_model, cfg.horizon).init_state(rng)
     total += _fd_check_params(head.named_parameters(), _projection_loss(head, data.standard_normal((2, cfg.n_patches, cfg.d_model)), 7), "ForecastHead")
 
-    att = AttentionBlock(cfg.d_model, cfg.n_heads, cfg.d_k, cfg.resolved_ffn_hidden(), rng, dropout=0.0)
+    att = AttentionBlock(cfg.d_model, cfg.n_heads, cfg.d_k, cfg.resolved_ffn_hidden(), dropout=0.0).init_state(rng)
     total += _fd_check_params(
         att.named_parameters(),
         _projection_loss(
@@ -209,7 +209,7 @@ def test_every_trainable_component_passes_gradient_check():
     )
 
     for axis in ("embedding", "patch"):
-        blk = SpectralBlock(cfg.d_model, cfg.n_patches, SpectralBlockConfig(filter_axis=axis), rng, dropout=0.0)
+        blk = SpectralBlock(cfg.d_model, cfg.n_patches, SpectralBlockConfig(filter_axis=axis), dropout=0.0).init_state(rng)
         total += _fd_check_params(
             blk.named_parameters(),
             _projection_loss(blk, data.standard_normal((2, cfg.n_patches, cfg.d_model)), 9),
@@ -281,13 +281,13 @@ def test_filterless_model_is_bit_identical_to_backbone():
     model = FilterFormer(cfg, np.random.default_rng(seed)).eval()
 
     rng = np.random.default_rng(seed)
-    embedding = PatchEmbedding(cfg, rng)
+    embedding = PatchEmbedding(cfg).init_state(rng)
     blocks = [
         AttentionBlock(cfg.d_model, cfg.n_heads, cfg.d_k, cfg.resolved_ffn_hidden(),
-                       rng, cfg.activation, cfg.dropout)
+                       cfg.activation, cfg.dropout).init_state(rng)
         for _ in range(cfg.total_layers)
     ]
-    head = ForecastHead(cfg.n_patches, cfg.d_model, cfg.horizon, rng)
+    head = ForecastHead(cfg.n_patches, cfg.d_model, cfg.horizon).init_state(rng)
     for b in blocks:
         b.eval()
 

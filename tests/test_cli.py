@@ -479,3 +479,31 @@ class TestUtilityCommands:
         with pytest.raises(SystemExit):
             cli.main(["--help"])
         assert "SPECTRAL_FORECASTER_THREADS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("reader, code, family", [
+    ("checkpoint", 3, "data error:"),
+    ("synth-spec", 2, "config error:"),
+    ("yaml-config", 2, "config error:"),
+])
+def test_nesting_past_the_recursion_limit_exits_with_its_code(tmp_path, capsys, reader,
+                                                              code, family):
+    import struct
+
+    from spectral_forecaster.model.checkpoint import MAGIC
+
+    path = tmp_path / "deep"
+    if reader == "checkpoint":
+        header = b"[" * 100_000
+        path.write_bytes(MAGIC + struct.pack(">I", len(header)) + header)
+        argv = ["export-spectra", "--tiny", "--out", str(tmp_path / "s"),
+                "--checkpoint", str(path)]
+    elif reader == "synth-spec":
+        path.write_text("[" * 100_000)
+        argv = ["synth", "--spec", str(path), "--out", str(tmp_path / "s.csv")]
+    else:
+        path.write_text("model: " + "[" * 5000 + "]" * 5000 + "\n")
+        argv = ["run", "--config", str(path)]
+    assert cli.main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith(family) and err.count("\n") == 1

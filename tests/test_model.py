@@ -1,8 +1,10 @@
 """Config validation, patching, RevIN, block behavior, full-model invariants."""
 
 import dataclasses
+import hashlib
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +28,13 @@ from spectral_forecaster.spectral import SpectralBlockConfig
 
 from conftest import naive_circular_convolution
 import reference as ref
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+# the paper benchmark's shape: a 9.8 MB state
+PAPER_CONFIG = ModelConfig(lookback=96, horizon=96, patch_len=16, d_model=128, n_heads=8,
+                           total_layers=4, alpha=1, dropout=0.1)
 
 
 def tiny_config(**overrides) -> ModelConfig:
@@ -143,20 +152,20 @@ class TestRevin:
 class TestEmbeddingAndHead:
     def test_zero_patches_zero_pos_embed_to_zero(self):
         cfg = tiny_config()
-        emb = PatchEmbedding(cfg, np.random.default_rng(0))
+        emb = PatchEmbedding(cfg).init_state(np.random.default_rng(0))
         emb.pos.data[...] = 0.0
         out = ref.embed_patches(emb, np.zeros((2, cfg.n_patches, cfg.patch_len)))
         np.testing.assert_array_equal(out.data, np.zeros((2, 4, 8)))
 
     def test_cited_embedding_shape(self):
         cfg = ModelConfig(lookback=96, horizon=96, patch_len=16, d_model=128, n_heads=8)
-        emb = PatchEmbedding(cfg, np.random.default_rng(0))
+        emb = PatchEmbedding(cfg).init_state(np.random.default_rng(0))
         out = ref.embed_patches(emb, np.zeros((1, 6, 16)))
         assert out.shape == (1, 6, 128)
 
     def test_embedding_gradient(self):
         cfg = tiny_config()
-        emb = PatchEmbedding(cfg, np.random.default_rng(1))
+        emb = PatchEmbedding(cfg).init_state(np.random.default_rng(1))
         patches = np.random.default_rng(2).standard_normal((2, 4, 4))
         proj = np.random.default_rng(3).standard_normal((2, 4, 8))
         loss = ref.sum(T.mul(emb(Tensor(patches)), proj))
@@ -177,7 +186,7 @@ class TestEmbeddingAndHead:
         np.testing.assert_allclose(emb.proj.grad.reshape(-1), num, rtol=1e-4, atol=1e-6)
 
     def test_head_zero_input_zero_bias(self):
-        head = ForecastHead(4, 8, 720, np.random.default_rng(0))
+        head = ForecastHead(4, 8, 720).init_state(np.random.default_rng(0))
         out = head(Tensor(np.zeros((3, 4, 8))))
         assert out.shape == (3, 720)
         np.testing.assert_array_equal(out.data, np.zeros((3, 720)))
@@ -185,8 +194,8 @@ class TestEmbeddingAndHead:
 
 class TestAttentionBlock:
     def make_block(self, d=8, heads=2, seed=0):
-        return AttentionBlock(d, heads, d // heads, 2 * d, np.random.default_rng(seed),
-                              dropout=0.0)
+        return AttentionBlock(d, heads, d // heads, 2 * d,
+                              dropout=0.0).init_state(np.random.default_rng(seed))
 
     def test_single_patch_degenerate(self):
         block = self.make_block()
@@ -224,7 +233,7 @@ class TestAttentionBlock:
         results = []
         for mix in (T.head_mix, ref.unfused_head_mix):
             monkeypatch.setattr(T, "head_mix", mix)
-            block = AttentionBlock(d, heads, d_k, 2 * d, np.random.default_rng(0), dropout=0.3)
+            block = AttentionBlock(d, heads, d_k, 2 * d, dropout=0.3).init_state(np.random.default_rng(0))
             x = Tensor(y.copy(), requires_grad=True)
             out = ref.attention_block_forward(block, x, np.random.default_rng(1))
             backward(ref.sum(T.mul(out, proj)))
@@ -272,13 +281,13 @@ class TestFilterFormer:
         model = FilterFormer(cfg, np.random.default_rng(seed)).eval()
 
         rng = np.random.default_rng(seed)
-        embedding = PatchEmbedding(cfg, rng)
+        embedding = PatchEmbedding(cfg).init_state(rng)
         blocks = [
             AttentionBlock(cfg.d_model, cfg.n_heads, cfg.d_k, cfg.resolved_ffn_hidden(),
-                           rng, cfg.activation, cfg.dropout)
+                           cfg.activation, cfg.dropout).init_state(rng)
             for _ in range(cfg.total_layers)
         ]
-        head = ForecastHead(cfg.n_patches, cfg.d_model, cfg.horizon, rng)
+        head = ForecastHead(cfg.n_patches, cfg.d_model, cfg.horizon).init_state(rng)
         for b in blocks:
             b.eval()
 
@@ -471,7 +480,7 @@ class TestFusedLayers:
         from spectral_forecaster.nn import BatchNorm
 
         rng = np.random.default_rng(31)
-        norm = BatchNorm(4, momentum=0.3)
+        norm = BatchNorm(4, momentum=0.3).init_state(rng)
         rm, rv = np.zeros(4), np.ones(4)
         for _ in range(3):
             x = rng.standard_normal((3, 5, 4)) * 2.0 + 1.0
@@ -572,7 +581,7 @@ class TestCheckpoint:
         monkeypatch.setattr(Module, "state_arena",
                             lambda self: packed.append(pack(self)) or packed[-1])
         again = load_checkpoint(path)
-        # packed once, when the model was built, and loaded into those views
+        # packed once, by the loader, and loaded into those views
         arena = packed[0]
         assert all(a is arena for a in packed)
         assert all(p.data.base is arena for p in again.parameters())
@@ -609,6 +618,48 @@ class TestCheckpoint:
         again = load_checkpoint(path)
         assert again.state_arena().tobytes() == path.read_bytes()[-again.state_arena().nbytes:]
         assert again.state_arena().tobytes() == model.state_arena().tobytes()
+
+    def test_load_peaks_at_the_state_arena(self, tmp_path):
+        from spectral_forecaster.model import load_checkpoint, save_checkpoint
+
+        path = tmp_path / "paper.ckpt"
+        save_checkpoint(FilterFormer(PAPER_CONFIG, np.random.default_rng(0)), path)
+        tracemalloc.start()
+        try:
+            model = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        state = model.state_arena().nbytes
+        assert state > 9_000_000
+        # the payload is read straight into the arena: no copy of the file, no drawn model
+        assert peak <= 1.2 * state, peak / state
+
+    def test_load_draws_no_random_numbers(self, tmp_path, monkeypatch):
+        from spectral_forecaster.model import load_checkpoint, save_checkpoint
+
+        model = self.trained_looking_model()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+
+        def refuse(*args):
+            raise AssertionError("load_checkpoint made a generator")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        assert load_checkpoint(path).state_arena().tobytes() == model.state_arena().tobytes()
+
+    def test_file_of_an_earlier_version_loads_bit_for_bit(self, tmp_path):
+        from spectral_forecaster.model import load_checkpoint, save_checkpoint
+
+        # written by `run --tiny` before parameters were declared by shape
+        fixture = FIXTURES / "tiny_h8.ckpt"
+        blob = fixture.read_bytes()
+        assert hashlib.sha256(blob).hexdigest().startswith("59a55ff9aaacfe56")
+        model = load_checkpoint(fixture)
+        arena = model.state_arena()
+        assert arena.astype("<f8").tobytes() == blob[-arena.nbytes:]
+        save_checkpoint(model, tmp_path / "again.ckpt")
+        assert (tmp_path / "again.ckpt").read_bytes() == blob
 
     def test_bad_magic_rejected(self, tmp_path):
         from spectral_forecaster.errors import DataError
@@ -652,6 +703,66 @@ class TestCheckpoint:
                          + blob[start + hlen:])
         with pytest.raises(DataError):
             load_checkpoint(path)
+
+
+class TestLayout:
+    # sha256 prefixes of FilterFormer(cfg, default_rng(0)).state_arena(), as
+    # the constructors drew it before parameters were declared by shape
+    PINNED = {
+        "tiny": "087efe6e0b9954a1",
+        "paper": "1db372f2995766b7",
+        "prefilter336": "299e7583dd3148a6",
+        "patch-axis": "744bcc8d008bfff9",
+    }
+
+    @staticmethod
+    def config(name) -> ModelConfig:
+        from spectral_forecaster.experiments import tiny_experiment_config
+
+        return {
+            "tiny": lambda: tiny_experiment_config().model,
+            "paper": lambda: PAPER_CONFIG,
+            # the prefilter336 benchmark's shape
+            "prefilter336": lambda: ModelConfig(
+                lookback=336, horizon=96, patch_len=16, d_model=64, n_heads=4, total_layers=3,
+                alpha=2, filter_placement="pre-embedding", dropout=0.0),
+            "patch-axis": lambda: ModelConfig(
+                lookback=48, horizon=24, patch_len=8, stride=4, d_model=24, n_heads=3,
+                total_layers=3, alpha=2,
+                spectral=SpectralBlockConfig(filter_axis="patch", mlp_hidden=10),
+                revin_affine=True),
+        }[name]()
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_initial_state_is_pinned(self, name):
+        cfg = self.config(name)
+        arena = FilterFormer(cfg, np.random.default_rng(0)).state_arena()
+        assert hashlib.sha256(arena.tobytes()).hexdigest()[:16] == self.PINNED[name]
+        again = FilterFormer(cfg).init_state(np.random.default_rng(0)).state_arena()
+        assert again.tobytes() == arena.tobytes()
+
+    def test_layout_alone_holds_no_memory(self):
+        model = FilterFormer(tiny_config(alpha=1, revin_affine=True))
+        assert "_state_arena" not in model.__dict__
+        for name, a in model.named_state():
+            assert not a.flags.writeable and not any(a.strides), name
+        # drawn parameters read NaN, declared constants read their value
+        assert np.isnan(model.embedding.pos.data).all()
+        assert np.isnan(model.blocks[0].filter.w.data).all()
+        assert (model.blocks[1].norm1.gamma.data == 1.0).all()
+        assert (model.blocks[1].norm1.running_var == 1.0).all()
+        assert np.isnan(model.predict(np.random.default_rng(0).standard_normal((2, 16)))).all()
+
+    def test_counting_a_huge_config_allocates_nothing(self):
+        cfg = ModelConfig(lookback=16, horizon=8, patch_len=4, d_model=10**6, n_heads=2)
+        tracemalloc.start()
+        try:
+            total, _ = count_parameters(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert total > 10**12
+        assert peak < 2**20, peak
 
 
 class TestStateArena:

@@ -18,7 +18,7 @@ from spectral_forecaster.spectral import (
 
 
 def make_filter(w: np.ndarray) -> SpectralFilter:
-    f = SpectralFilter(len(w), np.random.default_rng(0))
+    f = SpectralFilter(len(w)).init_state(np.random.default_rng(0))
     f.w.data[...] = w
     return f
 
@@ -80,7 +80,7 @@ class TestApplyFilter:
             assert residual < 1e-9
 
     def test_length_mismatch_rejected(self):
-        f = SpectralFilter(8, np.random.default_rng(0))
+        f = SpectralFilter(8).init_state(np.random.default_rng(0))
         with pytest.raises(ValueError):
             ref.apply_filter(f, np.zeros(9))
 
@@ -103,7 +103,7 @@ class TestApplyFilter:
         k = 3
         t = np.arange(n)
         y = np.sin(2 * np.pi * k * t / n)
-        f = SpectralFilter(n, np.random.default_rng(5))
+        f = SpectralFilter(n).init_state(np.random.default_rng(5))
         out = ref.apply_filter(f, y)
         yr, yi = rfft_kernel(y)
         outr, outi = rfft_kernel(out)
@@ -121,7 +121,7 @@ class TestApplyFilter:
         w = rng.standard_normal(10) * 0.3
 
         def fn(yt, wt):
-            f = SpectralFilter(10, np.random.default_rng(0))
+            f = SpectralFilter(10).init_state(np.random.default_rng(0))
             f.w = wt
             out = f.apply(yt)
             return T.mean(T.mul(out, out))
@@ -151,7 +151,7 @@ class TestTransferAndAmplitudes:
         np.testing.assert_allclose(after, 2.0 * np.ones(3))
 
     def test_near_impulse_init_spectrum_near_one(self):
-        f = SpectralFilter(64, np.random.default_rng(7))
+        f = SpectralFilter(64).init_state(np.random.default_rng(7))
         amps = amplitude_spectrum(f)
         assert np.all(np.abs(amps - 1.0) < 0.5)
 
@@ -159,7 +159,7 @@ class TestTransferAndAmplitudes:
 class TestSpectralBlock:
     def make_block(self, d=6, n_patches=4, use_mlp=True, axis="embedding", seed=0):
         cfg = SpectralBlockConfig(use_mlp=use_mlp, filter_axis=axis)
-        return SpectralBlock(d, n_patches, cfg, np.random.default_rng(seed), dropout=0.0)
+        return SpectralBlock(d, n_patches, cfg, dropout=0.0).init_state(np.random.default_rng(seed))
 
     @pytest.mark.parametrize("use_mlp", [False, True])
     @pytest.mark.parametrize("axis", ["embedding", "patch"])
@@ -210,7 +210,7 @@ class TestSpectralBlock:
     def test_explicit_axis_length_mismatch_rejected(self):
         cfg = SpectralBlockConfig(filtered_axis_length=5)
         with pytest.raises(ValueError):
-            SpectralBlock(6, 4, cfg, np.random.default_rng(0))
+            SpectralBlock(6, 4, cfg)
 
     def test_bad_config_rejected(self):
         with pytest.raises(ConfigError):

@@ -31,7 +31,7 @@ class LinearStub(Module):
 
     def __init__(self, lookback, horizon, rng):
         super().__init__()
-        self.lin = Linear(lookback, horizon, rng)
+        self.lin = Linear(lookback, horizon).init_state(rng)
 
     def forward(self, x, rng=None):
         return self.lin(x if isinstance(x, Tensor) else Tensor(np.asarray(x, float)))
@@ -142,7 +142,7 @@ class TestAdam:
         """Matrix, vector and 0-d parameters across two nesting levels."""
         rng = np.random.default_rng(seed)
         model = Module()
-        model.lin = Linear(5, 3, rng)
+        model.lin = Linear(5, 3).init_state(rng)
         model.scale = Parameter(np.array(0.7))
         model.gain = Parameter(rng.standard_normal(4))
         return model
@@ -299,7 +299,7 @@ class TestGradientArena:
 
         model = Module()
         model.big = Parameter(np.zeros((1200, 1000)))
-        model.lin = Linear(5, 3, np.random.default_rng(0))
+        model.lin = Linear(5, 3).init_state(np.random.default_rng(0))
         state = AdamState.for_model(model)
         state.grads[...] = np.random.default_rng(1).standard_normal(state.grads.size)
         for p in model.parameters():
@@ -312,6 +312,17 @@ class TestGradientArena:
             tracemalloc.stop()
         assert state.arena.size > 1_200_000
         assert peak <= 8 * ADAM_BLOCK, peak
+
+    def test_undrawn_model_fails_fit_and_evaluate(self):
+        # built without an rng, every drawn parameter reads NaN: no plausible numbers
+        model = FilterFormer(arena_model().config)
+        rng = np.random.default_rng(6)
+        ws = window_set(rng.standard_normal((40, 16)), rng.standard_normal((40, 4)))
+        with pytest.raises(ValueError, match="mse must be finite"):
+            evaluate(model, ws.test)
+        with pytest.raises(NumericError, match="non-finite gradient"):
+            fit(model, ws, TrainConfig(learning_rate=1e-2, batch_size=8, max_epochs=1,
+                                       patience=1))
 
     def test_three_fit_steps_match_the_gathered_update(self, monkeypatch):
         import spectral_forecaster.training as training
