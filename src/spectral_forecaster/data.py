@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, config_section
-from .fileio import atomic_write
+from .fileio import write_csv
 
 
 @dataclass(frozen=True, eq=False)
@@ -342,11 +342,7 @@ def stack_windows(samples) -> tuple[np.ndarray, np.ndarray]:
 
 def write_series_csv(path, rs: RawSeries) -> None:
     """Write a RawSeries in the load_csv layout; the timestamp is the step index."""
-    with atomic_write(path, newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["date", *rs.channel_names])
-        for t in range(rs.n_steps):
-            writer.writerow([t, *[repr(float(v)) for v in rs.values[t]]])
+    write_csv(path, ("date", *rs.channel_names), ([t, *row] for t, row in enumerate(rs.values)))
 
 
 DEFAULT_COMPONENTS = (

@@ -9,7 +9,6 @@ reproduces every output file byte for byte.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 import os
@@ -28,18 +27,11 @@ from .data import (
     synth_three_sine,
 )
 from .errors import ConfigError, config_int, config_section
-from .fileio import atomic_write
+from .fileio import atomic_write, write_csv
 from .model import FilterFormer, ModelConfig, count_parameters, save_checkpoint
 from .numeric.tensor import rfft_kernel
-from .spectral import amplitude_spectrum, write_amplitude_csv
-from .training import (
-    Metrics,
-    TrainConfig,
-    evaluate,
-    fit,
-    write_loss_curve,
-    write_metrics_csv,
-)
+from .spectral import amplitude_spectrum
+from .training import Metrics, TrainConfig, evaluate, fit
 
 
 @dataclasses.dataclass(frozen=True)
@@ -189,7 +181,7 @@ def run(config: ExperimentConfig) -> RunReport:
         best_epochs[horizon] = result.best_epoch
 
         base = os.path.join(config.out_dir, f"{config.tag}_h{horizon}")
-        write_loss_curve(base + "_loss.csv", result.history)
+        write_csv(base + "_loss.csv", ("epoch", "train_mse", "val_mse"), result.history)
         artifacts.append(base + "_loss.csv")
         save_checkpoint(model, base + ".ckpt")
         artifacts.append(base + ".ckpt")
@@ -200,7 +192,7 @@ def run(config: ExperimentConfig) -> RunReport:
             )
 
     metrics_path = os.path.join(config.out_dir, f"{config.tag}_metrics.csv")
-    write_metrics_csv(metrics_path, metrics_rows)
+    _write_metrics_table(metrics_path, "horizon", metrics_rows)
     artifacts.append(metrics_path)
 
     report = RunReport(
@@ -215,12 +207,9 @@ def run(config: ExperimentConfig) -> RunReport:
     return report
 
 
-def _write_sweep_csv(path, column: str, rows) -> None:
-    with atomic_write(path, newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([column, "mse", "mae"])
-        for setting, metrics in rows:
-            writer.writerow([setting, repr(metrics.mse), repr(metrics.mae)])
+def _write_metrics_table(path, column: str, rows) -> None:
+    """CSV of ``column,mse,mae``: one row per (setting, Metrics) pair."""
+    write_csv(path, (column, "mse", "mae"), [(s, m.mse, m.mae) for s, m in rows])
 
 
 def _sweep(config: ExperimentConfig, column: str, settings) -> tuple[list, str]:
@@ -232,7 +221,7 @@ def _sweep(config: ExperimentConfig, column: str, settings) -> tuple[list, str]:
         _, _, metrics, _ = _train_once(config, model_cfg, series)
         rows.append((label, metrics))
     path = os.path.join(config.out_dir, f"{config.tag}_ablate_{column}.csv")
-    _write_sweep_csv(path, column, rows)
+    _write_metrics_table(path, column, rows)
     return rows, path
 
 
@@ -304,17 +293,14 @@ def export_spectra(model: FilterFormer, probe: np.ndarray, out_dir, tag: str) ->
     paths = []
     for i, f in enumerate(filters):
         path = os.path.join(out_dir, f"{tag}_filter{i}.csv")
-        write_amplitude_csv(path, amplitude_spectrum(f))
+        write_csv(path, ("bin_index", "amplitude"), enumerate(amplitude_spectrum(f)))
         paths.append(path)
 
     fin, fout = model.filter_probe(probe)
     pre = _mean_amplitude(fin)
     post = _mean_amplitude(fout)
     path = os.path.join(out_dir, f"{tag}_embedding_spectrum.csv")
-    with atomic_write(path, newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["bin_index", "pre_amplitude", "post_amplitude"])
-        for k in range(pre.shape[0]):
-            writer.writerow([k, repr(float(pre[k])), repr(float(post[k]))])
+    write_csv(path, ("bin_index", "pre_amplitude", "post_amplitude"),
+              zip(range(len(pre)), pre, post))
     paths.append(path)
     return paths

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import contextlib
+import csv
 import os
+
+import numpy as np
 
 
 @contextlib.contextmanager
@@ -25,3 +28,17 @@ def atomic_write(path, mode: str = "w", newline: str | None = None):
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+def write_csv(path, header, rows) -> None:
+    """The one CSV dialect of every artifact: ``header``, then ``rows``, each line ended by LF.
+
+    A float cell (numpy floats included) is written as ``repr(float(v))``, so
+    it reads back bit for bit; every other cell is written as ``csv`` writes it.
+    The file is replaced atomically.
+    """
+    with atomic_write(path, newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([repr(float(v)) if isinstance(v, (float, np.floating)) else v
+                          for v in row] for row in rows)

@@ -102,7 +102,9 @@ class ModelConfig:
 
 
 def _position_init(rng: np.random.Generator, view: np.ndarray) -> None:
-    view[...] = rng.normal(0.0, 0.02, size=view.shape)
+    """N(0, 0.02) drawn in place, with the same bits as ``rng.normal(0.0, 0.02)``."""
+    rng.standard_normal(out=view)
+    view *= 0.02
 
 
 class PatchEmbedding(Module):
@@ -150,7 +152,7 @@ class AttentionBlock(Module):
 
     def _split_heads(self, x: Tensor) -> Tensor:
         rows, n = x.shape[0], x.shape[1]
-        return T.swapaxes(T.reshape(x, (rows, n, self.n_heads, self.d_k)), 1, 2)
+        return T.transpose(T.reshape(x, (rows, n, self.n_heads, self.d_k)), (0, 2, 1, 3))
 
     def forward(self, y: Tensor, rng: np.random.Generator | None = None) -> Tensor:
         if y.ndim != 3 or y.shape[-1] != self.d_model:
@@ -159,7 +161,7 @@ class AttentionBlock(Module):
             )
         q = self._split_heads(T.matmul(y, self.wq))
         k = self._split_heads(T.matmul(y, self.wk))
-        scores = T.mul(T.matmul(q, T.swapaxes(k, -1, -2)), 1.0 / np.sqrt(self.d_k))
+        scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(self.d_k))
         attn = T.softmax(scores, axis=-1)
         attn = self.attn_drop(attn, rng)
         o = T.head_mix(attn, y, self.wv, self.out_proj.weight, self.out_proj.bias)
@@ -176,7 +178,7 @@ class ForecastHead(Module):
         self.lin = Linear(n_patches * d_model, horizon)
 
     def forward(self, y: Tensor) -> Tensor:
-        return self.lin(T.flatten(y, start_axis=1))
+        return self.lin(T.reshape(y, (y.shape[0], -1)))
 
 
 class FilterFormer(Module):

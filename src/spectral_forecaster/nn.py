@@ -198,9 +198,15 @@ class ModuleList(Module):
 
 
 def xavier_uniform(rng: np.random.Generator, view: np.ndarray) -> None:
-    """Draw a (fan_in, fan_out) weight into ``view``."""
+    """Draw a (fan_in, fan_out) weight into ``view``, in place.
+
+    The same bits as ``rng.uniform(-limit, limit)``: numpy computes
+    ``low + (high - low) * u`` from the same uniform draws ``u``.
+    """
     limit = np.sqrt(6.0 / sum(view.shape))
-    view[...] = rng.uniform(-limit, limit, size=view.shape)
+    rng.random(out=view)
+    view *= 2 * limit
+    view += -limit
 
 
 class Linear(Module):

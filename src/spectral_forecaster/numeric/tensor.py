@@ -33,9 +33,7 @@ __all__ = [
     "div",
     "matmul",
     "transpose",
-    "swapaxes",
     "reshape",
-    "flatten",
     "mean",
     "normalize",
     "relu",
@@ -378,13 +376,6 @@ def transpose(a, axes=None) -> Tensor:
     return _from_op(np.transpose(a.data, perm), "transpose", (a,), bwd)
 
 
-def swapaxes(a, ax1: int, ax2: int) -> Tensor:
-    a = _wrap(a)
-    perm = list(range(a.ndim))
-    perm[ax1], perm[ax2] = perm[ax2], perm[ax1]
-    return transpose(a, perm)
-
-
 def reshape(a, shape) -> Tensor:
     a = _wrap(a)
     orig = a.shape
@@ -393,12 +384,6 @@ def reshape(a, shape) -> Tensor:
         return (g.reshape(orig),)
 
     return _from_op(a.data.reshape(shape), "reshape", (a,), bwd)
-
-
-def flatten(a, start_axis: int = 0) -> Tensor:
-    """Collapse all axes from ``start_axis`` on into one."""
-    a = _wrap(a)
-    return reshape(a, a.shape[:start_axis] + (-1,))
 
 
 def unfold(a, size: int, step: int) -> Tensor:

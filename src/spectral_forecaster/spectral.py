@@ -14,13 +14,11 @@ near-impulse initialization is what makes a fresh block close to identity.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
-from .fileio import atomic_write
 from .nn import BatchNorm, FeedForward, InstanceNorm, Module
 from .numeric import tensor as T
 from .numeric.tensor import Parameter, Tensor
@@ -58,8 +56,12 @@ class SpectralBlockConfig:
 
 
 def _near_impulse(rng: np.random.Generator, view: np.ndarray) -> None:
-    """Draw a filter into ``view``: w ~ N(0, 0.02) with 1 added at the origin."""
-    view[...] = rng.normal(0.0, FILTER_INIT_STD, size=view.shape)
+    """Draw a filter into ``view``: w ~ N(0, 0.02) with 1 added at the origin.
+
+    Drawn in place, with the same bits as ``rng.normal(0.0, 0.02)``.
+    """
+    rng.standard_normal(out=view)
+    view *= FILTER_INIT_STD
     view[0] += 1.0
 
 
@@ -85,7 +87,10 @@ def amplitude_spectrum(f: SpectralFilter) -> np.ndarray:
 
 
 class SpectralBlock(Module):
-    """Batch norm, spectral gating, instance norm, optional residual MLP."""
+    """Batch norm, spectral gating, instance norm, optional residual MLP.
+
+    Input and output are (rows, patches, d_model).
+    """
 
     def __init__(self, d_model: int, n_patches: int, cfg: SpectralBlockConfig,
                  activation: str = "gelu", dropout: float = 0.0):
@@ -112,23 +117,13 @@ class SpectralBlock(Module):
                 f"block built for embedding width {self.d_model}, got shape {y.shape}"
             )
         y = self.norm_in(y)
-        return y if self.cfg.filter_axis == "embedding" else T.swapaxes(y, -1, -2)
+        return y if self.cfg.filter_axis == "embedding" else T.transpose(y, (0, 2, 1))
 
     def forward(self, y: Tensor, rng: np.random.Generator | None = None) -> Tensor:
         y = self.filter.apply(self.filter_input(y))
         if self.cfg.filter_axis == "patch":
-            y = T.swapaxes(y, -1, -2)
+            y = T.transpose(y, (0, 2, 1))
         y = self.norm_mid(y)
         if self.cfg.use_mlp:
             y = T.add(y, self.mlp(y, rng))
         return y
-
-
-def write_amplitude_csv(path, amplitudes: np.ndarray) -> None:
-    """Write a spectrum as ``bin_index,amplitude`` rows."""
-    amplitudes = np.asarray(amplitudes, dtype=np.float64)
-    with atomic_write(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_index", "amplitude"])
-        for k, a in enumerate(amplitudes):
-            writer.writerow([k, repr(float(a))])

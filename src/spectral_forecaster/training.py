@@ -9,7 +9,6 @@ internal per-window renormalization is invisible here.
 
 from __future__ import annotations
 
-import csv
 import ctypes
 import math
 from dataclasses import dataclass, field
@@ -18,7 +17,6 @@ import numpy as np
 
 from .data import WindowSet, stack_windows
 from .errors import ConfigError, NumericError
-from .fileio import atomic_write
 from .numeric import Tensor, backward
 from .numeric import tensor as T
 
@@ -277,21 +275,3 @@ def evaluate(model, samples) -> Metrics:
     rows_x, rows_y = _rows(samples)
     mse_v, mae_v = _raw_metrics(model, rows_x, rows_y)
     return Metrics(mse=mse_v, mae=mae_v)
-
-
-def write_loss_curve(path, history) -> None:
-    """CSV of per-epoch losses: epoch,train_mse,val_mse."""
-    with atomic_write(path, newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["epoch", "train_mse", "val_mse"])
-        for epoch, train_mse, val_mse in history:
-            writer.writerow([epoch, repr(float(train_mse)), repr(float(val_mse))])
-
-
-def write_metrics_csv(path, rows) -> None:
-    """CSV of per-horizon metrics: horizon,mse,mae."""
-    with atomic_write(path, newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["horizon", "mse", "mae"])
-        for horizon, metrics in rows:
-            writer.writerow([horizon, repr(metrics.mse), repr(metrics.mae)])

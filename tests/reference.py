@@ -1,7 +1,9 @@
 """Reference routines that only the tests use.
 
-The tape ops ``sum``, ``var`` and ``sqrt`` serve as loss reducers and as the
-unfused mean/var/sub/div chain that ``tensor.normalize`` is checked against.
+``swapaxes`` and ``flatten`` are shorthands that record one ``transpose`` or
+``reshape`` node. The tape ops ``sum``, ``var`` and ``sqrt`` serve as loss
+reducers and as the unfused mean/var/sub/div chain that ``tensor.normalize``
+is checked against.
 ``rfft`` and ``irfft`` are tape ops over ``(re, im)`` tensor pairs; chained
 with four muls, a sub and an add they form the unfused gating that
 ``tensor.spectral_gate`` is checked against. ``unfused_head_mix`` is the
@@ -46,6 +48,19 @@ from spectral_forecaster.numeric.tensor import (
     rfft_kernel,
 )
 from spectral_forecaster.spectral import SpectralBlock, SpectralFilter
+
+
+def swapaxes(a, ax1: int, ax2: int) -> Tensor:
+    a = _wrap(a)
+    perm = list(range(a.ndim))
+    perm[ax1], perm[ax2] = perm[ax2], perm[ax1]
+    return T.transpose(a, perm)
+
+
+def flatten(a, start_axis: int = 0) -> Tensor:
+    """Collapse all axes from ``start_axis`` on into one."""
+    a = _wrap(a)
+    return T.reshape(a, a.shape[:start_axis] + (-1,))
 
 
 def sum(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -143,9 +158,9 @@ def unfused_head_mix(attn, y, wv, wo, bias) -> Tensor:
     rows, h, n = attn.shape[:3]
     dv = wv.shape[1] // h
     v = T.matmul(y, wv)
-    v = T.swapaxes(T.reshape(v, (rows, n, h, dv)), 1, 2)
+    v = swapaxes(T.reshape(v, (rows, n, h, dv)), 1, 2)
     o = T.matmul(attn, v)
-    o = T.reshape(T.swapaxes(o, 1, 2), (rows, n, h * dv))
+    o = T.reshape(swapaxes(o, 1, 2), (rows, n, h * dv))
     return T.matmul(o, wo, bias=bias)
 
 

@@ -490,7 +490,7 @@ class TestFusedLayers:
             centered = flat - flat.mean(axis=0, keepdims=True)
             rm = 0.7 * rm + 0.3 * flat.mean(axis=0)
             rv = 0.7 * rv + 0.3 * (centered * centered).mean(axis=0)
-            norm(T.swapaxes(Tensor(np.swapaxes(x, 0, 1)), 0, 1))  # x, not contiguous
+            norm(ref.swapaxes(Tensor(np.swapaxes(x, 0, 1)), 0, 1))  # x, not contiguous
             np.testing.assert_allclose(norm._buffers["running_mean"], rm, rtol=0, atol=1e-12)
             np.testing.assert_allclose(norm._buffers["running_var"], rv, rtol=0, atol=1e-12)
 
@@ -763,6 +763,20 @@ class TestLayout:
             tracemalloc.stop()
         assert total > 10**12
         assert peak < 2**20, peak
+
+    def test_fresh_build_peaks_at_the_state_arena(self):
+        # a first build pays one-time imports and caches, which are not the draws
+        FilterFormer(tiny_config(alpha=1), np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            model = FilterFormer(PAPER_CONFIG, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        state = model.state_arena().nbytes
+        assert state > 9_000_000
+        # every draw lands in its view of the arena: no parameter-sized temporary
+        assert peak <= 1.05 * state, peak / state
 
 
 class TestStateArena:

@@ -6,6 +6,8 @@ import pytest
 from conftest import gradcheck, naive_circular_convolution
 import reference as ref
 from spectral_forecaster.errors import ConfigError
+from spectral_forecaster.experiments import export_spectra
+from spectral_forecaster.model import FilterFormer, ModelConfig
 from spectral_forecaster.numeric.tensor import Tensor, backward, rfft_kernel
 from spectral_forecaster.numeric import tensor as T
 from spectral_forecaster.spectral import (
@@ -13,7 +15,6 @@ from spectral_forecaster.spectral import (
     SpectralBlockConfig,
     SpectralFilter,
     amplitude_spectrum,
-    write_amplitude_csv,
 )
 
 
@@ -254,11 +255,17 @@ class TestSpectralBlock:
 
 class TestCsvExport:
     def test_schema_and_values(self, tmp_path):
-        f = make_filter(np.array([1.0, 1.0, 0.0, 0.0]))
-        path = tmp_path / "spectrum.csv"
-        write_amplitude_csv(path, amplitude_spectrum(f))
-        lines = path.read_text().splitlines()
+        cfg = ModelConfig(lookback=16, horizon=4, patch_len=4, d_model=4, n_heads=2,
+                          total_layers=2, alpha=1, dropout=0.0)
+        model = FilterFormer(cfg, np.random.default_rng(0))
+        f = model.spectral_filters()[0]
+        f.w.data[...] = [1.0, 1.0, 0.0, 0.0]
+        probe = np.random.default_rng(1).standard_normal((3, 16))
+        path = export_spectra(model, probe, tmp_path, "t")[0]
+        with open(path) as fh:
+            lines = fh.read().splitlines()
         assert lines[0] == "bin_index,amplitude"
         assert len(lines) == 1 + 3
         values = [float(line.split(",")[1]) for line in lines[1:]]
+        assert values == amplitude_spectrum(f).tolist()
         np.testing.assert_allclose(values, [2.0, np.sqrt(2.0), 0.0], atol=1e-15)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import reference as ref
+from spectral_forecaster import experiments
 from spectral_forecaster.data import WindowSample, WindowSet
 from spectral_forecaster.errors import ConfigError, NumericError
 from spectral_forecaster.model import FilterFormer, ModelConfig
@@ -21,8 +22,6 @@ from spectral_forecaster.training import (
     evaluate,
     fit,
     mse_loss,
-    write_loss_curve,
-    write_metrics_csv,
 )
 
 
@@ -531,25 +530,36 @@ class TestEvaluate:
 
 
 class TestCsvOutputs:
-    def test_loss_curve_schema(self, tmp_path):
-        history = [(1, 0.5, 0.6), (2, 0.25, 0.4)]
-        p = tmp_path / "loss.csv"
-        write_loss_curve(p, history)
-        lines = p.read_text().splitlines()
+    """The loss curve and metrics table that ``experiments.run`` writes."""
+
+    @staticmethod
+    def run_tiny(out_dir, monkeypatch):
+        histories = []
+
+        def recording_fit(*args, **kwargs):
+            result = fit(*args, **kwargs)
+            histories.append(result.history)
+            return result
+
+        monkeypatch.setattr(experiments, "fit", recording_fit)
+        report = experiments.run(experiments.tiny_experiment_config(out_dir=str(out_dir)))
+        return report, histories
+
+    def test_loss_curve_schema(self, tmp_path, monkeypatch):
+        report, (history,) = self.run_tiny(tmp_path, monkeypatch)
+        lines = (tmp_path / "tiny_h8_loss.csv").read_text().splitlines()
         assert lines[0] == "epoch,train_mse,val_mse"
-        assert lines[1] == "1,0.5,0.6"
-        assert len(lines) == 3
+        assert lines[1:] == [f"{e},{float(t)!r},{float(v)!r}" for e, t, v in history]
+        assert len(history) == report.epochs_run[8]
 
-    def test_metrics_schema(self, tmp_path):
-        p = tmp_path / "metrics.csv"
-        write_metrics_csv(p, [(96, Metrics(0.373, 0.394)), (192, Metrics(0.41, 0.42))])
-        lines = p.read_text().splitlines()
-        assert lines[0] == "horizon,mse,mae"
-        assert lines[1] == "96,0.373,0.394"
+    def test_metrics_schema(self, tmp_path, monkeypatch):
+        report, _ = self.run_tiny(tmp_path, monkeypatch)
+        lines = (tmp_path / "tiny_metrics.csv").read_text().splitlines()
+        assert lines == ["horizon,mse,mae",
+                         *(f"{h},{float(m.mse)!r},{float(m.mae)!r}" for h, m in report.metrics)]
 
-    def test_rewrite_is_byte_identical(self, tmp_path):
-        history = [(1, 1 / 3, 2 / 7), (2, 0.123456789012345, 9.87e-5)]
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_loss_curve(a, history)
-        write_loss_curve(b, history)
-        assert a.read_bytes() == b.read_bytes()
+    def test_rewrite_is_byte_identical(self, tmp_path, monkeypatch):
+        self.run_tiny(tmp_path / "a", monkeypatch)
+        self.run_tiny(tmp_path / "b", monkeypatch)
+        for name in ("tiny_h8_loss.csv", "tiny_metrics.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
