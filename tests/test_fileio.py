@@ -11,9 +11,11 @@ import pytest
 
 from spectral_forecaster import cli, fileio
 from spectral_forecaster.data import RawSeries, write_series_csv
-from spectral_forecaster.experiments import export_spectra
+from spectral_forecaster.experiments import _write_metrics_table, export_spectra
 from spectral_forecaster.fileio import atomic_write, write_csv
 from spectral_forecaster.model import FilterFormer, ModelConfig, save_checkpoint
+from spectral_forecaster.spectral import amplitude_spectrum
+from spectral_forecaster.training import Metrics
 
 OLD = "old contents\n"
 
@@ -44,9 +46,19 @@ def tiny_model():
     return FilterFormer(cfg, np.random.default_rng(0))
 
 
-# name of the file each writer (re)writes, and a call that writes it into a directory
+METRICS = [(4, Metrics(mse=0.5, mae=0.4)), (8, Metrics(mse=0.6, mae=0.5))]
+
+# name of the file each writer (re)writes, and a call that writes it into a directory;
+# the loss curve, metrics, sweep and amplitude cases write their artifact as the program does
 WRITERS = {
     "csv": ("c.csv", lambda d: write_csv(d / "c.csv", ("epoch", "mse"), [(1, 0.5), (2, 0.3)])),
+    "loss_curve": ("l.csv", lambda d: write_csv(
+        d / "l.csv", ("epoch", "train_mse", "val_mse"), [(1, 0.5, 0.4), (2, 0.3, 0.2)])),
+    "metrics": ("m.csv", lambda d: _write_metrics_table(d / "m.csv", "horizon", METRICS)),
+    "amplitude": ("a.csv", lambda d: write_csv(
+        d / "a.csv", ("bin_index", "amplitude"),
+        enumerate(amplitude_spectrum(tiny_model().spectral_filters()[0])))),
+    "sweep": ("w.csv", lambda d: _write_metrics_table(d / "w.csv", "alpha", METRICS)),
     "series": ("s.csv", lambda d: write_series_csv(
         d / "s.csv", RawSeries(("x", "y"), np.arange(6.0).reshape(3, 2)))),
     "spectra": ("t_filter0.csv", lambda d: export_spectra(
