@@ -14,8 +14,6 @@ import json
 import sys
 import warnings
 
-import numpy as np
-
 from .errors import ConfigError, DataError, NumericError
 from .experiments import (
     ExperimentConfig,
@@ -23,21 +21,26 @@ from .experiments import (
     ablate_filter_placement,
     ablate_layers,
     export_spectra,
+    init_model,
     load_experiment_config,
     load_series,
     probe_rows,
     run,
+    synth_series,
     tiny_experiment_config,
 )
-from .data import SyntheticSpec, load_synthetic_spec, make_windows, synth_three_sine, write_series_csv
-from .model import FilterFormer, count_parameters, load_checkpoint
+from .data import SyntheticSpec, load_synthetic_spec, make_windows, write_series_csv
+from .model import count_parameters, load_checkpoint
 
 
 def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
     try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip())
+        values = tuple(int(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
-        raise ConfigError(f"{flag} expects a comma-separated integer list, got {text!r}") from None
+        values = ()
+    if not values:
+        raise ConfigError(f"{flag} expects a comma-separated integer list, got {text!r}")
+    return values
 
 
 def _parse_channel_list(text: str):
@@ -54,10 +57,7 @@ def _load_config(args) -> ExperimentConfig:
     if args.tiny and args.config:
         raise ConfigError("--tiny and --config are mutually exclusive")
     if args.tiny:
-        config = tiny_experiment_config(
-            out_dir=args.out or "runs/tiny",
-            seed=args.seed if args.seed is not None else 0,
-        )
+        config = tiny_experiment_config()
     elif args.config:
         config = load_experiment_config(args.config)
     else:
@@ -69,7 +69,7 @@ def _load_config(args) -> ExperimentConfig:
         )
     if args.out:
         config = dataclasses.replace(config, out_dir=args.out)
-    if args.horizon:
+    if args.horizon is not None:
         config = dataclasses.replace(
             config, horizons=_parse_int_list(args.horizon, "--horizon")
         )
@@ -106,7 +106,7 @@ def cmd_ablate_layers(args) -> int:
 
 def cmd_ablate_alpha(args) -> int:
     config = _load_config(args)
-    if args.alphas:
+    if args.alphas is not None:
         alphas = _parse_int_list(args.alphas, "--alphas")
     else:
         alphas = tuple(range(config.model.total_layers + 1))
@@ -129,8 +129,8 @@ def cmd_export_spectra(args) -> int:
     if args.checkpoint:
         model = load_checkpoint(args.checkpoint)
     else:
-        model_cfg = dataclasses.replace(config.model, horizon=config.horizons[0])
-        model = FilterFormer(model_cfg, np.random.default_rng([config.train.seed, 0]))
+        model = init_model(dataclasses.replace(config.model, horizon=config.horizons[0]),
+                           config.train.seed)
     series = load_series(config)
     windows = make_windows(series, config.split, model.config.lookback, model.config.horizon)
     paths = export_spectra(model, probe_rows(windows.test), config.out_dir, config.tag)
@@ -151,10 +151,7 @@ def cmd_synth(args) -> int:
     if not args.out:
         raise ConfigError("synth needs --out <csv path>")
     spec = load_synthetic_spec(args.spec) if args.spec else SyntheticSpec()
-    rng = None
-    if spec.noise > 0:
-        rng = np.random.default_rng([args.seed if args.seed is not None else 0, 3])
-    series = synth_three_sine(spec, rng)
+    series = synth_series(spec, args.seed if args.seed is not None else 0)
     write_series_csv(args.out, series)
     print(f"wrote {series.n_steps} steps to {args.out}")
     return 0
@@ -168,11 +165,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command")
 
-    def add_common(p, out_is_dir=True):
+    def add_common(p):
         p.add_argument("--config", help="experiment YAML file")
         p.add_argument("--seed", type=int, help="override the training seed")
-        if out_is_dir:
-            p.add_argument("--out", help="override the output directory")
+        p.add_argument("--out", help="override the output directory")
         p.add_argument("--horizon", help="comma-separated horizon list, e.g. 96,192")
         p.add_argument("--exclude-channels",
                        help="comma-separated channel names or indices to drop")

@@ -59,7 +59,7 @@ class ExperimentConfig:
             raise ConfigError("exactly one of dataset and synthetic must be set")
         if not self.horizons:
             object.__setattr__(self, "horizons", (self.model.horizon,))
-        horizons = tuple(int(h) for h in self.horizons)
+        horizons = tuple(config_int(f"horizons.{i}", h) for i, h in enumerate(self.horizons))
         if any(h < 1 for h in horizons):
             raise ConfigError(f"horizons must be >= 1, got {horizons}")
         object.__setattr__(self, "horizons", horizons)
@@ -96,18 +96,16 @@ class RunReport:
         }
 
 
-def tiny_experiment_config(out_dir: str = "runs/tiny", seed: int = 0,
-                           tag: str = "tiny") -> ExperimentConfig:
+def tiny_experiment_config(out_dir: str = "runs/tiny") -> ExperimentConfig:
     """Smoke-test preset: 2-layer, width-8 model on a short synthetic series."""
     return ExperimentConfig(
         model=ModelConfig(lookback=16, horizon=8, patch_len=4, d_model=8,
                           n_heads=2, total_layers=2, alpha=1, dropout=0.0),
-        train=TrainConfig(learning_rate=1e-3, batch_size=32, max_epochs=5,
-                          patience=5, seed=seed),
+        train=TrainConfig(learning_rate=1e-3, batch_size=32, max_epochs=5, patience=5),
         synthetic=SyntheticSpec(length=400),
         horizons=(8,),
         out_dir=out_dir,
-        tag=tag,
+        tag="tiny",
     )
 
 
@@ -136,28 +134,39 @@ def load_experiment_config(path) -> ExperimentConfig:
         raise ConfigError(f"{path}: {exc}") from None
 
 
+def synth_series(spec: SyntheticSpec, seed: int) -> RawSeries:
+    """The synthetic series ``spec`` describes, its noise drawn from substream 3."""
+    rng = np.random.default_rng([seed, 3]) if spec.noise > 0 else None
+    return synth_three_sine(spec, rng)
+
+
 def load_series(config: ExperimentConfig) -> RawSeries:
     """Materialize the configured data source and apply channel exclusions."""
     if config.dataset is not None:
         series = load_csv(config.dataset)
     else:
-        rng = None
-        if config.synthetic.noise > 0:
-            rng = np.random.default_rng([config.train.seed, 3])
-        series = synth_three_sine(config.synthetic, rng)
+        series = synth_series(config.synthetic, config.train.seed)
     return exclude_channels(series, config.exclude)
 
 
-def probe_rows(samples, limit: int = 64) -> np.ndarray:
-    """The first ``limit`` samples as (rows, lookback), one row per channel."""
-    x, _ = stack_windows(samples[:limit])
+def init_model(model_cfg: ModelConfig, seed: int) -> FilterFormer:
+    """A fresh model, its random init drawn from substream 0."""
+    return FilterFormer(model_cfg, np.random.default_rng([seed, 0]))
+
+
+PROBE_SAMPLES = 64  # test samples the probe spectrum is taken over
+
+
+def probe_rows(samples) -> np.ndarray:
+    """The first PROBE_SAMPLES samples as (rows, lookback), one row per channel."""
+    x, _ = stack_windows(samples[:PROBE_SAMPLES])
     return x.reshape(-1, x.shape[-1])
 
 
 def _train_once(config: ExperimentConfig, model_cfg: ModelConfig,
                 series: RawSeries) -> tuple[FilterFormer, object, Metrics, WindowSet]:
     windows = make_windows(series, config.split, model_cfg.lookback, model_cfg.horizon)
-    model = FilterFormer(model_cfg, np.random.default_rng([config.train.seed, 0]))
+    model = init_model(model_cfg, config.train.seed)
     result = fit(model, windows, config.train)
     return model, result, evaluate(model, windows.test), windows
 
@@ -227,7 +236,7 @@ def _sweep(config: ExperimentConfig, column: str, settings) -> tuple[list, str]:
 
 def ablate_layers(config: ExperimentConfig, attention_counts) -> tuple[list, str]:
     """Sweep attention-block count with the spectral count fixed at model.alpha."""
-    counts = [int(n) for n in attention_counts]
+    counts = [config_int(f"attention_counts.{i}", n) for i, n in enumerate(attention_counts)]
     if not counts:
         raise ConfigError("attention-count list is empty")
     if any(n < 0 for n in counts):
@@ -242,7 +251,7 @@ def ablate_layers(config: ExperimentConfig, attention_counts) -> tuple[list, str
 
 def ablate_alpha(config: ExperimentConfig, alphas) -> tuple[list, str]:
     """Sweep the spectral-block count with total depth fixed at model.total_layers."""
-    values = [int(a) for a in alphas]
+    values = [config_int(f"alphas.{i}", a) for i, a in enumerate(alphas)]
     if not values:
         raise ConfigError("alpha list is empty")
     base = dataclasses.replace(config.model, horizon=config.horizons[0])

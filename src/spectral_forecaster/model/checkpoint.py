@@ -14,7 +14,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
-import math
 import os
 import struct
 import sys
@@ -23,7 +22,7 @@ import numpy as np
 
 from ..errors import ConfigError, DataError, config_section
 from ..fileio import atomic_write
-from ..nn import packed_offsets
+from ..nn import first_non_finite, packed_offsets
 from .network import FilterFormer, ModelConfig, count_parameters
 
 MAGIC = b"SFCKPT1\n"
@@ -104,12 +103,7 @@ def load_checkpoint(path) -> FilterFormer:
             raise DataError(f"{path}: the payload shrank while it was read")
     if sys.byteorder == "big":
         arena.byteswap(inplace=True)
-    # a sum is finite only if every term is; an overflowing sum of finite
-    # values finds no culprit below and the load goes on
-    with np.errstate(over="ignore", invalid="ignore"):
-        finite = math.isfinite(arena.sum())
-    if not finite:
-        for name, a in model.named_state():
-            if not np.isfinite(a).all():
-                raise DataError(f"{path}: entry {name!r} holds non-finite values")
+    bad = first_non_finite(arena, model.named_state())
+    if bad is not None:
+        raise DataError(f"{path}: entry {bad!r} holds non-finite values")
     return model

@@ -21,11 +21,11 @@ from ..errors import ConfigError
 from ..numeric import tensor as T
 from ..numeric.tensor import Parameter, Tensor, no_grad
 from ..spectral import SpectralBlock, SpectralBlockConfig, SpectralFilter
-from ..nn import (_ACTIVATIONS, BatchNorm, Dropout, FeedForward, Linear, Module, ModuleList,
-                  xavier_uniform)
+from ..nn import _ACTIVATIONS, BatchNorm, Dropout, FeedForward, Linear, Module, xavier_uniform
 from .revin import RevIN, RevInState
 
 PLACEMENTS = ("post-embedding", "pre-embedding")
+PREDICT_CHUNK = 512  # rows per forward pass in predict
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,6 @@ class PatchEmbedding(Module):
     """Y = patches @ E + Pos with learnable E (patch_len, d_model) and Pos (n, d_model)."""
 
     def __init__(self, cfg: ModelConfig):
-        super().__init__()
         self.proj = Parameter((cfg.patch_len, cfg.d_model), xavier_uniform)
         self.pos = Parameter((cfg.n_patches, cfg.d_model), _position_init)
 
@@ -137,7 +136,6 @@ class AttentionBlock(Module):
 
     def __init__(self, d_model: int, n_heads: int, d_k: int, ffn_hidden: int,
                  activation: str = "gelu", dropout: float = 0.0):
-        super().__init__()
         self.d_model = d_model
         self.n_heads = n_heads
         self.d_k = d_k
@@ -174,7 +172,6 @@ class ForecastHead(Module):
     """Flatten the patch axis and map (n_patches * d_model) to the horizon."""
 
     def __init__(self, n_patches: int, d_model: int, horizon: int):
-        super().__init__()
         self.lin = Linear(n_patches * d_model, horizon)
 
     def forward(self, y: Tensor) -> Tensor:
@@ -194,28 +191,25 @@ class FilterFormer(Module):
     """
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator | None = None):
-        super().__init__()
         self.config = cfg
         self.revin = RevIN(cfg.revin_affine)
         pre_embedding = cfg.filter_placement == "pre-embedding"
-        # an empty list registers nothing, so post-embedding state is unchanged
-        self.input_filters = ModuleList(
-            SpectralFilter(cfg.lookback) for _ in range(cfg.alpha if pre_embedding else 0)
-        )
+        # an empty list holds no state, so post-embedding state is unchanged
+        self.input_filters = [SpectralFilter(cfg.lookback)
+                              for _ in range(cfg.alpha if pre_embedding else 0)]
         self.embedding = PatchEmbedding(cfg)
-        blocks = [SpectralBlock(cfg.d_model, cfg.n_patches, cfg.spectral, cfg.activation,
-                                cfg.dropout) for _ in range(0 if pre_embedding else cfg.alpha)]
-        blocks += [AttentionBlock(cfg.d_model, cfg.n_heads, cfg.d_k, cfg.resolved_ffn_hidden(),
-                                  cfg.activation, cfg.dropout)
-                   for _ in range(cfg.total_layers - cfg.alpha)]
-        self.blocks = ModuleList(blocks)
+        self.blocks = [SpectralBlock(cfg.d_model, cfg.n_patches, cfg.spectral, cfg.activation,
+                                     cfg.dropout) for _ in range(0 if pre_embedding else cfg.alpha)]
+        self.blocks += [AttentionBlock(cfg.d_model, cfg.n_heads, cfg.d_k, cfg.resolved_ffn_hidden(),
+                                       cfg.activation, cfg.dropout)
+                        for _ in range(cfg.total_layers - cfg.alpha)]
         self.head = ForecastHead(cfg.n_patches, cfg.d_model, cfg.horizon)
         if rng is not None:
             self.init_state(rng)
 
     def spectral_filters(self) -> list[SpectralFilter]:
         """The learnable filters in stack order (empty for alpha=0)."""
-        return list(self.input_filters) + [
+        return self.input_filters + [
             b.filter for b in self.blocks if isinstance(b, SpectralBlock)
         ]
 
@@ -258,7 +252,7 @@ class FilterFormer(Module):
         finally:
             self.train(was_training)
 
-    def predict(self, x: np.ndarray, chunk: int = 512) -> np.ndarray:
+    def predict(self, x: np.ndarray) -> np.ndarray:
         """Inference on (..., channels, lookback); returns (..., channels, horizon)."""
         x = np.asarray(x, dtype=np.float64)
         lead = x.shape[:-1]
@@ -268,8 +262,8 @@ class FilterFormer(Module):
         try:
             outs = []
             with no_grad():
-                for start in range(0, rows.shape[0], chunk):
-                    outs.append(self.forward(rows[start:start + chunk]).data)
+                for start in range(0, rows.shape[0], PREDICT_CHUNK):
+                    outs.append(self.forward(rows[start:start + PREDICT_CHUNK]).data)
             return np.concatenate(outs, axis=0).reshape(lead + (self.config.horizon,))
         finally:
             self.train(was_training)

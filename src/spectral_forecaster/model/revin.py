@@ -54,7 +54,6 @@ class RevIN(Module):
     """
 
     def __init__(self, affine: bool = False):
-        super().__init__()
         self.affine = affine
         if affine:
             self.gamma = Parameter((), 1.0)

@@ -1,9 +1,12 @@
 """Module system and the shared layers every block is assembled from.
 
-Modules collect :class:`Parameter` attributes and buffers by name,
-recursively through submodules, in a stable, deterministic order (insertion
-order of attribute assignment). Constructors only declare them, by shape and
-init, so a freshly built module is its layout alone and holds no state.
+A module is a plain Python object. Its parameters, buffers and submodules
+are ordinary attributes, and a list attribute holds indexed submodules
+(``blocks.0``, ``blocks.1``); there is no registry and no container
+class. Walking the attributes in assignment order, recursively through
+submodules, names every parameter and buffer in a stable, deterministic
+order. Constructors only declare them, by shape and init, so a freshly
+built module is its layout alone and holds no state.
 :meth:`Module.init_state` then allocates the one flat arena laid out in that
 order, which the optimizer, the best-epoch snapshot and the checkpoint format
 all share, and draws every random init straight into its view, in layout
@@ -15,6 +18,7 @@ runs are reproducible from a single seed.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -23,52 +27,47 @@ from .numeric.tensor import Parameter, Tensor
 
 
 class Module:
-    """Base class tracking parameters, buffers, and submodules by name."""
+    """Base class: parameters, buffers and submodules are its plain attributes.
 
-    def __init__(self):
-        object.__setattr__(self, "_params", {})
-        object.__setattr__(self, "_buffers", {})
-        object.__setattr__(self, "_modules", {})
-        object.__setattr__(self, "training", True)
+    Every ``Parameter`` attribute is a parameter and every ``Module``
+    attribute a submodule; a list attribute holds indexed submodules, its
+    i-th named ``attr.i``. Buffers are the attributes
+    :meth:`register_buffer` names. Attributes are walked in assignment
+    order.
+    """
 
-    def __setattr__(self, name, value):
-        if isinstance(value, Parameter):
-            self._params[name] = value
-        elif isinstance(value, Module):
-            self._modules[name] = value
-        else:
-            object.__setattr__(self, name, value)
-
-    def __getattr__(self, name):
-        d = object.__getattribute__(self, "__dict__")
-        for store in ("_params", "_buffers", "_modules"):
-            table = d.get(store)
-            if table is not None and name in table:
-                return table[name]
-        raise AttributeError(f"{type(self).__name__} has no attribute {name!r}")
+    training = True
+    _buffer_names: tuple[str, ...] = ()
 
     def register_buffer(self, name: str, value: np.ndarray) -> None:
         """Track a non-trainable array that is still part of model state."""
-        self._buffers[name] = np.asarray(value, dtype=np.float64)
+        setattr(self, name, np.asarray(value, dtype=np.float64))
+        self._buffer_names += (name,)
 
     def named_modules(self, prefix: str = ""):
         """This module, then every submodule depth first, each with its dotted prefix."""
         yield prefix, self
-        for name, m in self._modules.items():
-            yield from m.named_modules(prefix + name + ".")
+        for name, value in vars(self).items():
+            if isinstance(value, Module):
+                yield from value.named_modules(prefix + name + ".")
+            elif isinstance(value, list):
+                for i, m in enumerate(value):
+                    if isinstance(m, Module):
+                        yield from m.named_modules(f"{prefix}{name}.{i}.")
 
     def named_parameters(self):
         for prefix, m in self.named_modules():
-            for name, p in m._params.items():
-                yield prefix + name, p
+            for name, p in vars(m).items():
+                if isinstance(p, Parameter):
+                    yield prefix + name, p
 
     def parameters(self) -> list[Parameter]:
         return [p for _, p in self.named_parameters()]
 
     def named_buffers(self):
         for prefix, m in self.named_modules():
-            for name, b in m._buffers.items():
-                yield prefix + name, b
+            for name in m._buffer_names:
+                yield prefix + name, getattr(m, name)
 
     def named_state(self):
         """Every parameter's array, then every buffer, both in deterministic traversal order."""
@@ -84,10 +83,9 @@ class Module:
         layout fixes what each draw of ``rng`` becomes. Without ``rng``, a
         drawn parameter reads NaN.
         """
-        modules = [m for _, m in self.named_modules()]
-        params = [p for m in modules for p in m._params.values()]
-        buffers = [(m._buffers, name) for m in modules for name in m._buffers]
-        arrays = [p.data for p in params] + [table[name] for table, name in buffers]
+        params = self.parameters()
+        buffers = [(m, name) for _, m in self.named_modules() for name in m._buffer_names]
+        arrays = [p.data for p in params] + [getattr(m, name) for m, name in buffers]
         arena, views = _carve(arrays, np.empty)
         for view, a in zip(views, arrays):
             view[...] = a
@@ -95,9 +93,9 @@ class Module:
             if rng is not None and callable(p.init):
                 p.init(rng, view)
             p.data = view
-        for (table, name), view in zip(buffers, views[len(params):]):
-            table[name] = view
-        object.__setattr__(self, "_state_arena", arena)
+        for (m, name), view in zip(buffers, views[len(params):]):
+            setattr(m, name, view)
+        self._state_arena = arena
         return self
 
     def state_arena(self) -> np.ndarray:
@@ -135,13 +133,12 @@ class Module:
         arena, views = _carve([p.data for p in params], np.zeros)
         for p, view in zip(params, views):
             p.grad_view = view
-        object.__setattr__(self, "_grad_arena", arena)
+        self._grad_arena = arena
         return arena
 
     def train(self, mode: bool = True):
-        object.__setattr__(self, "training", mode)
-        for m in self._modules.values():
-            m.train(mode)
+        for _, m in self.named_modules():
+            m.training = mode
         return self
 
     def eval(self):
@@ -167,34 +164,25 @@ def packed_offsets(arrays) -> list[int]:
     return list(itertools.accumulate((a.size for a in arrays), initial=0))
 
 
+def first_non_finite(flat: np.ndarray, named) -> str | None:
+    """The name of the first ``(name, array)`` pair holding a NaN or an infinity.
+
+    ``flat`` is the packed block the arrays view; it is scanned once, and
+    only a non-finite sum looks for the culprit. None if nothing is found.
+    """
+    # a sum is finite only if every term is; an overflowing sum of finite
+    # values finds no culprit below
+    with np.errstate(over="ignore", invalid="ignore"):
+        if math.isfinite(flat.sum()):
+            return None
+    return next((name for name, a in named if not np.isfinite(a).all()), None)
+
+
 def _carve(arrays, allocate) -> tuple[np.ndarray, list[np.ndarray]]:
     """A new flat arena from ``allocate(size)`` and one view of it per array, at its packed offset."""
     offsets = packed_offsets(arrays)
     arena = allocate(offsets[-1])
     return arena, [arena[lo:lo + a.size].reshape(a.shape) for lo, a in zip(offsets, arrays)]
-
-
-class ModuleList(Module):
-    """Ordered submodule container registered under stringified indices."""
-
-    def __init__(self, modules=()):
-        super().__init__()
-        object.__setattr__(self, "_list", [])
-        for m in modules:
-            self.append(m)
-
-    def append(self, module: Module) -> None:
-        self._modules[str(len(self._list))] = module
-        self._list.append(module)
-
-    def __iter__(self):
-        return iter(self._list)
-
-    def __len__(self) -> int:
-        return len(self._list)
-
-    def __getitem__(self, i: int) -> Module:
-        return self._list[i]
 
 
 def xavier_uniform(rng: np.random.Generator, view: np.ndarray) -> None:
@@ -217,7 +205,6 @@ class Linear(Module):
     """
 
     def __init__(self, in_features: int, out_features: int):
-        super().__init__()
         self.weight = Parameter((in_features, out_features), xavier_uniform)
         self.bias = Parameter(out_features, 0.0)
 
@@ -229,7 +216,6 @@ class Dropout(Module):
     """Inverted dropout; identity in eval mode or at rate zero."""
 
     def __init__(self, p: float):
-        super().__init__()
         if not 0.0 <= p < 1.0:
             raise ValueError(f"dropout rate must be in [0, 1), got {p}")
         self.p = float(p)
@@ -251,7 +237,6 @@ class BatchNorm(Module):
     """
 
     def __init__(self, num_features: int, momentum: float = 0.1, eps: float = 1e-5):
-        super().__init__()
         self.num_features = num_features
         self.momentum = momentum
         self.eps = eps
@@ -269,15 +254,14 @@ class BatchNorm(Module):
             out, mu, v = T.normalize(x, tuple(range(x.ndim - 1)), self.eps,
                                      self.gamma, self.beta)
             m = self.momentum
-            rm = self._buffers["running_mean"]
-            rv = self._buffers["running_var"]
+            rm, rv = self.running_mean, self.running_var
             rm *= 1.0 - m
             rm += m * mu.reshape(-1)
             rv *= 1.0 - m
             rv += m * v.reshape(-1)
             return out
-        denom = np.sqrt(self._buffers["running_var"] + self.eps)
-        xhat = T.div(T.sub(x, self._buffers["running_mean"]), denom)
+        denom = np.sqrt(self.running_var + self.eps)
+        xhat = T.div(T.sub(x, self.running_mean), denom)
         return T.add(T.mul(xhat, self.gamma), self.beta)
 
 
@@ -288,7 +272,6 @@ class InstanceNorm(Module):
     """
 
     def __init__(self, num_features: int, eps: float = 1e-5):
-        super().__init__()
         self.num_features = num_features
         self.eps = eps
         self.gamma = Parameter(num_features, 1.0)
@@ -310,7 +293,6 @@ class FeedForward(Module):
 
     def __init__(self, d_in: int, hidden: int, d_out: int, activation: str = "gelu",
                  dropout: float = 0.0):
-        super().__init__()
         if activation not in _ACTIVATIONS:
             raise ValueError(f"unknown activation {activation!r}, expected one of {sorted(_ACTIVATIONS)}")
         self.lin1 = Linear(d_in, hidden)

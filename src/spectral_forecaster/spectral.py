@@ -69,7 +69,6 @@ class SpectralFilter(Module):
     """Trainable length-``n_f`` real filter applied by spectral gating."""
 
     def __init__(self, n_f: int):
-        super().__init__()
         if n_f < 1:
             raise ValueError(f"filter length must be >= 1, got {n_f}")
         self.n_f = n_f
@@ -94,7 +93,6 @@ class SpectralBlock(Module):
 
     def __init__(self, d_model: int, n_patches: int, cfg: SpectralBlockConfig,
                  activation: str = "gelu", dropout: float = 0.0):
-        super().__init__()
         n_f = d_model if cfg.filter_axis == "embedding" else n_patches
         if cfg.filtered_axis_length is not None and cfg.filtered_axis_length != n_f:
             raise ValueError(

@@ -17,6 +17,7 @@ import numpy as np
 
 from .data import WindowSet, stack_windows
 from .errors import ConfigError, NumericError
+from .nn import first_non_finite
 from .numeric import Tensor, backward
 from .numeric import tensor as T
 
@@ -121,14 +122,9 @@ def adam_step(state: AdamState, named_params, lr: float) -> None:
         views.append((name, p.grad_view))
     grads = state.grads
     t = state.step + 1
-    # a sum is finite only if every term is; an overflowing sum of finite terms
-    # finds no culprit below and the step goes on
-    with np.errstate(over="ignore", invalid="ignore"):
-        finite = math.isfinite(grads.sum())
-    if not finite:
-        for name, g in views:
-            if not np.isfinite(g).all():
-                raise NumericError(f"non-finite gradient for parameter {name} at step {t}")
+    bad = first_non_finite(grads, views)
+    if bad is not None:
+        raise NumericError(f"non-finite gradient for parameter {bad} at step {t}")
     state.step = t
     b1, b2 = state.beta1, state.beta2
     bc1 = 1.0 - b1 ** t

@@ -133,6 +133,19 @@ class TestConfigErrors:
         )
         return self.exits_2(capsys, ["param-count", "--config", str(p)])
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--horizon", ","],
+        ["run", "--horizon", ""],
+        ["ablate-alpha", "--alphas", " , "],
+        ["ablate-alpha", "--alphas", ""],
+    ])
+    def test_empty_integer_list_exits_2(self, tmp_path, capsys, argv):
+        # an empty --horizon used to train the model's own horizon, and an
+        # empty --alphas the whole default sweep
+        err = self.exits_2(capsys, argv + ["--tiny", "--out", str(tmp_path / "out")])
+        assert argv[1] in err
+        assert not (tmp_path / "out").exists()
+
     def test_scalar_horizons_exits_2(self, tmp_path, capsys):
         assert "horizons" in self.param_count(tmp_path, capsys, "horizons: 5\n")
 

@@ -1,5 +1,6 @@
 """Experiment config parsing, run artifacts, reproducibility, ablations, spectra."""
 
+import dataclasses
 import json
 import os
 
@@ -50,6 +51,12 @@ class TestExperimentConfig:
     def test_horizons_default_to_model(self):
         cfg = micro_config("/tmp/unused")
         assert cfg.horizons == (4,)
+
+    @pytest.mark.parametrize("value", [1.5, True])
+    def test_non_integer_horizon_rejected(self, value):
+        # int() used to truncate both to horizon 1
+        with pytest.raises(ConfigError, match=r"horizons\.0 must be an integer"):
+            dataclasses.replace(tiny_experiment_config(), horizons=(value,))
 
     def test_tag_must_be_path_free(self):
         with pytest.raises(ConfigError):
@@ -227,6 +234,18 @@ class TestAblations:
     def test_empty_list_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             ablate_alpha(micro_config(tmp_path / "e"), [])
+
+    def test_fractional_alpha_rejected(self, tmp_path):
+        # int() used to train alpha 0 and write 0 in the table
+        with pytest.raises(ConfigError, match=r"alphas\.0 must be an integer"):
+            ablate_alpha(micro_config(tmp_path / "fa"), [0.7])
+        assert not (tmp_path / "fa").exists()
+
+    def test_boolean_attention_count_rejected(self, tmp_path):
+        # int() used to train True as 1 attention block
+        with pytest.raises(ConfigError, match=r"attention_counts\.0 must be an integer"):
+            ablate_layers(micro_config(tmp_path / "ba"), [True])
+        assert not (tmp_path / "ba").exists()
 
     def test_layer_sweep_counts_attention_blocks(self, tmp_path):
         cfg = micro_config(tmp_path / "ly")

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import json
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectral_forecaster.errors import ConfigError, config_section
+from spectral_forecaster.model import checkpoint
 from spectral_forecaster.model import (
     AttentionBlock,
     FilterFormer,
@@ -380,8 +382,8 @@ class TestFilterProbe:
             # non-trivial running statistics and affine, so norm_in is not near identity
             rng = np.random.default_rng(4)
             norm = model.blocks[0].norm_in
-            norm._buffers["running_mean"][:] = rng.standard_normal(8)
-            norm._buffers["running_var"][:] = rng.uniform(0.5, 3.0, 8)
+            norm.running_mean[:] = rng.standard_normal(8)
+            norm.running_var[:] = rng.uniform(0.5, 3.0, 8)
             norm.gamma.data[:] = rng.uniform(0.5, 2.0, 8)
             norm.beta.data[:] = rng.standard_normal(8)
         return model, np.random.default_rng(5).standard_normal((3, model.config.lookback))
@@ -394,7 +396,7 @@ class TestFilterProbe:
         patches = ref.patchify(xn, cfg.patch_len, cfg.stride)
         y = patches @ model.embedding.proj.data + model.embedding.pos.data
         norm = model.blocks[0].norm_in
-        y = (y - norm._buffers["running_mean"]) / np.sqrt(norm._buffers["running_var"] + norm.eps)
+        y = (y - norm.running_mean) / np.sqrt(norm.running_var + norm.eps)
         y = y * norm.gamma.data + norm.beta.data
         return y if case == "embedding-axis" else np.swapaxes(y, -1, -2)
 
@@ -491,8 +493,8 @@ class TestFusedLayers:
             rm = 0.7 * rm + 0.3 * flat.mean(axis=0)
             rv = 0.7 * rv + 0.3 * (centered * centered).mean(axis=0)
             norm(ref.swapaxes(Tensor(np.swapaxes(x, 0, 1)), 0, 1))  # x, not contiguous
-            np.testing.assert_allclose(norm._buffers["running_mean"], rm, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(norm._buffers["running_var"], rv, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(norm.running_mean, rm, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(norm.running_var, rv, rtol=0, atol=1e-12)
 
     @staticmethod
     def training_step_census(overrides):
@@ -714,6 +716,14 @@ class TestLayout:
         "prefilter336": "299e7583dd3148a6",
         "patch-axis": "744bcc8d008bfff9",
     }
+    # sha256 prefixes of the sorted-key JSON of each layout's checkpoint
+    # manifest (entry names, shapes, offsets), and its entry count
+    MANIFEST = {
+        "paper": ("5b1fcbf2b4f4849a", 66),
+        "patch-axis": ("3761f562edc8abf7", 45),
+        "prefilter336": ("23a5f1ec16f03478", 23),
+        "tiny": ("d9de92039934d76e", 32),
+    }
 
     @staticmethod
     def config(name) -> ModelConfig:
@@ -740,6 +750,12 @@ class TestLayout:
         assert hashlib.sha256(arena.tobytes()).hexdigest()[:16] == self.PINNED[name]
         again = FilterFormer(cfg).init_state(np.random.default_rng(0)).state_arena()
         assert again.tobytes() == arena.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(MANIFEST))
+    def test_manifest_is_pinned(self, name):
+        manifest = checkpoint._manifest(FilterFormer(self.config(name)))
+        digest = hashlib.sha256(json.dumps(manifest, sort_keys=True).encode()).hexdigest()
+        assert (digest[:16], len(manifest)) == self.MANIFEST[name]
 
     def test_layout_alone_holds_no_memory(self):
         model = FilterFormer(tiny_config(alpha=1, revin_affine=True))
