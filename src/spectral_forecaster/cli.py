@@ -43,14 +43,15 @@ def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
     return values
 
 
-def _parse_channel_list(text: str):
-    out = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        out.append(int(tok) if tok.isdigit() else tok)
-    return tuple(out)
+def _parse_channel_list(text: str) -> tuple[int | str, ...]:
+    tokens = (tok.strip() for tok in text.split(","))
+    values = tuple(int(tok) if tok.isdigit() else tok for tok in tokens if tok)
+    if not values:
+        raise ConfigError(
+            f"--exclude-channels expects a comma-separated list of channel names or indices, "
+            f"got {text!r}"
+        )
+    return values
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -67,13 +68,15 @@ def _load_config(args) -> ExperimentConfig:
         config = dataclasses.replace(
             config, train=dataclasses.replace(config.train, seed=args.seed)
         )
-    if args.out:
+    if args.out is not None:
+        if not args.out:
+            raise ConfigError("--out expects a directory path, got ''")
         config = dataclasses.replace(config, out_dir=args.out)
     if args.horizon is not None:
         config = dataclasses.replace(
             config, horizons=_parse_int_list(args.horizon, "--horizon")
         )
-    if args.exclude_channels:
+    if args.exclude_channels is not None:
         config = dataclasses.replace(
             config, exclude=_parse_channel_list(args.exclude_channels)
         )

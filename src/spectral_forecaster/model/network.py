@@ -25,7 +25,11 @@ from ..nn import _ACTIVATIONS, BatchNorm, Dropout, FeedForward, Linear, Module, 
 from .revin import RevIN, RevInState
 
 PLACEMENTS = ("post-embedding", "pre-embedding")
-PREDICT_CHUNK = 512  # rows per forward pass in predict
+# most rows per forward pass in predict, about one paper-shape training
+# batch; predict splits its rows into chunks of even size (they differ by at
+# most one row), since a remainder chunk of one or two rows can round
+# differently from the same rows inside a larger chunk
+PREDICT_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -255,18 +259,22 @@ class FilterFormer(Module):
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Inference on (..., channels, lookback); returns (..., channels, horizon)."""
         x = np.asarray(x, dtype=np.float64)
-        lead = x.shape[:-1]
+        if x.shape[-1:] != (self.config.lookback,):
+            raise ValueError(f"expected (..., {self.config.lookback}) input, got shape {x.shape}")
         rows = x.reshape(-1, x.shape[-1])
+        n = rows.shape[0]
+        out = np.empty((n, self.config.horizon))
+        chunks = -(-n // PREDICT_CHUNK)
         was_training = self.training
         self.eval()
         try:
-            outs = []
             with no_grad():
-                for start in range(0, rows.shape[0], PREDICT_CHUNK):
-                    outs.append(self.forward(rows[start:start + PREDICT_CHUNK]).data)
-            return np.concatenate(outs, axis=0).reshape(lead + (self.config.horizon,))
+                for i in range(chunks):
+                    lo, hi = i * n // chunks, (i + 1) * n // chunks
+                    out[lo:hi] = self.forward(rows[lo:hi]).data
         finally:
             self.train(was_training)
+        return out.reshape(x.shape[:-1] + (self.config.horizon,))
 
 
 def count_parameters(model_or_config) -> tuple[int, dict[str, int]]:

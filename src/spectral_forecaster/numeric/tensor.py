@@ -579,14 +579,26 @@ def gelu(a) -> Tensor:
 
 
 def softmax(a, axis: int = -1) -> Tensor:
+    """Softmax along ``axis``, shifted by the exact row max, in one output buffer.
+
+    The max is taken column by column with ``np.maximum``: exact, and over
+    the few patches of an attention row several times faster than numpy's
+    strided ``max(axis=-1)``.
+    """
     a = _wrap(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
+    cols = np.moveaxis(a.data, axis, -1)
+    top = cols[..., 0].copy()
+    for j in range(1, cols.shape[-1]):
+        np.maximum(top, cols[..., j], out=top)
+    out = a.data - np.expand_dims(top, axis)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
 
     def bwd(g):
         inner = (g * out).sum(axis=axis, keepdims=True)
-        return (out * (g - inner),)
+        gx = g - inner
+        gx *= out
+        return (gx,)
 
     return _from_op(out, "softmax", (a,), bwd)
 

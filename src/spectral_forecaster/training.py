@@ -164,10 +164,13 @@ def _rows(samples) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _raw_metrics(model, rows_x: np.ndarray, rows_y: np.ndarray) -> tuple[float, float]:
-    pred = model.predict(rows_x)
-    err = pred - rows_y
+    # in place in the prediction: |e| * |e| has the bits of e * e
+    err = model.predict(rows_x)
+    err -= rows_y
     with np.errstate(over="ignore"):  # divergence shows up as inf and is handled upstream
-        return float(np.mean(err * err)), float(np.mean(np.abs(err)))
+        mae = float(np.mean(np.abs(err, out=err)))
+        err *= err
+        return float(np.mean(err)), mae
 
 
 def _keep_heap_between_steps() -> None:
@@ -230,7 +233,8 @@ def fit(model, windows: WindowSet, cfg: TrainConfig) -> FitResult:
             batch = [windows.train[i] for i in order[lo:lo + cfg.batch_size]]
             rows_x, rows_y = _rows(batch)
             loss = mse_loss(model(rows_x, rng=dropout_rng), rows_y)
-            model.zero_grad()
+            for _, p in params:
+                p.grad = None
             backward(loss)
             adam_step(state, params, cfg.learning_rate)
             sq_sum += loss.item() * rows_y.size

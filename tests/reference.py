@@ -8,10 +8,12 @@ is checked against.
 with four muls, a sub and an add they form the unfused gating that
 ``tensor.spectral_gate`` is checked against. ``unfused_head_mix`` is the
 7-node attention value chain that ``tensor.head_mix`` is checked against.
-``two_array_gelu``, ``float_mask_dropout`` and ``z_keeping_head_mix`` are the
-earlier forms of the GELU node (keeping the cdf and exp arrays), of dropout
-(a ``mul`` by a float mask) and of ``head_mix`` (keeping the mixed values),
-which the leaner nodes must match bit for bit.
+``two_array_gelu``, ``float_mask_dropout``, ``z_keeping_head_mix`` and
+``three_array_softmax`` are the earlier forms of the GELU node (keeping the
+cdf and exp arrays), of dropout (a ``mul`` by a float mask), of ``head_mix``
+(keeping the mixed values) and of softmax (numpy's row max, then a shifted,
+an exponentiated and a normalized array), which the leaner nodes must match
+bit for bit.
 ``adam_step_per_parameter`` is the per-parameter Adam loop and
 ``adam_step_gathered`` the earlier flat update over a concatenated gradient;
 the blocked arena update must match both bit for bit.
@@ -188,6 +190,20 @@ def two_array_gelu(a) -> Tensor:
         return (d,)
 
     return _from_op(out.reshape(a.shape), "gelu", (a,), bwd)
+
+
+def three_array_softmax(a, axis: int = -1) -> Tensor:
+    """Softmax through ``max(axis)``, holding the shifted, exp and output arrays at once."""
+    a = _wrap(a)
+    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    out = e / e.sum(axis=axis, keepdims=True)
+
+    def bwd(g):
+        inner = (g * out).sum(axis=axis, keepdims=True)
+        return (out * (g - inner),)
+
+    return _from_op(out, "softmax", (a,), bwd)
 
 
 def float_mask_dropout(self, x: Tensor, rng: np.random.Generator | None = None) -> Tensor:

@@ -146,6 +146,21 @@ class TestConfigErrors:
         assert argv[1] in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("text", [",", "", " , "])
+    def test_empty_channel_list_exits_2(self, tmp_path, capsys, monkeypatch, text):
+        # used to exclude nothing and run
+        monkeypatch.chdir(tmp_path)
+        err = self.exits_2(capsys, ["run", "--tiny", "--exclude-channels", text,
+                                    "--out", str(tmp_path / "out")])
+        assert "--exclude-channels" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_empty_out_exits_2(self, tmp_path, capsys, monkeypatch):
+        # used to write into the preset's own runs/tiny
+        monkeypatch.chdir(tmp_path)
+        assert "--out" in self.exits_2(capsys, ["run", "--tiny", "--out", ""])
+        assert list(tmp_path.iterdir()) == []
+
     def test_scalar_horizons_exits_2(self, tmp_path, capsys):
         assert "horizons" in self.param_count(tmp_path, capsys, "horizons: 5\n")
 

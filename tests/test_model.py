@@ -366,6 +366,66 @@ class TestFilterFormer:
             )
 
 
+class TestPredict:
+    """``predict`` forecasts in even chunks of at most PREDICT_CHUNK rows, into one array."""
+
+    @pytest.mark.parametrize("shape", [(0, 16), (3, 0, 16)])
+    def test_zero_rows_give_an_empty_forecast(self, shape):
+        model = FilterFormer(tiny_config(), np.random.default_rng(0))
+        out = model.predict(np.empty(shape))
+        assert out.shape == shape[:-1] + (8,)
+
+    @pytest.mark.parametrize("shape", [(0, 17), (2, 17), (3, 0, 15)])
+    def test_wrong_lookback_rejected(self, shape):
+        model = FilterFormer(tiny_config(), np.random.default_rng(0))
+        with pytest.raises(ValueError, match="16"):
+            model.predict(np.zeros(shape))
+
+    @pytest.mark.parametrize("n", [1, 128, 129, 305, 513])
+    def test_chunks_are_even_and_bounded(self, n, monkeypatch):
+        from spectral_forecaster.model import network
+
+        model = FilterFormer(tiny_config(), np.random.default_rng(0))
+        x = np.random.default_rng(1).standard_normal((n, 16))
+        with no_grad():
+            whole = model.eval().forward(x).data
+        sizes = []
+        forward = FilterFormer.forward
+
+        def recording(self, rows, rng=None):
+            sizes.append(rows.shape[0])
+            return forward(self, rows, rng)
+
+        monkeypatch.setattr(FilterFormer, "forward", recording)
+        out = model.predict(x)
+        assert sum(sizes) == n
+        assert max(sizes) <= network.PREDICT_CHUNK == 128
+        assert max(sizes) - min(sizes) <= 1
+        np.testing.assert_allclose(out, whole, rtol=1e-12, atol=1e-12)
+
+    def test_working_set_does_not_grow_with_rows(self):
+        # at the paper's longest horizon, 2,048 rows of forecast (11.8 MB)
+        # outgrow one chunk's working set, so a second copy of them would show
+        cfg = dataclasses.replace(PAPER_CONFIG, horizon=720)
+        model = FilterFormer(cfg, np.random.default_rng(0))
+        data = np.random.default_rng(1)
+
+        def peak_above_output(n):
+            x = data.standard_normal((n, cfg.lookback))
+            tracemalloc.start()
+            try:
+                out = model.predict(x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - out.nbytes
+
+        peak_above_output(8)  # caches the first forward fills stay out of the comparison
+        small, large = peak_above_output(256), peak_above_output(2048)
+        # a chunk list and its concatenation, or wider chunks, grow with the rows
+        assert large <= 1.02 * small, (small, large)
+
+
 class TestFilterProbe:
     """``filter_probe`` against a hand-built filter input and the convolution oracle."""
 
@@ -1007,6 +1067,7 @@ class TestLeanNodesTrainAlike:
         monkeypatch.setitem(nn._ACTIVATIONS, "gelu", ref.two_array_gelu)
         monkeypatch.setattr(nn.Dropout, "forward", ref.float_mask_dropout)
         monkeypatch.setattr(T, "head_mix", ref.z_keeping_head_mix)
+        monkeypatch.setattr(T, "softmax", ref.three_array_softmax)
         earlier = train()
         assert lean[1] == earlier[1]
         assert lean[0].tobytes() == earlier[0].tobytes()

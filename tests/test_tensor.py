@@ -675,6 +675,20 @@ class TestRetainedState:
         assert out.node is None
         np.testing.assert_array_equal(out.data, new[0])
 
+    @pytest.mark.parametrize("shape,axis", [((3, 1), -1), ((5, 7), 0), ((4, 3, 12, 12), -1),
+                                            ((6, 2, 21, 21), -1), ((2, 5, 4), 1)])
+    def test_softmax_matches_three_array_form(self, shape, axis):
+        rng = np.random.default_rng(172)
+        x = rng.standard_normal(shape) * 30.0
+        x[..., 0] = x[..., -1]  # ties for the row max
+        x.flat[::7] = 0.0
+        x.flat[1::7] = -0.0
+        proj = rng.standard_normal(shape)
+        new = _grads_of(lambda a: T.softmax(a, axis=axis), [x], proj)
+        old = _grads_of(lambda a: ref.three_array_softmax(a, axis=axis), [x], proj)
+        for a, b in zip(new, old):
+            assert a.tobytes() == b.tobytes()
+
     @pytest.mark.parametrize("p", [0.1, 0.3, 0.5])
     def test_dropout_matches_float_mask(self, p):
         rng = np.random.default_rng(171)

@@ -522,6 +522,35 @@ class TestEvaluate:
         model = LinearStub(8, 4, np.random.default_rng(1))
         assert evaluate(model, ws.test) == evaluate(model, ws.test)
 
+    def test_metrics_add_nothing_to_the_prediction(self):
+        from spectral_forecaster.training import _raw_metrics
+
+        cfg = ModelConfig(lookback=16, horizon=512, patch_len=4, d_model=8, n_heads=2,
+                          total_layers=2, alpha=1, dropout=0.0)
+        model = FilterFormer(cfg, np.random.default_rng(0))
+        data = np.random.default_rng(1)
+        x = data.standard_normal((2048, 16))
+        y = data.standard_normal((2048, 512))
+        model.predict(x[:8])  # caches the first forward fills stay out of the peaks
+
+        def traced(fn):
+            tracemalloc.start()
+            try:
+                out = fn()
+                return out, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        chunk, chunk_peak = traced(lambda: model.predict(x[:128]))
+        working_set = chunk_peak - chunk.nbytes  # one full chunk's
+        (mse, mae), peak = traced(lambda: _raw_metrics(model, x, y))
+        pred = model.predict(x)
+        assert pred.nbytes > working_set  # so a copy of the prediction would show
+        # the error, its magnitude and its square all live in the prediction
+        assert peak <= 1.1 * pred.nbytes + working_set, (peak, pred.nbytes, working_set)
+        err = pred - y
+        assert (mse, mae) == (float(np.mean(err * err)), float(np.mean(np.abs(err))))
+
     def test_metrics_validation(self):
         with pytest.raises(ValueError):
             Metrics(-1.0, 0.0)
