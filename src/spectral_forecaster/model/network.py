@@ -26,9 +26,7 @@ from .revin import RevIN, RevInState
 
 PLACEMENTS = ("post-embedding", "pre-embedding")
 # most rows per forward pass in predict, about one paper-shape training
-# batch; predict splits its rows into chunks of even size (they differ by at
-# most one row), since a remainder chunk of one or two rows can round
-# differently from the same rows inside a larger chunk
+# batch; the rows are split into chunks of even size (T.even_chunks)
 PREDICT_CHUNK = 128
 
 
@@ -156,20 +154,22 @@ class AttentionBlock(Module):
         rows, n = x.shape[0], x.shape[1]
         return T.transpose(T.reshape(x, (rows, n, self.n_heads, self.d_k)), (0, 2, 1, 3))
 
+    def _attend(self, y: Tensor, rng: np.random.Generator | None) -> Tensor:
+        q = self._split_heads(T.matmul(y, self.wq))
+        k = self._split_heads(T.matmul(y, self.wk))
+        scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(self.d_k))
+        attn = self.attn_drop(T.softmax(scores, axis=-1), rng)
+        return T.head_mix(attn, y, self.wv, self.out_proj.weight, self.out_proj.bias)
+
     def forward(self, y: Tensor, rng: np.random.Generator | None = None) -> Tensor:
         if y.ndim != 3 or y.shape[-1] != self.d_model:
             raise ValueError(
                 f"expected (rows, patches, {self.d_model}) input, got shape {y.shape}"
             )
-        q = self._split_heads(T.matmul(y, self.wq))
-        k = self._split_heads(T.matmul(y, self.wk))
-        scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(self.d_k))
-        attn = T.softmax(scores, axis=-1)
-        attn = self.attn_drop(attn, rng)
-        o = T.head_mix(attn, y, self.wv, self.out_proj.weight, self.out_proj.bias)
-        y1 = self.norm1(T.add(y, o))
-        y2 = self.norm2(T.add(y1, self.mlp(y1, rng)))
-        return y2
+        # the attention's intermediates are _attend's locals, so they are
+        # freed before the MLP runs
+        y1 = self.norm1(T.add(y, self._attend(y, rng)))
+        return self.norm2(T.add(y1, self.mlp(y1, rng)))
 
 
 class ForecastHead(Module):
@@ -264,13 +264,11 @@ class FilterFormer(Module):
         rows = x.reshape(-1, x.shape[-1])
         n = rows.shape[0]
         out = np.empty((n, self.config.horizon))
-        chunks = -(-n // PREDICT_CHUNK)
         was_training = self.training
         self.eval()
         try:
             with no_grad():
-                for i in range(chunks):
-                    lo, hi = i * n // chunks, (i + 1) * n // chunks
+                for lo, hi in T.even_chunks(n, PREDICT_CHUNK):
                     out[lo:hi] = self.forward(rows[lo:hi]).data
         finally:
             self.train(was_training)

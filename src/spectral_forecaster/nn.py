@@ -301,5 +301,5 @@ class FeedForward(Module):
         self.activation = activation
 
     def forward(self, x: Tensor, rng: np.random.Generator | None = None) -> Tensor:
-        h = _ACTIVATIONS[self.activation](self.lin1(x))
-        return self.lin2(self.drop(h, rng))
+        # nested, so a dropped-out activation is freed before lin2 runs
+        return self.lin2(self.drop(_ACTIVATIONS[self.activation](self.lin1(x)), rng))

@@ -43,6 +43,7 @@ __all__ = [
     "dropout",
     "unfold",
     "spectral_gate",
+    "even_chunks",
     "rfft_kernel",
     "irfft_kernel",
 ]
@@ -202,7 +203,17 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(leaf) into every requires_grad leaf, then free the tape."""
+    """Accumulate d(loss)/d(leaf) into every requires_grad leaf, then free the tape.
+
+    A :class:`Parameter` bound to a gradient arena whose gradient is unset
+    when the call starts takes each contribution the moment its rule
+    returns: the first is copied into its arena view and later ones are
+    added there, so no fresh weight gradient outlives the next rule. Every
+    other gradient is summed apart, into the first array this call made for
+    it, and reaches its leaf at the leaf's own turn through
+    :func:`_accumulate`: a second backward without a reset still gives
+    ``old + (g1 + g2)``.
+    """
     if loss.shape != ():
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
     if loss._backward_done:
@@ -230,6 +241,8 @@ def backward(loss: Tensor) -> None:
     # popping drops each entry, and unlinking its node frees the arrays the
     # rule kept, as soon as it has run
     grads: dict[int, np.ndarray] = {id(root): np.ones((), dtype=np.float64)}
+    owned: set[int] = set()  # keys whose entry is a sum this call made, safe to add into
+    landed: set[int] = set()  # arena leaves whose gradient this call started in the view
     while topo:
         t = topo.pop()
         g = grads.pop(id(t), None)
@@ -242,19 +255,29 @@ def backward(loss: Tensor) -> None:
                 _accumulate(t, g)
             continue
         t.node = None
-        parent_grads = node.backward_fn(g)
-        for p, pg in zip(node.parents, parent_grads):
+        for p, pg in zip(node.parents, node.backward_fn(g)):
             if pg is None or not _tracked(p):
                 continue
             key = id(p)
-            if key in grads:
+            view = p.grad_view if isinstance(p, Parameter) else None
+            if key in landed:
+                view += pg
+            elif view is not None and p.grad is None:
+                np.copyto(view, pg)
+                p.grad = view
+                landed.add(key)
+            elif key in owned:
+                grads[key] += pg
+            elif key in grads:
                 grads[key] = grads[key] + pg
+                owned.add(key)
             else:
                 grads[key] = pg
+        pg = None  # the last parent gradient is freed before the next rule runs
 
 
 def _accumulate(leaf: Tensor, g: np.ndarray) -> None:
-    """Add ``g`` to a leaf's gradient, in place when the leaf has an arena view."""
+    """Add ``g``, this call's whole gradient, to a leaf's earlier one, in place in an arena view."""
     view = leaf.grad_view if isinstance(leaf, Parameter) else None
     if view is None:
         # rules may hand the same array to several parents, so never add in place
@@ -446,23 +469,35 @@ def normalize(a, axis, eps: float, gamma, beta) -> tuple[Tensor, np.ndarray, np.
         raise ValueError(
             f"gamma {gamma.shape} and beta {beta.shape} must match the last axis of {a.shape}"
         )
-    mu = a.data.mean(axis=axis, keepdims=True)
+    count = math.prod(a.shape[ax] for ax in np.atleast_1d(axis).tolist())
+
+    def mean(x):
+        # the two ops ndarray.mean runs, without its dispatch
+        m = np.add.reduce(x, axis=axis, keepdims=True)
+        m /= count
+        return m
+
+    mu = mean(a.data)
     xhat = a.data - mu
-    v = np.mean(xhat * xhat, axis=axis, keepdims=True)
+    out = np.multiply(xhat, xhat)  # the squares, until the output overwrites them
+    v = mean(out)
     std = np.sqrt(v + eps)
     xhat /= std
     gd = gamma.data
-    out = xhat * gd
+    np.multiply(xhat, gd, out=out)
     out += beta.data
     rows = tuple(range(a.ndim - 1))
 
     def bwd(g):
-        ggamma = (g * xhat).sum(axis=rows)
+        gx = np.multiply(g, xhat)  # g * xhat, until the input gradient overwrites it
+        ggamma = gx.sum(axis=rows)
         gbeta = g.sum(axis=rows)
-        gx = g * gd
-        proj = np.mean(gx * xhat, axis=axis, keepdims=True)
-        gx -= gx.mean(axis=axis, keepdims=True)
-        gx -= xhat * proj
+        np.multiply(g, gd, out=gx)
+        tmp = gx * xhat
+        proj = mean(tmp)
+        gx -= mean(gx)
+        np.multiply(xhat, proj, out=tmp)
+        gx -= tmp
         gx /= std
         return gx, ggamma, gbeta
 
@@ -603,6 +638,21 @@ def softmax(a, axis: int = -1) -> Tensor:
     return _from_op(out, "softmax", (a,), bwd)
 
 
+def even_chunks(n: int, most: int) -> list[tuple[int, int]]:
+    """``range(n)`` as ceil(n / most) ``(lo, hi)`` ranges whose sizes differ by at most one.
+
+    Row blocks of a GEMM are split this way because a remainder block of
+    one or two rows can round differently from the same rows inside a
+    larger block.
+    """
+    chunks = -(-n // most)
+    return [(i * n // chunks, (i + 1) * n // chunks) for i in range(chunks)]
+
+
+# bytes of mixed values one head_mix block forms: its products stay in cache
+_HEAD_MIX_BLOCK = 512 * 1024
+
+
 def head_mix(attn, y, wv, wo, bias) -> Tensor:
     """Multi-head attention's value path, ``sum_h attn_h @ (y @ wv_h) @ wo_h + bias``, one node.
 
@@ -615,9 +665,15 @@ def head_mix(attn, y, wv, wo, bias) -> Tensor:
     in the attention block, that saves work whenever rows * n exceeds
     d_out. The small ``attn`` is permuted, not the wide values, so the mixed
     values come out in the (rows * n, h * d) layout of the final GEMM.
-    The node keeps the permuted ``attn`` and ``y``, not the mixed values,
-    which are h times wider than ``y``: the backward recomputes them with
-    one batched product.
+
+    The mixed values are h times wider than ``y``, so they are formed one
+    block of rows at a time, at most ``_HEAD_MIX_BLOCK`` bytes, and each
+    block is multiplied into its rows of the preallocated output. The node
+    keeps ``attn`` itself (the softmax output, which that node keeps anyway,
+    when there is no dropout) and ``y``, and permutes ``attn`` once per
+    pass. The backward recomputes the mixed values of all rows for the
+    weight gradient, whose bits depend on the whole sum, and frees them
+    before it forms the activation gradients in the same row blocks.
     """
     attn, y, wv, wo, bias = (_wrap(t) for t in (attn, y, wv, wo, bias))
     rows, h, n = attn.shape[:3]
@@ -633,23 +689,36 @@ def head_mix(attn, y, wv, wo, bias) -> Tensor:
     wv3 = wv.data.reshape(d, h, dv).transpose(1, 0, 2)    # (h, d, dv)
     wo3 = wo.data.reshape(h, dv, d_out)
     mix = (wv3 @ wo3).reshape(h * d, d_out)
-    # row i * h + head of ``at`` holds query i's attention weights under that head
-    at = attn.data.transpose(0, 2, 1, 3).reshape(rows, n * h, n)
-    yd = y.data
-    out = (at @ yd).reshape(rows * n, h * d) @ mix
+    ad, yd = attn.data, y.data
+    blocks = even_chunks(rows, max(1, _HEAD_MIX_BLOCK // (n * h * d * 8)))
+
+    def permuted():
+        # row i * h + head holds query i's attention weights under that head
+        return ad.transpose(0, 2, 1, 3).reshape(rows, n * h, n)
+
+    at = permuted()
+    out = np.empty((rows * n, d_out))
+    for lo, hi in blocks:
+        np.matmul((at[lo:hi] @ yd[lo:hi]).reshape(-1, h * d), mix, out=out[lo * n:hi * n])
+    del at
     out += bias.data
 
     def bwd(g):
         g2 = g.reshape(rows * n, d_out)
+        at = permuted()
         z = (at @ yd).reshape(rows * n, h * d)
         gmix = (z.T @ g2).reshape(h, d, d_out)
         del z  # the widest array here: gone before the next products allocate
-        gz = (g2 @ mix.T).reshape(rows, n * h, d)
-        g_attn = (gz @ np.swapaxes(yd, 1, 2)).reshape(rows, n, h, n).transpose(0, 2, 1, 3)
-        gy = np.swapaxes(at, 1, 2) @ gz
+        g_attn = np.empty((rows, n, h, n))
+        gy = np.empty((rows, n, d))
+        for lo, hi in blocks:
+            gz = (g2[lo * n:hi * n] @ mix.T).reshape(hi - lo, n * h, d)
+            ga = g_attn[lo:hi].reshape(hi - lo, n * h, n)
+            np.matmul(gz, np.swapaxes(yd[lo:hi], 1, 2), out=ga)
+            np.matmul(np.swapaxes(at[lo:hi], 1, 2), gz, out=gy[lo:hi])
         gwv = (gmix @ np.swapaxes(wo3, 1, 2)).transpose(1, 0, 2).reshape(d, h * dv)
         gwo = (np.swapaxes(wv3, 1, 2) @ gmix).reshape(h * dv, d_out)
-        return g_attn, gy, gwv, gwo, g2.sum(axis=0)
+        return g_attn.transpose(0, 2, 1, 3), gy, gwv, gwo, g2.sum(axis=0)
 
     return _from_op(out.reshape(rows, n, d_out), "head_mix", (attn, y, wv, wo, bias), bwd)
 

@@ -947,25 +947,42 @@ def _owner(arr: np.ndarray) -> np.ndarray:
 class TestRetainedMemory:
     """What one recorded forward keeps alive for backward, and when backward lets go."""
 
-    # the pinned benchmark's shape, and a small paper-like one with dropout
+    # the pinned benchmark's shape, a small paper-like one with dropout, and
+    # a prefilter336-like one: two input filters, 21 patches, and 32 rows, so
+    # head_mix forms its mixed values in three row blocks
     SHAPES = {
         "pinned": (dict(patch_len=8, d_model=16, n_heads=4, total_layers=3, dropout=0.0), 16),
         "paper-like": (dict(patch_len=16, d_model=32, n_heads=4, total_layers=4,
                             dropout=0.1), 16),
+        "prefilter336-like": (dict(lookback=336, patch_len=16, d_model=64, n_heads=4,
+                                   total_layers=3, alpha=2, filter_placement="pre-embedding",
+                                   dropout=0.0), 32),
     }
     # bytes traced after the forward, per float64 cell of a (rows, patches,
-    # d_model) activation: about 44 (pinned) and 52 (paper-like) when each
-    # node keeps only what its rule reads, 92 and 123 when every node kept
-    # its operands alive
-    BUDGET_CELLS = {"pinned": 55, "paper-like": 65}
+    # d_model) activation: about 38 (pinned), 52 (paper-like) and 13.8
+    # (prefilter336-like) when each node keeps only what its rule reads; 92
+    # and 123 for the first two when every node kept its operands alive, and
+    # 15.2 for the last when head_mix kept a permuted copy of the softmax
+    # output beside it
+    BUDGET_CELLS = {"pinned": 55, "paper-like": 65, "prefilter336-like": 14.5}
+    # the peak traced during backward above the forward's end, in the same
+    # unit: about 7.5, 7.6 and 4.0 when an arena gradient lands as its rule
+    # returns; 12.0, 10.6 and 5.1 when each waited in backward's dict for its
+    # leaf's turn
+    BACKWARD_PEAK_CELLS = {"pinned": 9.0, "paper-like": 9.0, "prefilter336-like": 4.5}
 
     @classmethod
     def model_and_batch(cls, name):
         overrides, rows = cls.SHAPES[name]
-        cfg = ModelConfig(lookback=96, horizon=96, alpha=1, **overrides)
+        cfg = ModelConfig(**{"lookback": 96, "horizon": 96, "alpha": 1, **overrides})
         model = FilterFormer(cfg, np.random.default_rng(0)).train()
         rng = np.random.default_rng(1)
-        return model, rng.standard_normal((rows, 96)), rng.standard_normal((rows, 96)), rng
+        x = rng.standard_normal((rows, cfg.lookback))
+        return model, x, rng.standard_normal((rows, cfg.horizon)), rng
+
+    @staticmethod
+    def cells(model, x):
+        return x.shape[0] * model.config.n_patches * model.config.d_model
 
     @pytest.mark.parametrize("name", SHAPES)
     def test_forward_retains_within_budget(self, name):
@@ -980,10 +997,29 @@ class TestRetainedMemory:
             kept = tracemalloc.get_traced_memory()[0] - base
         finally:
             tracemalloc.stop()
-        cfg = model.config
-        cells = x.shape[0] * cfg.n_patches * cfg.d_model
+        cells = self.cells(model, x)
         assert kept <= self.BUDGET_CELLS[name] * 8 * cells, f"{kept / (8 * cells):.1f} per cell"
         assert loss.node is not None
+
+    @pytest.mark.parametrize("name", SHAPES)
+    def test_backward_peak_within_budget(self, name):
+        from spectral_forecaster.training import mse_loss
+
+        model, x, y, rng = self.model_and_batch(name)
+        model.gradient_arena()
+        backward(mse_loss(model(x, rng=rng), y))  # first-call allocations stay out of the count
+        model.zero_grad()
+        tracemalloc.start()
+        try:
+            loss = mse_loss(model(x, rng=rng), y)
+            end = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            backward(loss)
+            peak = tracemalloc.get_traced_memory()[1] - end
+        finally:
+            tracemalloc.stop()
+        cells = self.cells(model, x)
+        assert peak <= self.BACKWARD_PEAK_CELLS[name] * 8 * cells, f"{peak / (8 * cells):.1f}"
 
     def test_dead_intermediates_freed_when_forward_returns(self, monkeypatch):
         from spectral_forecaster.training import mse_loss

@@ -1,6 +1,7 @@
 """Tape mechanics and per-op gradient rules against finite differences."""
 
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -724,6 +725,68 @@ class TestRetainedState:
         old = _grads_of(ref.z_keeping_head_mix, arrays, proj)
         for a, b in zip(new, old):
             np.testing.assert_array_equal(a, b)
+
+    # heads, patches and model width of each benchmark workload's attention blocks
+    HEAD_MIX_WORKLOADS = {"paper": (8, 6, 128), "prefilter336": (4, 21, 64), "pinned": (4, 12, 16)}
+
+    @staticmethod
+    def head_mix_operands(rng, rows, h, n, d):
+        attn = rng.random((rows, h, n, n))
+        attn /= attn.sum(axis=-1, keepdims=True)
+        return [attn, rng.standard_normal((rows, n, d)), rng.standard_normal((d, h * d)),
+                rng.standard_normal((h * d, d)), rng.standard_normal(d)]
+
+    @pytest.mark.parametrize("rows", ["1", "b-1", "b", "b+1", "305"])
+    @pytest.mark.parametrize("name", HEAD_MIX_WORKLOADS)
+    def test_head_mix_in_row_blocks_matches_z_keeping_form(self, name, rows):
+        """Row blocks of the mixed values give the full-width bits, remainders included."""
+        h, n, d = self.HEAD_MIX_WORKLOADS[name]
+        b = T._HEAD_MIX_BLOCK // (n * h * d * 8)  # the most rows one block holds
+        rows = {"1": 1, "b-1": b - 1, "b": b, "b+1": b + 1, "305": 305}[rows]
+        rng = np.random.default_rng(176)
+        arrays = self.head_mix_operands(rng, rows, h, n, d)
+        proj = rng.standard_normal((rows, n, d))
+        new = _grads_of(T.head_mix, arrays, proj)
+        old = _grads_of(ref.z_keeping_head_mix, arrays, proj)
+        for a, b in zip(new, old):
+            assert a.tobytes() == b.tobytes()
+
+    def test_head_mix_working_set_is_one_block(self):
+        """Neither pass forms the full-width mixed values' products for all rows at once.
+
+        At 1,024 rows of the pinned heads the mixed values take 6.3 MB, 13
+        blocks. The forward holds the permuted attention weights and the
+        output, plus one block; the backward holds the permuted weights and
+        either the mixed values (for the weight gradient, which spans all
+        rows) or the activation gradients, plus one block of theirs.
+        """
+        rows, h, n, d = 1024, 4, 12, 16
+        params = [Parameter(a) for a in
+                  self.head_mix_operands(np.random.default_rng(177), rows, h, n, d)]
+        attn, block, wide = params[0].data.nbytes, T._HEAD_MIX_BLOCK, rows * n * h * d * 8
+        g = np.ones((rows, n, d))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = T.head_mix(*params)
+            forward_peak = tracemalloc.get_traced_memory()[1] - base - out.data.nbytes
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            g_attn, gy = out.node.backward_fn(g)[:2]
+            backward_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert forward_peak <= attn + 2 * block, f"{forward_peak / block:.1f} blocks"
+        bound = attn + max(wide, g_attn.nbytes + gy.nbytes) + 2 * block
+        assert backward_peak <= bound, f"{(backward_peak - bound) / block:.1f} blocks over"
+
+    @pytest.mark.parametrize("n, most", [(0, 4), (1, 4), (4, 4), (5, 4), (305, 85), (305, 10)])
+    def test_even_chunks_cover_the_range_in_even_sizes(self, n, most):
+        chunks = T.even_chunks(n, most)
+        assert len(chunks) == -(-n // most)
+        assert [i for lo, hi in chunks for i in range(lo, hi)] == list(range(n))
+        sizes = [hi - lo for lo, hi in chunks] or [0]
+        assert max(sizes) <= most and max(sizes) - min(sizes) <= 1
 
     @pytest.mark.parametrize("keepdims", [False, True])
     @pytest.mark.parametrize("axis", [(0, 1), (0, 2), (-1, 0), (1,), 2])

@@ -271,6 +271,42 @@ class TestGradientArena:
             assert p.grad is g
             assert p.grad.tobytes() == q.grad.tobytes()
 
+    def test_fresh_gradients_freed_before_the_next_rule_runs(self):
+        """Each parameter gradient a rule returns lands in the arena and is gone by the next rule."""
+        import weakref
+
+        model = arena_model(dropout=0.1)
+        AdamState.for_model(model)
+        x = np.random.default_rng(5).standard_normal((3, 16))
+        y = np.random.default_rng(6).standard_normal((3, 4))
+        loss = mse_loss(model.train()(x, rng=np.random.default_rng(7)), y)
+        params = {id(p) for p in model.parameters()}
+        fresh, alive, watched_count, nodes, seen = [], [], [0], [loss.node], set()
+
+        def watched(rule, parents):
+            def run(g):
+                alive.extend(r for r in fresh if r() is not None)
+                fresh.clear()
+                grads = rule(g)
+                # a 0-d parameter's gradient may be a numpy scalar, which has no weakref
+                fresh.extend(weakref.ref(pg if pg.base is None else pg.base)
+                             for p, pg in zip(parents, grads)
+                             if id(p) in params and isinstance(pg, np.ndarray))
+                watched_count[0] += len(fresh)
+                return grads
+            return run
+
+        while nodes:
+            node = nodes.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                node.backward_fn = watched(node.backward_fn, node.parents)
+                nodes += [p.node for p in node.parents if getattr(p, "node", None) is not None]
+        backward(loss)
+        assert all(p.grad is p.grad_view for p in model.parameters())
+        assert watched_count[0] >= len(params) - 2  # all but RevIN's two 0-d parameters
+        assert alive == []
+
     def test_zero_grad_unsets_gradients_but_keeps_the_views(self):
         model = arena_model()
         AdamState.for_model(model)
