@@ -128,7 +128,9 @@ class AttentionBlock(Module):
     back to d_model. Q/K/V maps carry no bias. Dropout hits the attention
     weights and the MLP interior only.
 
-    The value path runs reassociated, as one ``T.head_mix`` node:
+    The scores are one ``T.attention_scores`` node, which keeps ``y`` and
+    rebuilds q and k in its backward. The value path runs reassociated, as
+    one ``T.head_mix`` node:
     ``sum_h A_h (y Wv_h) Wo_h = [A_1 y | ... | A_H y] [Wv_h Wo_h]_h``. The
     same function with the same parameters (``wv``, ``out_proj``), at
     h * d^3 + R * n * h * d^2 multiply-adds instead of 2 * R * n * h * d^2
@@ -150,14 +152,8 @@ class AttentionBlock(Module):
         self.mlp = FeedForward(d_model, ffn_hidden, d_model, activation, dropout)
         self.norm2 = BatchNorm(d_model)
 
-    def _split_heads(self, x: Tensor) -> Tensor:
-        rows, n = x.shape[0], x.shape[1]
-        return T.transpose(T.reshape(x, (rows, n, self.n_heads, self.d_k)), (0, 2, 1, 3))
-
     def _attend(self, y: Tensor, rng: np.random.Generator | None) -> Tensor:
-        q = self._split_heads(T.matmul(y, self.wq))
-        k = self._split_heads(T.matmul(y, self.wk))
-        scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(self.d_k))
+        scores = T.attention_scores(y, self.wq, self.wk, self.n_heads, 1.0 / np.sqrt(self.d_k))
         attn = self.attn_drop(T.softmax(scores, axis=-1), rng)
         return T.head_mix(attn, y, self.wv, self.out_proj.weight, self.out_proj.bias)
 

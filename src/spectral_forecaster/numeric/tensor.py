@@ -39,6 +39,7 @@ __all__ = [
     "relu",
     "gelu",
     "softmax",
+    "attention_scores",
     "head_mix",
     "dropout",
     "unfold",
@@ -638,6 +639,50 @@ def softmax(a, axis: int = -1) -> Tensor:
     return _from_op(out, "softmax", (a,), bwd)
 
 
+def attention_scores(y, wq, wk, n_heads: int, scale: float) -> Tensor:
+    """Every head's attention scores, ``scale * q_h @ k_h^T`` of ``q = y @ wq``, ``k = y @ wk``.
+
+    ``y`` is (rows, n, d) and ``wq``, ``wk`` are (d, n_heads * d_k); head h
+    owns columns ``h*d_k:(h+1)*d_k`` of both. The output is (rows, n_heads,
+    n, n), one node. The node keeps ``y`` (which ``head_mix`` keeps too) and
+    the two weights, not the projections: its backward rebuilds q and k from
+    ``y`` with the forward's own products, two GEMMs traded for two
+    projection-sized arrays held from forward to backward.
+    """
+    y, wq, wk = _wrap(y), _wrap(wq), _wrap(wk)
+    h = n_heads
+    if (y.ndim != 3 or wq.ndim != 2 or wk.shape != wq.shape or wq.shape[0] != y.shape[-1]
+            or h < 1 or wq.shape[1] % h):
+        raise ValueError(
+            f"attention_scores shapes do not fit: y {y.shape}, wq {wq.shape}, wk {wk.shape}, "
+            f"n_heads {n_heads}"
+        )
+    rows, n, d = y.shape
+    dk = wq.shape[1] // h
+    yd, wqd, wkd = y.data, wq.data, wk.data
+
+    def heads(y2, w):
+        # (rows, h, n, d_k) view of one projection, laid out as its 2-D product
+        return (y2 @ w).reshape(rows, n, h, dk).transpose(0, 2, 1, 3)
+
+    y2 = yd.reshape(-1, d)
+    out = heads(y2, wqd) @ heads(y2, wkd).transpose(0, 1, 3, 2)
+    out *= scale
+
+    def bwd(g):
+        y2 = yd.reshape(-1, d)
+        gs = g * scale
+        # each projection's gradient in the (rows * n, h * d_k) layout of its product
+        gk = (np.swapaxes(heads(y2, wqd), -1, -2) @ gs).transpose(0, 3, 1, 2).reshape(-1, h * dk)
+        gq = (gs @ heads(y2, wkd)).transpose(0, 2, 1, 3).reshape(-1, h * dk)
+        del gs
+        gy = gq @ wqd.T
+        gy += gk @ wkd.T
+        return gy.reshape(rows, n, d), y2.T @ gq, y2.T @ gk
+
+    return _from_op(out, "attention_scores", (y, wq, wk), bwd)
+
+
 def even_chunks(n: int, most: int) -> list[tuple[int, int]]:
     """``range(n)`` as ceil(n / most) ``(lo, hi)`` ranges whose sizes differ by at most one.
 
@@ -707,17 +752,25 @@ def head_mix(attn, y, wv, wo, bias) -> Tensor:
         g2 = g.reshape(rows * n, d_out)
         at = permuted()
         z = (at @ yd).reshape(rows * n, h * d)
-        gmix = (z.T @ g2).reshape(h, d, d_out)
+        # (d_out, h * d); head h's (d, d_out) weight gradient is a transposed view of it
+        gmix = (g2.T @ z).reshape(d_out, h, d).transpose(1, 2, 0)
         del z  # the widest array here: gone before the next products allocate
+        gwv, gwo = np.empty((d, h * dv)), np.empty((h * dv, d_out))
+        np.matmul(gmix, np.swapaxes(wo3, 1, 2), out=gwv.reshape(d, h, dv).transpose(1, 0, 2))
+        np.matmul(np.swapaxes(wv3, 1, 2), gmix, out=gwo.reshape(h, dv, d_out))
+        del gmix
+        mix_t = np.ascontiguousarray(mix.T)
         g_attn = np.empty((rows, n, h, n))
         gy = np.empty((rows, n, d))
+        most = max((hi - lo for lo, hi in blocks), default=0)
+        gz_rows = np.empty((most * n, h * d))  # every block's gz, in turn
         for lo, hi in blocks:
-            gz = (g2[lo * n:hi * n] @ mix.T).reshape(hi - lo, n * h, d)
+            gz = gz_rows[:(hi - lo) * n]
+            np.matmul(g2[lo * n:hi * n], mix_t, out=gz)
+            gz = gz.reshape(hi - lo, n * h, d)
             ga = g_attn[lo:hi].reshape(hi - lo, n * h, n)
             np.matmul(gz, np.swapaxes(yd[lo:hi], 1, 2), out=ga)
             np.matmul(np.swapaxes(at[lo:hi], 1, 2), gz, out=gy[lo:hi])
-        gwv = (gmix @ np.swapaxes(wo3, 1, 2)).transpose(1, 0, 2).reshape(d, h * dv)
-        gwo = (np.swapaxes(wv3, 1, 2) @ gmix).reshape(h * dv, d_out)
         return g_attn.transpose(0, 2, 1, 3), gy, gwv, gwo, g2.sum(axis=0)
 
     return _from_op(out.reshape(rows, n, d_out), "head_mix", (attn, y, wv, wo, bias), bwd)

@@ -6,8 +6,10 @@ reducers and as the unfused mean/var/sub/div chain that ``tensor.normalize``
 is checked against.
 ``rfft`` and ``irfft`` are tape ops over ``(re, im)`` tensor pairs; chained
 with four muls, a sub and an add they form the unfused gating that
-``tensor.spectral_gate`` is checked against. ``unfused_head_mix`` is the
-7-node attention value chain that ``tensor.head_mix`` is checked against.
+``tensor.spectral_gate`` is checked against. ``unfused_head_mix`` and
+``unfused_attention_scores`` are the 7-node attention value chain and the
+9-node scores chain that ``tensor.head_mix`` and ``tensor.attention_scores``
+are checked against.
 ``two_array_gelu``, ``float_mask_dropout``, ``z_keeping_head_mix`` and
 ``three_array_softmax`` are the earlier forms of the GELU node (keeping the
 cdf and exp arrays), of dropout (a ``mul`` by a float mask), of ``head_mix``
@@ -164,6 +166,20 @@ def unfused_head_mix(attn, y, wv, wo, bias) -> Tensor:
     o = T.matmul(attn, v)
     o = T.reshape(swapaxes(o, 1, 2), (rows, n, h * dv))
     return T.matmul(o, wo, bias=bias)
+
+
+def unfused_attention_scores(y, wq, wk, n_heads: int, scale: float) -> Tensor:
+    """Attention scores as the 9-node chain: two projections, two head splits, product, scale."""
+    y = _wrap(y)
+    rows, n = y.shape[:2]
+    d_k = wq.shape[1] // n_heads
+
+    def split_heads(x):
+        return T.transpose(T.reshape(x, (rows, n, n_heads, d_k)), (0, 2, 1, 3))
+
+    q = split_heads(T.matmul(y, wq))
+    k = split_heads(T.matmul(y, wk))
+    return T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), scale)
 
 
 def two_array_gelu(a) -> Tensor:

@@ -363,6 +363,75 @@ class TestHeadMix:
                 T.head_mix(*args)
 
 
+class TestAttentionScores:
+    """``T.attention_scores`` against finite differences and the 9-node chain it replaced."""
+
+    # rows, patches, model width, heads, query/key width per head
+    SHAPES = {
+        "explicit-d_k": (3, 4, 6, 2, 4),
+        "one-head": (2, 3, 4, 1, 4),
+        "one-patch": (2, 1, 4, 2, 2),
+        "pinned": (16, 12, 16, 4, 4),
+        "paper": (112, 6, 128, 8, 16),
+        "prefilter336": (8, 21, 64, 4, 16),
+    }
+
+    @staticmethod
+    def operands(rng, shape, swapped):
+        """y, wq, wk, and the view that reaches the op (a transposed, non-contiguous y if swapped)."""
+        rows, n, d, h, dk = shape
+        arrays = [rng.standard_normal((rows, n, d)), rng.standard_normal((d, h * dk)) / d,
+                  rng.standard_normal((d, h * dk)) / d]
+        if swapped:
+            arrays[0] = np.ascontiguousarray(np.swapaxes(arrays[0], 0, 1))
+            return arrays, lambda a: ref.swapaxes(a, 0, 1)
+        return arrays, lambda a: a
+
+    @pytest.mark.parametrize("swapped", [False, True])
+    @pytest.mark.parametrize("name", SHAPES)
+    def test_matches_unfused_chain(self, name, swapped):
+        rows, n, d, h, dk = self.SHAPES[name]
+        rng = np.random.default_rng(180 + len(name))
+        arrays, view = self.operands(rng, self.SHAPES[name], swapped)
+        proj = rng.standard_normal((rows, h, n, n))
+        results = []
+        for scores in (T.attention_scores, ref.unfused_attention_scores):
+            params = [Parameter(a.copy()) for a in arrays]
+            y = view(params[0])
+            assert y.data.flags.c_contiguous == (not swapped or rows == 1 or n == 1)
+            out = scores(y, params[1], params[2], h, 1.0 / np.sqrt(dk))
+            backward(ref.sum(T.mul(out, proj)))
+            results.append([out.data] + [p.grad for p in params])
+        assert results[0][0].tobytes() == results[1][0].tobytes()  # the forward, bit for bit
+        for new, old in zip(*results):
+            assert new.shape == old.shape
+            np.testing.assert_allclose(new, old, rtol=1e-12, atol=1e-12 * np.abs(old).max())
+
+    @pytest.mark.parametrize("swapped", [False, True])
+    @pytest.mark.parametrize("name", ["explicit-d_k", "one-head", "one-patch"])
+    def test_gradcheck(self, name, swapped):
+        rows, n, d, h, dk = self.SHAPES[name]
+        rng = np.random.default_rng(190 + len(name))
+        arrays, view = self.operands(rng, self.SHAPES[name], swapped)
+        proj = rng.standard_normal((rows, h, n, n))
+        gradcheck(lambda y, wq, wk: ref.sum(T.mul(T.attention_scores(view(y), wq, wk, h, 0.7),
+                                                  proj)), *arrays)
+
+    def test_one_node_replaces_nine(self):
+        arrays, _ = self.operands(np.random.default_rng(200), self.SHAPES["explicit-d_k"], False)
+        params = [Parameter(a) for a in arrays]
+        assert ref.tape_census(T.attention_scores(*params, 2, 0.5)) == {"attention_scores": 1}
+        census = ref.tape_census(ref.unfused_attention_scores(*params, 2, 0.5))
+        assert sum(census.values()) == 9
+
+    def test_shape_mismatch_rejected(self):
+        y, wq, wk = self.operands(np.random.default_rng(202), self.SHAPES["explicit-d_k"], False)[0]
+        for args in [(y[0], wq, wk, 2), (y, wq[1:], wk[1:], 2), (y, wq, wk[:, 1:], 2),
+                     (y, wq[:, 1:], wk[:, 1:], 2), (y, wq, wk, 0), (y, wq[None], wk[None], 2)]:
+            with pytest.raises(ValueError, match="attention_scores shapes"):
+                T.attention_scores(*args, 0.5)
+
+
 class TestSharedWeightMatmul:
     """A stacked activation times one 2-D weight: the weight gradient sums over every row."""
 
@@ -725,6 +794,28 @@ class TestRetainedState:
         old = _grads_of(ref.z_keeping_head_mix, arrays, proj)
         for a, b in zip(new, old):
             np.testing.assert_array_equal(a, b)
+
+    def test_attention_scores_keeps_its_input_not_q_or_k(self):
+        # q and k are (rows, n, h * d_k), wider than y here, so sizes tell them apart
+        rows, n, d, h, dk = TestAttentionScores.SHAPES["explicit-d_k"]
+        arrays, _ = TestAttentionScores.operands(np.random.default_rng(203),
+                                                 (rows, n, d, h, dk), False)
+        y, wq, wk = (Parameter(a) for a in arrays)
+        out = T.attention_scores(y, wq, wk, h, 0.5)
+
+        def kept(fn):
+            arrays = []
+            for cell in fn.__closure__ or ():
+                v = cell.cell_contents
+                if isinstance(v, np.ndarray):
+                    arrays.append(v)
+                elif callable(v):
+                    arrays += kept(v)
+            return arrays
+
+        held = kept(out.node.backward_fn)
+        assert all(a.size != rows * n * h * dk for a in held)
+        assert sorted(map(id, held)) == sorted(map(id, (y.data, wq.data, wk.data)))
 
     # heads, patches and model width of each benchmark workload's attention blocks
     HEAD_MIX_WORKLOADS = {"paper": (8, 6, 128), "prefilter336": (4, 21, 64), "pinned": (4, 12, 16)}
