@@ -572,10 +572,19 @@ class TestFusedLayers:
     # the acceptance shape: post-embedding (as the pinned benchmark runs it,
     # 148 nodes unfused) and pre-embedding with three attention blocks (168)
     @pytest.mark.parametrize("overrides,limit", [
-        (dict(total_layers=3, alpha=1), 36),
-        (dict(total_layers=4, alpha=1, filter_placement="pre-embedding"), 41),
+        (dict(total_layers=3, alpha=1), 80),
+        (dict(total_layers=4, alpha=1, filter_placement="pre-embedding"), 95),
     ])
     def test_training_step_tape_size(self, overrides, limit):
+        assert sum(self.training_step_census(overrides).values()) <= limit
+
+    # the same shapes with each attention block's scores as one
+    # attention_scores node: 36 and 41 nodes
+    @pytest.mark.parametrize("overrides,limit", [
+        (dict(total_layers=3, alpha=1), 36),
+        (dict(total_layers=4, alpha=1, filter_placement="pre-embedding"), 41),
+    ], ids=["post-embedding", "pre-embedding"])
+    def test_training_step_tape_size_with_fused_scores(self, overrides, limit):
         assert sum(self.training_step_census(overrides).values()) <= limit
 
     def test_pinned_step_tape_guard(self):
