@@ -86,7 +86,9 @@ class Module:
         params = self.parameters()
         buffers = [(m, name) for _, m in self.named_modules() for name in m._buffer_names]
         arrays = [p.data for p in params] + [getattr(m, name) for m, name in buffers]
-        arena, views = _carve(arrays, np.empty)
+        offsets = packed_offsets(arrays)
+        arena = np.empty(offsets[-1])
+        views = [arena[lo:lo + a.size].reshape(a.shape) for lo, a in zip(offsets, arrays)]
         for view, a in zip(views, arrays):
             view[...] = a
         for p, view in zip(params, views):
@@ -116,26 +118,6 @@ class Module:
         """The parameters' head of :meth:`state_arena`: every parameter, in ``named_parameters`` order."""
         return self.state_arena()[:sum(p.size for p in self.parameters())]
 
-    def gradient_arena(self) -> np.ndarray:
-        """One flat float64 array for every parameter's gradient, in the parameter arena's layout.
-
-        Binds each ``Parameter.grad_view`` to its slice, so ``backward``
-        writes gradients straight into the arena. Allocated on the first
-        call (the optimizer's), so a model that only predicts never holds
-        one; later calls return the same array until a parameter is added or
-        replaced.
-        """
-        params = self.parameters()
-        arena = self.__dict__.get("_grad_arena")
-        if arena is not None and all(
-                p.grad_view is not None and p.grad_view.base is arena for p in params):
-            return arena
-        arena, views = _carve([p.data for p in params], np.zeros)
-        for p, view in zip(params, views):
-            p.grad_view = view
-        self._grad_arena = arena
-        return arena
-
     def train(self, mode: bool = True):
         for _, m in self.named_modules():
             m.training = mode
@@ -143,10 +125,6 @@ class Module:
 
     def eval(self):
         return self.train(False)
-
-    def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.grad = None
 
     def forward(self, *args, **kwargs):
         raise NotImplementedError
@@ -158,8 +136,8 @@ class Module:
 def packed_offsets(arrays) -> list[int]:
     """Where each array starts when ``arrays`` are packed end to end, then the total size.
 
-    The one layout of model state: the state and gradient arenas are carved
-    by it, and a checkpoint's manifest records it.
+    The one layout of model state: the state arena is carved by it, Adam's
+    block plan walks it, and a checkpoint's manifest records it.
     """
     return list(itertools.accumulate((a.size for a in arrays), initial=0))
 
@@ -167,8 +145,9 @@ def packed_offsets(arrays) -> list[int]:
 def first_non_finite(flat: np.ndarray, named) -> str | None:
     """The name of the first ``(name, array)`` pair holding a NaN or an infinity.
 
-    ``flat`` is the packed block the arrays view; it is scanned once, and
-    only a non-finite sum looks for the culprit. None if nothing is found.
+    ``flat`` packs the values to check: the block the arrays view, or one
+    gathered from them. It is scanned once, and only a non-finite sum looks
+    for the culprit. None if nothing is found.
     """
     # a sum is finite only if every term is; an overflowing sum of finite
     # values finds no culprit below
@@ -176,13 +155,6 @@ def first_non_finite(flat: np.ndarray, named) -> str | None:
         if math.isfinite(flat.sum()):
             return None
     return next((name for name, a in named if not np.isfinite(a).all()), None)
-
-
-def _carve(arrays, allocate) -> tuple[np.ndarray, list[np.ndarray]]:
-    """A new flat arena from ``allocate(size)`` and one view of it per array, at its packed offset."""
-    offsets = packed_offsets(arrays)
-    arena = allocate(offsets[-1])
-    return arena, [arena[lo:lo + a.size].reshape(a.shape) for lo, a in zip(offsets, arrays)]
 
 
 def xavier_uniform(rng: np.random.Generator, view: np.ndarray) -> None:

@@ -5,8 +5,7 @@ recording the op that produced it. A node names its parents by data-free
 handles, and its backward rule keeps only the shapes and arrays it reads, so
 an intermediate no rule reads is freed as soon as the forward drops it.
 ``backward`` walks the recorded graph once in reverse topological order,
-accumulates gradients into ``requires_grad`` leaves (in place for a
-:class:`Parameter` bound to a gradient arena), and frees each node as
+accumulates gradients into ``requires_grad`` leaves, and frees each node as
 soon as it is processed; calling it twice on the same loss is an error. Ops
 are module-level functions. Everything stays in float64; spectra appear only
 inside :func:`spectral_gate`, so the whole graph is real-valued.
@@ -139,19 +138,14 @@ class Parameter(Tensor):
     :meth:`Module.init_state` or :meth:`Module.state_arena` gives it its view
     of the state arena, ``data`` is a read-only zero-stride placeholder that
     reads the constant, or NaN for a draw, so an undrawn model computes NaN.
-
-    ``grad_view``, once :meth:`Module.gradient_arena` binds it, is this
-    parameter's slice of the model's gradient arena: ``backward`` writes the
-    gradient there instead of keeping a fresh array.
     """
 
-    __slots__ = ("grad_view", "init")
+    __slots__ = ("init",)
 
     def __init__(self, data, init=None):
         super().__init__(data if init is None else 0.0, requires_grad=True)
         if init is not None:
             self.data = np.broadcast_to(np.nan if callable(init) else float(init), data)
-        self.grad_view = None
         self.init = init
 
 
@@ -206,14 +200,10 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into every requires_grad leaf, then free the tape.
 
-    A :class:`Parameter` bound to a gradient arena whose gradient is unset
-    when the call starts takes each contribution the moment its rule
-    returns: the first is copied into its arena view and later ones are
-    added there, so no fresh weight gradient outlives the next rule. Every
-    other gradient is summed apart, into the first array this call made for
-    it, and reaches its leaf at the leaf's own turn through
-    :func:`_accumulate`: a second backward without a reset still gives
-    ``old + (g1 + g2)``.
+    Each gradient is summed into the first array this call made for it and
+    reaches its leaf at the leaf's own turn: a leaf's gradient is the fresh
+    array a rule returned or that sum, and a second backward without a reset
+    gives ``old + (g1 + g2)``.
     """
     if loss.shape != ():
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -243,7 +233,6 @@ def backward(loss: Tensor) -> None:
     # rule kept, as soon as it has run
     grads: dict[int, np.ndarray] = {id(root): np.ones((), dtype=np.float64)}
     owned: set[int] = set()  # keys whose entry is a sum this call made, safe to add into
-    landed: set[int] = set()  # arena leaves whose gradient this call started in the view
     while topo:
         t = topo.pop()
         g = grads.pop(id(t), None)
@@ -253,21 +242,15 @@ def backward(loss: Tensor) -> None:
         if node is None:
             # a handle whose node an earlier backward freed takes no gradient
             if t.requires_grad and isinstance(t, Tensor):
-                _accumulate(t, g)
+                # rules may hand the same array to several parents, so never add in place
+                t.grad = g if t.grad is None else t.grad + g
             continue
         t.node = None
         for p, pg in zip(node.parents, node.backward_fn(g)):
             if pg is None or not _tracked(p):
                 continue
             key = id(p)
-            view = p.grad_view if isinstance(p, Parameter) else None
-            if key in landed:
-                view += pg
-            elif view is not None and p.grad is None:
-                np.copyto(view, pg)
-                p.grad = view
-                landed.add(key)
-            elif key in owned:
+            if key in owned:
                 grads[key] += pg
             elif key in grads:
                 grads[key] = grads[key] + pg
@@ -275,19 +258,6 @@ def backward(loss: Tensor) -> None:
             else:
                 grads[key] = pg
         pg = None  # the last parent gradient is freed before the next rule runs
-
-
-def _accumulate(leaf: Tensor, g: np.ndarray) -> None:
-    """Add ``g``, this call's whole gradient, to a leaf's earlier one, in place in an arena view."""
-    view = leaf.grad_view if isinstance(leaf, Parameter) else None
-    if view is None:
-        # rules may hand the same array to several parents, so never add in place
-        leaf.grad = g if leaf.grad is None else leaf.grad + g
-    elif leaf.grad is view:
-        view += g
-    else:
-        np.copyto(view, g if leaf.grad is None else leaf.grad + g)
-        leaf.grad = view
 
 
 def add(a, b) -> Tensor:

@@ -9,6 +9,7 @@ internal per-window renormalization is invisible here.
 
 from __future__ import annotations
 
+import bisect
 import ctypes
 import math
 from dataclasses import dataclass, field
@@ -17,7 +18,7 @@ import numpy as np
 
 from .data import WindowSet, stack_windows
 from .errors import ConfigError, NumericError
-from .nn import first_non_finite
+from .nn import first_non_finite, packed_offsets
 from .numeric import Tensor, backward
 from .numeric import tensor as T
 
@@ -76,20 +77,39 @@ def mse_loss(pred, target) -> Tensor:
 ADAM_BLOCK = 32768
 
 
+def block_plan(offsets) -> list[tuple[int, ...]]:
+    """Each ``ADAM_BLOCK`` range of the packed parameters, as ``(lo, hi, first, a, last, b)``.
+
+    ``offsets`` is :func:`nn.packed_offsets` of the parameters. Elements
+    ``lo:hi`` run from element ``a`` of parameter ``first``'s flattened
+    gradient, through every parameter between, to just before element ``b``
+    of parameter ``last``'s.
+    """
+    plan = []
+    for lo in range(0, offsets[-1], ADAM_BLOCK):
+        hi = min(lo + ADAM_BLOCK, offsets[-1])
+        first = bisect.bisect_right(offsets, lo) - 1
+        last = bisect.bisect_left(offsets, hi) - 1
+        plan.append((lo, hi, first, lo - offsets[first], last, hi - offsets[last]))
+    return plan
+
+
 @dataclass
 class AdamState:
     """Flat first/second moment estimates over the model's parameter arena.
 
-    ``arena`` is :meth:`Module.parameter_arena` and ``grads`` is
-    :meth:`Module.gradient_arena`; ``m`` and ``v`` share their layout, so
-    one elementwise update covers every parameter. ``scratch`` is the one
-    block-sized temporary the update runs through.
+    ``arena`` is :meth:`Module.parameter_arena`; ``m`` and ``v`` share its
+    layout, so one elementwise update covers every parameter. ``plan`` is
+    :func:`block_plan` of that layout. ``block`` gathers the gradient of a
+    range that spans parameters, and ``scratch`` is the one block-sized
+    temporary the update runs through.
     """
 
     arena: np.ndarray
-    grads: np.ndarray
+    plan: list
     m: np.ndarray
     v: np.ndarray
+    block: np.ndarray
     scratch: np.ndarray
     step: int = 0
     beta1: float = 0.9
@@ -99,39 +119,57 @@ class AdamState:
     @classmethod
     def for_model(cls, model) -> "AdamState":
         arena = model.parameter_arena()
-        return cls(arena=arena, grads=model.gradient_arena(), m=np.zeros_like(arena),
-                   v=np.zeros_like(arena), scratch=np.empty(min(arena.size, ADAM_BLOCK)))
+        size = min(arena.size, ADAM_BLOCK)
+        return cls(arena=arena, plan=block_plan(packed_offsets(model.parameters())),
+                   m=np.zeros_like(arena), v=np.zeros_like(arena), block=np.empty(size),
+                   scratch=np.empty(size))
 
 
 def adam_step(state: AdamState, named_params, lr: float) -> None:
     """One Adam update of the whole parameter arena, in place.
 
-    ``named_params`` is the model's ``named_parameters()`` in order. A
-    gradient that is not already its parameter's view into ``state.grads``
-    (one set by hand) is copied in. After one finiteness check over the
-    gradient arena, the update runs block by block through
-    ``state.scratch`` with ``out=`` ufuncs, so it allocates no
-    parameter-sized array; a rejected step leaves every state untouched.
+    ``named_params`` is the model's ``named_parameters()`` in order. The
+    update walks ``state.plan``: a range inside one parameter reads a slice
+    of its gradient, and any other range gathers its pieces into
+    ``state.block``. Every range is checked for non-finite values before any
+    is updated, so a rejected step leaves every state untouched; the update
+    then runs through ``state.scratch`` with ``out=`` ufuncs and allocates
+    no parameter-sized array.
     """
-    views = []
+    names, grads = [], []
     for name, p in named_params:
         if p.grad is None:
             raise ValueError(f"parameter {name} has no gradient")
-        if p.grad is not p.grad_view:
-            np.copyto(p.grad_view, p.grad)
-        views.append((name, p.grad_view))
-    grads = state.grads
+        names.append(name)
+        grads.append(p.grad)
+
+    held = None  # lo of the range whose gradient state.block holds
+
+    def gather(lo, hi, first, a, last, b):
+        nonlocal held
+        if first == last:
+            return grads[first].reshape(-1)[a:b]
+        if held != lo:
+            np.concatenate([grads[first].reshape(-1)[a:], *grads[first + 1:last],
+                            grads[last].reshape(-1)[:b]], axis=None, out=state.block[:hi - lo])
+            held = lo
+        return state.block[:hi - lo]
+
     t = state.step + 1
-    bad = first_non_finite(grads, views)
-    if bad is not None:
-        raise NumericError(f"non-finite gradient for parameter {bad} at step {t}")
+    for lo, hi, first, a, last, b in state.plan:
+        bad = first_non_finite(gather(lo, hi, first, a, last, b),
+                               zip(names[first:last + 1], grads[first:last + 1]))
+        if bad is not None:
+            raise NumericError(f"non-finite gradient for parameter {bad} at step {t}")
     state.step = t
     b1, b2 = state.beta1, state.beta2
     bc1 = 1.0 - b1 ** t
     bc2 = 1.0 - b2 ** t
-    for lo in range(0, grads.size, ADAM_BLOCK):
-        hi = lo + ADAM_BLOCK
-        g, m, v = grads[lo:hi], state.m[lo:hi], state.v[lo:hi]
+    # ranges are independent: backwards, the first spanning range met is the
+    # one the check gathered last, which state.block still holds
+    for lo, hi, *span in reversed(state.plan):
+        g = gather(lo, hi, *span)
+        m, v = state.m[lo:hi], state.v[lo:hi]
         tmp = state.scratch[:g.size]
         m *= b1
         np.multiply(g, 1.0 - b1, out=tmp)
@@ -209,6 +247,8 @@ def fit(model, windows: WindowSet, cfg: TrainConfig) -> FitResult:
     state = AdamState.for_model(model)
     model_state = model.state_arena()
     params = list(model.named_parameters())
+    for _, p in params:
+        p.grad = None
     val_x, val_y = _rows(windows.val)
 
     history: list[tuple[int, float, float]] = []
@@ -233,10 +273,10 @@ def fit(model, windows: WindowSet, cfg: TrainConfig) -> FitResult:
             batch = [windows.train[i] for i in order[lo:lo + cfg.batch_size]]
             rows_x, rows_y = _rows(batch)
             loss = mse_loss(model(rows_x, rng=dropout_rng), rows_y)
-            for _, p in params:
-                p.grad = None
             backward(loss)
             adam_step(state, params, cfg.learning_rate)
+            for _, p in params:
+                p.grad = None  # freed here, so the next forward reuses their memory
             sq_sum += loss.item() * rows_y.size
             n_elems += rows_y.size
         train_mse = sq_sum / n_elems

@@ -89,7 +89,6 @@ class TestAdam:
         model = LinearStub(4, 2, rng)
         before = {n: p.data.copy() for n, p in model.named_parameters()}
         state = AdamState.for_model(model)
-        model.zero_grad()
         for _, p in model.named_parameters():
             p.grad = np.zeros_like(p.data)
         adam_step(state, list(model.named_parameters()), lr=0.1)
@@ -230,6 +229,78 @@ class TestAdam:
             adam_step(state, list(model.named_parameters()), lr=0.1)
 
 
+B = ADAM_BLOCK
+# parameter shapes, laid out end to end in the parameter arena
+PLAN_LAYOUTS = {
+    "block edges": [1, B - 1, B, B + 1, 2 * B + 3],
+    "0-d parameter": [(), (3, 4), (), 7],
+    "many tiny": [B - 50] + [1 + i % 4 for i in range(60)],
+    "exact multiple": [B // 2, B // 2 + 5, B - 5],
+    "single block": [5, (3, 4), 1],
+}
+
+
+class TestAdamBlockPlan:
+    """Adam walks the arena in ADAM_BLOCK ranges, gathering a range that spans parameters."""
+
+    @staticmethod
+    def model(layout, seed=2):
+        rng = np.random.default_rng(seed)
+        model = Module()
+        for i, shape in enumerate(layout):
+            setattr(model, f"p{i}", Parameter(rng.standard_normal(shape)))
+        return model
+
+    @staticmethod
+    def assert_matches_reference(state, ref_state, flat, loop):
+        """Parameters, m and v bit for bit against the per-parameter loop's."""
+        assert state.step == ref_state["step"]
+        assert flat.parameter_arena().tobytes() == loop.parameter_arena().tobytes()
+        for key, ours in (("m", state.m), ("v", state.v)):
+            theirs = np.concatenate([ref_state[key, name].reshape(-1)
+                                     for name, _ in loop.named_parameters()])
+            assert ours.tobytes() == theirs.tobytes(), key
+
+    @pytest.mark.parametrize("layout", PLAN_LAYOUTS)
+    def test_bit_identical_to_per_parameter_loop(self, layout):
+        flat, loop = self.model(PLAN_LAYOUTS[layout]), self.model(PLAN_LAYOUTS[layout])
+        state, ref_state, rng = AdamState.for_model(flat), {}, np.random.default_rng(3)
+        for _ in range(3):
+            for (_, p), (_, q) in zip(flat.named_parameters(), loop.named_parameters()):
+                p.grad = rng.standard_normal(p.shape)
+                q.grad = p.grad.copy()
+            adam_step(state, flat.named_parameters(), lr=0.01)
+            ref.adam_step_per_parameter(ref_state, list(loop.named_parameters()), lr=0.01)
+        self.assert_matches_reference(state, ref_state, flat, loop)
+        assert len(state.plan) == -(-flat.parameter_arena().size // ADAM_BLOCK)
+
+    def test_nan_only_the_last_range_covers_rejects_the_whole_step(self):
+        model = self.model(PLAN_LAYOUTS["block edges"])
+        state, rng = AdamState.for_model(model), np.random.default_rng(4)
+        for _, p in model.named_parameters():
+            p.grad = rng.standard_normal(p.shape)
+        adam_step(state, model.named_parameters(), lr=0.01)
+        model.p4.grad[-1] = np.nan
+        before = [a.tobytes() for a in (state.arena, state.m, state.v)]
+        with pytest.raises(NumericError, match="parameter p4 at step 2"):
+            adam_step(state, model.named_parameters(), lr=0.01)
+        assert state.step == 1
+        assert [a.tobytes() for a in (state.arena, state.m, state.v)] == before
+
+    def test_finite_gradient_whose_range_sum_overflows_still_steps(self):
+        layout = PLAN_LAYOUTS["block edges"]
+        flat, loop = self.model(layout), self.model(layout)
+        state, ref_state, rng = AdamState.for_model(flat), {}, np.random.default_rng(5)
+        for (name, p), (_, q) in zip(flat.named_parameters(), loop.named_parameters()):
+            # p3's ranges sum past the largest float64; every element is finite
+            p.grad = np.full(p.shape, 1e305) if name == "p3" else rng.standard_normal(p.shape)
+            q.grad = p.grad.copy()
+        with np.errstate(over="ignore"):
+            adam_step(state, flat.named_parameters(), lr=0.01)
+            ref.adam_step_per_parameter(ref_state, list(loop.named_parameters()), lr=0.01)
+        self.assert_matches_reference(state, ref_state, flat, loop)
+
+
 def arena_model(seed=0, dropout=0.0):
     return FilterFormer(
         ModelConfig(lookback=16, horizon=4, patch_len=4, d_model=8, n_heads=2,
@@ -244,90 +315,69 @@ def forward_backward(model, seed=5):
 
 
 class TestGradientArena:
-    def test_backward_writes_every_gradient_into_the_arena(self):
+    """Gradients without a gradient arena: the fresh arrays backward returns, unset by fit after each step."""
+
+    def test_optimizer_leaves_backward_gradients_alone(self):
         model, loose = arena_model(), arena_model()
-        grads = AdamState.for_model(model).grads
+        state = AdamState.for_model(model)
         forward_backward(model)
         forward_backward(loose)
-        offset = 0
         for (name, p), (_, q) in zip(model.named_parameters(), loose.named_parameters()):
-            assert p.grad is p.grad_view and p.grad.base is grads, name
-            assert q.grad_view is None and not np.shares_memory(q.grad, grads), name
-            # same values as the fresh per-leaf array, at the parameter arena's offset
             assert p.grad.tobytes() == q.grad.tobytes(), name
-            assert grads[offset:offset + p.size].tobytes() == q.grad.tobytes(), name
-            offset += p.size
-        assert offset == grads.size
+            for a in (state.arena, state.m, state.v, state.block):
+                assert not np.shares_memory(p.grad, a), name
 
-    def test_second_backward_accumulates_in_place(self):
-        model, loose = arena_model(), arena_model()
-        AdamState.for_model(model)
+    def test_second_backward_adds_this_calls_sum(self):
+        model, once, twice = arena_model(), arena_model(), arena_model()
         forward_backward(model, seed=5)
-        forward_backward(loose, seed=5)
-        held = [p.grad for p in model.parameters()]
         forward_backward(model, seed=7)
-        forward_backward(loose, seed=7)
-        for p, q, g in zip(model.parameters(), loose.parameters(), held):
-            assert p.grad is g
-            assert p.grad.tobytes() == q.grad.tobytes()
+        forward_backward(once, seed=5)
+        forward_backward(twice, seed=7)
+        for p, g1, g2 in zip(model.parameters(), once.parameters(), twice.parameters()):
+            assert p.grad.tobytes() == (g1.grad + g2.grad).tobytes()
 
-    def test_fresh_gradients_freed_before_the_next_rule_runs(self):
-        """Each parameter gradient a rule returns lands in the arena and is gone by the next rule."""
+    def test_fit_drops_each_steps_gradients_before_the_next_forward(self, monkeypatch):
         import weakref
 
+        import spectral_forecaster.training as training
+
+        rng = np.random.default_rng(6)
+        ws = window_set(rng.standard_normal((40, 16)), rng.standard_normal((40, 4)))
         model = arena_model(dropout=0.1)
-        AdamState.for_model(model)
-        x = np.random.default_rng(5).standard_normal((3, 16))
-        y = np.random.default_rng(6).standard_normal((3, 4))
-        loss = mse_loss(model.train()(x, rng=np.random.default_rng(7)), y)
-        params = {id(p) for p in model.parameters()}
-        fresh, alive, watched_count, nodes, seen = [], [], [0], [loss.node], set()
+        step_grads, alive_at_forward = [], []
+        forward, step = model.forward, training.adam_step
 
-        def watched(rule, parents):
-            def run(g):
-                alive.extend(r for r in fresh if r() is not None)
-                fresh.clear()
-                grads = rule(g)
-                # a 0-d parameter's gradient may be a numpy scalar, which has no weakref
-                fresh.extend(weakref.ref(pg if pg.base is None else pg.base)
-                             for p, pg in zip(parents, grads)
-                             if id(p) in params and isinstance(pg, np.ndarray))
-                watched_count[0] += len(fresh)
-                return grads
-            return run
+        def watched_forward(*args, **kwargs):
+            alive_at_forward.append(sum(r() is not None for r in step_grads))
+            return forward(*args, **kwargs)
 
-        while nodes:
-            node = nodes.pop()
-            if id(node) not in seen:
-                seen.add(id(node))
-                node.backward_fn = watched(node.backward_fn, node.parents)
-                nodes += [p.node for p in node.parents if getattr(p, "node", None) is not None]
-        backward(loss)
-        assert all(p.grad is p.grad_view for p in model.parameters())
-        assert watched_count[0] >= len(params) - 2  # all but RevIN's two 0-d parameters
-        assert alive == []
+        def watched_step(state, named_params, lr):
+            step(state, named_params, lr)
+            # a 0-d parameter's gradient may be a numpy scalar, which has no weakref
+            step_grads[:] = [weakref.ref(p.grad if p.grad.base is None else p.grad.base)
+                             for _, p in named_params if isinstance(p.grad, np.ndarray)]
 
-    def test_zero_grad_unsets_gradients_but_keeps_the_views(self):
-        model = arena_model()
-        AdamState.for_model(model)
-        forward_backward(model)
-        model.zero_grad()
-        assert all(p.grad is None and p.grad_view is not None for p in model.parameters())
-        with pytest.raises(ValueError, match="no gradient"):
-            adam_step(AdamState.for_model(model), model.named_parameters(), 0.1)
+        monkeypatch.setattr(model, "forward", watched_forward)
+        monkeypatch.setattr(training, "adam_step", watched_step)
+        fit(model, ws, TrainConfig(learning_rate=1e-2, batch_size=8, max_epochs=2, patience=2))
+        assert len(step_grads) >= len(model.parameters()) - 2  # all but RevIN's 0-d two
+        assert len(alive_at_forward) >= 6 and not any(alive_at_forward)
+        assert all(r() is None for r in step_grads)
+        assert all(p.grad is None for p in model.parameters())
 
-    def test_predict_and_load_checkpoint_allocate_no_arena(self, tmp_path):
-        from spectral_forecaster.model import load_checkpoint, save_checkpoint
+    def test_fit_trains_alike_with_gradients_left_set(self):
+        rng = np.random.default_rng(6)
+        ws = window_set(rng.standard_normal((40, 16)), rng.standard_normal((40, 4)))
 
-        model = arena_model()
-        x = np.random.default_rng(3).standard_normal((2, 16))
-        model.predict(x)
-        save_checkpoint(model, tmp_path / "m.ckpt")
-        again = load_checkpoint(tmp_path / "m.ckpt")
-        again.predict(x)
-        for m in (model, again):
-            assert "_grad_arena" not in m.__dict__
-            assert all(p.grad_view is None and p.grad is None for p in m.parameters())
+        def train(stale):
+            model = arena_model(dropout=0.1)
+            for p in model.parameters():
+                p.grad = np.full(p.shape, np.nan) if stale else None
+            fit(model, ws, TrainConfig(learning_rate=1e-2, batch_size=8, max_epochs=1,
+                                       patience=1))
+            return model.parameter_arena().tobytes()
+
+        assert train(stale=True) == train(stale=False)
 
     def test_adam_step_allocates_at_most_one_block(self):
         import tracemalloc
@@ -336,9 +386,9 @@ class TestGradientArena:
         model.big = Parameter(np.zeros((1200, 1000)))
         model.lin = Linear(5, 3).init_state(np.random.default_rng(0))
         state = AdamState.for_model(model)
-        state.grads[...] = np.random.default_rng(1).standard_normal(state.grads.size)
+        rng = np.random.default_rng(1)
         for p in model.parameters():
-            p.grad = p.grad_view
+            p.grad = rng.standard_normal(p.shape)
         tracemalloc.start()
         try:
             adam_step(state, model.named_parameters(), 1e-3)
@@ -461,13 +511,12 @@ class TestFit:
 
     def test_best_snapshot_taken_only_before_weights_change(self):
         # one epoch is the best and the last: fit copies no arena for a restore.
-        # Its peak is Adam's m and v plus one transient weight gradient (3.26
-        # arenas), 4.26 with a best-state copy.
+        # Its peak is Adam's m and v plus a step's gradients (about 3.38
+        # arenas), one more with a best-state copy.
         rng = np.random.default_rng(0)
         ws = window_set(rng.standard_normal((40, 512)), rng.standard_normal((40, 512)))
         model = LinearStub(512, 512, np.random.default_rng(1))
         arena_bytes = model.parameter_arena().nbytes
-        model.gradient_arena()  # allocated before tracing: it is not fit's to count
         tracemalloc.start()
         try:
             result = fit(model, ws, TrainConfig(learning_rate=1e-3, max_epochs=1, patience=1))
