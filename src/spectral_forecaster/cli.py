@@ -132,8 +132,7 @@ def cmd_export_spectra(args) -> int:
     if args.checkpoint:
         model = load_checkpoint(args.checkpoint)
     else:
-        model = init_model(dataclasses.replace(config.model, horizon=config.horizons[0]),
-                           config.train.seed)
+        model = init_model(config.model, config.train.seed)
     series = load_series(config)
     windows = make_windows(series, config.split, model.config.lookback, model.config.horizon)
     paths = export_spectra(model, probe_rows(windows.test), config.out_dir, config.tag)
@@ -144,8 +143,7 @@ def cmd_export_spectra(args) -> int:
 
 def cmd_param_count(args) -> int:
     config = _load_config(args)
-    model_cfg = dataclasses.replace(config.model, horizon=config.horizons[0])
-    total, breakdown = count_parameters(model_cfg)
+    total, breakdown = count_parameters(config.model)
     print(json.dumps({"total": total, "breakdown": breakdown}, indent=2, sort_keys=True))
     return 0
 

@@ -55,7 +55,7 @@ class RawSeries:
         return self.values.shape[1]
 
 
-def load_csv(path, frequency: str = "") -> RawSeries:
+def load_csv(path) -> RawSeries:
     """Load a timestamp-plus-channels CSV into a RawSeries.
 
     Rejects ragged rows, non-numeric cells, and missing values, naming the
@@ -75,11 +75,11 @@ def load_csv(path, frequency: str = "") -> RawSeries:
             header = fh.readline()
             values = _bulk_values(fh, header)
         if values is None:
-            return _scan_csv(path, frequency)
+            return _scan_csv(path)
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not {exc.encoding} text: {exc.reason}") from None
     names = tuple(name.strip() for name in header.rstrip("\n").split(",")[1:])
-    return RawSeries(names, values, frequency)
+    return RawSeries(names, values)
 
 
 # quotes need csv's rules; numpy strips the separators \x1c-\x1f around a
@@ -123,7 +123,7 @@ def _bulk_values(fh, header: str) -> np.ndarray | None:
     return values
 
 
-def _scan_csv(path, frequency: str) -> RawSeries:
+def _scan_csv(path) -> RawSeries:
     """``load_csv`` one cell at a time with ``float``: the path that names every fault."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -156,7 +156,7 @@ def _scan_csv(path, frequency: str) -> RawSeries:
             rows.append(parsed)
     if not rows:
         raise DataError(f"{path}: no data rows")
-    return RawSeries(names, np.array(rows), frequency)
+    return RawSeries(names, np.array(rows))
 
 
 def exclude_channels(rs: RawSeries, channels) -> RawSeries:

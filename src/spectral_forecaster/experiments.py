@@ -40,7 +40,9 @@ class ExperimentConfig:
 
     Exactly one of `dataset` (CSV path) and `synthetic` must be set. The
     model is retrained once per entry in `horizons`, which defaults to the
-    model's own horizon. A YAML file names `exclude` as `exclude_channels`.
+    model's own horizon; `model.horizon` is set to the first, the horizon
+    every single-model command uses. A YAML file names `exclude` as
+    `exclude_channels`.
     """
 
     model: ModelConfig
@@ -63,6 +65,7 @@ class ExperimentConfig:
         if any(h < 1 for h in horizons):
             raise ConfigError(f"horizons must be >= 1, got {horizons}")
         object.__setattr__(self, "horizons", horizons)
+        object.__setattr__(self, "model", dataclasses.replace(self.model, horizon=horizons[0]))
         object.__setattr__(self, "exclude", tuple(self.exclude))
         if not self.tag or any(c in self.tag for c in "/\\"):
             raise ConfigError(f"tag must be a nonempty path-free name, got {self.tag!r}")
@@ -241,7 +244,7 @@ def ablate_layers(config: ExperimentConfig, attention_counts) -> tuple[list, str
         raise ConfigError("attention-count list is empty")
     if any(n < 0 for n in counts):
         raise ConfigError(f"attention counts must be >= 0, got {counts}")
-    base = dataclasses.replace(config.model, horizon=config.horizons[0])
+    base = config.model
     settings = [
         (n, dataclasses.replace(base, total_layers=base.alpha + n))
         for n in counts
@@ -254,8 +257,7 @@ def ablate_alpha(config: ExperimentConfig, alphas) -> tuple[list, str]:
     values = [config_int(f"alphas.{i}", a) for i, a in enumerate(alphas)]
     if not values:
         raise ConfigError("alpha list is empty")
-    base = dataclasses.replace(config.model, horizon=config.horizons[0])
-    settings = [(a, dataclasses.replace(base, alpha=a)) for a in values]
+    settings = [(a, dataclasses.replace(config.model, alpha=a)) for a in values]
     return _sweep(config, "alpha", settings)
 
 
@@ -265,7 +267,7 @@ def ablate_filter_placement(config: ExperimentConfig) -> tuple[list, str]:
     All three rows hold the same ``total_layers - alpha`` attention blocks;
     they differ only in the filters and where those sit.
     """
-    base = dataclasses.replace(config.model, horizon=config.horizons[0])
+    base = config.model
     if base.alpha < 1:
         raise ConfigError("placement ablation needs alpha >= 1 in the base model")
     if base.alpha == base.total_layers:

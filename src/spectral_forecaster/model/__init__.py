@@ -9,7 +9,7 @@ from .network import (
     PatchEmbedding,
     count_parameters,
 )
-from .revin import RevIN, RevInState, revin_normalize
+from .revin import RevIN
 
 __all__ = [
     "AttentionBlock",
@@ -18,9 +18,7 @@ __all__ = [
     "ModelConfig",
     "PatchEmbedding",
     "RevIN",
-    "RevInState",
     "count_parameters",
     "load_checkpoint",
-    "revin_normalize",
     "save_checkpoint",
 ]

@@ -23,7 +23,7 @@ import numpy as np
 from ..errors import ConfigError, DataError, config_section
 from ..fileio import atomic_write
 from ..nn import first_non_finite, packed_offsets
-from .network import FilterFormer, ModelConfig, count_parameters
+from .network import FilterFormer, ModelConfig
 
 MAGIC = b"SFCKPT1\n"
 
@@ -92,7 +92,7 @@ def load_checkpoint(path) -> FilterFormer:
         payload = size - len(head) - header_len
         if payload != 8 * n_state:
             raise DataError(f"{path}: the payload holds {payload} bytes, the config's "
-                            f"{count_parameters(model)[0]} parameters and buffers need {8 * n_state}")
+                            f"{n_state} parameters and buffers need {8 * n_state}")
         pairs = itertools.zip_longest(found, _entry_texts(_manifest(model)))
         for i, (says, wants) in enumerate(pairs):
             if says != wants:

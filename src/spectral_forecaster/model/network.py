@@ -22,7 +22,7 @@ from ..numeric import tensor as T
 from ..numeric.tensor import Parameter, Tensor, no_grad
 from ..spectral import SpectralBlock, SpectralBlockConfig, SpectralFilter
 from ..nn import _ACTIVATIONS, BatchNorm, Dropout, FeedForward, Linear, Module, xavier_uniform
-from .revin import RevIN, RevInState
+from .revin import RevIN
 
 PLACEMENTS = ("post-embedding", "pre-embedding")
 # most rows per forward pass in predict, about one paper-shape training
@@ -213,7 +213,7 @@ class FilterFormer(Module):
             b.filter for b in self.blocks if isinstance(b, SpectralBlock)
         ]
 
-    def _normalize(self, x_rows: np.ndarray) -> tuple[Tensor, RevInState]:
+    def _normalize(self, x_rows: np.ndarray) -> tuple[Tensor, tuple[np.ndarray, np.ndarray]]:
         x_rows = np.asarray(x_rows, dtype=np.float64)
         if x_rows.ndim != 2 or x_rows.shape[-1] != self.config.lookback:
             raise ValueError(
@@ -223,13 +223,13 @@ class FilterFormer(Module):
 
     def forward(self, x_rows: np.ndarray, rng: np.random.Generator | None = None) -> Tensor:
         """Forecast (rows, horizon) from (rows, lookback); each row is one channel."""
-        xn, state = self._normalize(x_rows)
+        xn, stats = self._normalize(x_rows)
         for f in self.input_filters:
             xn = f.apply(xn)
         y = self.embedding(T.unfold(xn, self.config.patch_len, self.config.stride))
         for block in self.blocks:
             y = block(y, rng)
-        return self.revin.denormalize(self.head(y), state)
+        return self.revin.denormalize(self.head(y), stats)
 
     def filter_probe(self, x_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Input and output of the first spectral filter, filtered axis last.

@@ -9,7 +9,6 @@ tape. Population variance, eps-floored.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,33 +19,8 @@ from ..nn import Module
 REVIN_EPS = 1e-5
 
 
-@dataclass
-class RevInState:
-    """Per-row mean and eps-floored standard deviation, shaped (..., 1)."""
-
-    mean: np.ndarray
-    std: np.ndarray
-
-    def __post_init__(self):
-        if np.any(self.std <= 0):
-            raise ValueError("revin state requires strictly positive std")
-
-
-def revin_normalize(x: np.ndarray) -> tuple[np.ndarray, RevInState]:
-    """Standardize each row over its last axis; returns the data and the state."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] < 2:
-        raise ValueError(f"revin needs at least 2 samples per row, got shape {x.shape}")
-    mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)  # population variance
-    if np.any(var == 0.0):
-        warnings.warn("zero-variance channel normalized with eps-floored std", stacklevel=2)
-    std = np.sqrt(var + REVIN_EPS)
-    return (x - mean) / std, RevInState(mean=mean, std=std)
-
-
 class RevIN(Module):
-    """Module wrapper adding the optional learnable affine pair.
+    """Per-row standardization plus the optional learnable affine pair.
 
     The affine is a scalar scale/shift shared across channels (the model is
     channel-count agnostic, so per-channel affine weights have no stable
@@ -59,18 +33,28 @@ class RevIN(Module):
             self.gamma = Parameter((), 1.0)
             self.beta = Parameter((), 0.0)
 
-    def normalize(self, x: np.ndarray) -> tuple[Tensor, RevInState]:
-        xn, state = revin_normalize(x)
-        out = Tensor(xn)
+    def normalize(self, x: np.ndarray) -> tuple[Tensor, tuple[np.ndarray, np.ndarray]]:
+        """Standardize each row over its last axis; returns the rows and their (mean, std)."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape[-1] < 2:
+            raise ValueError(f"revin needs at least 2 samples per row, got shape {x.shape}")
+        mean = x.mean(axis=-1, keepdims=True)
+        var = x.var(axis=-1, keepdims=True)  # population variance
+        if np.any(var == 0.0):
+            warnings.warn("zero-variance channel normalized with eps-floored std", stacklevel=2)
+        std = np.sqrt(var + REVIN_EPS)
+        out = Tensor((x - mean) / std)
         if self.affine:
             out = T.add(T.mul(out, self.gamma), self.beta)
-        return out, state
+        return out, (mean, std)
 
-    def denormalize(self, y: Tensor, state: RevInState) -> Tensor:
-        if y.shape[:-1] != state.mean.shape[:-1]:
+    def denormalize(self, y: Tensor, stats: tuple[np.ndarray, np.ndarray]) -> Tensor:
+        """Replay the (mean, std) :meth:`normalize` captured onto a forecast of the same rows."""
+        mean, std = stats
+        if y.shape[:-1] != mean.shape[:-1]:
             raise ValueError(
-                f"state covers rows {state.mean.shape[:-1]}, forecast has rows {y.shape[:-1]}"
+                f"statistics cover rows {mean.shape[:-1]}, forecast has rows {y.shape[:-1]}"
             )
         if self.affine:
             y = T.div(T.sub(y, self.beta), self.gamma)
-        return T.add(T.mul(y, state.std), state.mean)
+        return T.add(T.mul(y, std), mean)

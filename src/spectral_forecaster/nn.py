@@ -1,12 +1,13 @@
 """Module system and the shared layers every block is assembled from.
 
 A module is a plain Python object. Its parameters, buffers and submodules
-are ordinary attributes, and a list attribute holds indexed submodules
-(``blocks.0``, ``blocks.1``); there is no registry and no container
-class. Walking the attributes in assignment order, recursively through
-submodules, names every parameter and buffer in a stable, deterministic
-order. Constructors only declare them, by shape and init, so a freshly
-built module is its layout alone and holds no state.
+are ordinary attributes, told apart by type: a ``Parameter`` is a
+parameter, a public ndarray a buffer, a ``Module`` a submodule, and a list
+attribute holds indexed submodules (``blocks.0``, ``blocks.1``); there is
+no registry and no container class. Walking the attributes in assignment
+order, recursively through submodules, names every parameter and buffer in
+a stable, deterministic order. Constructors only declare them, by shape and
+init, so a freshly built module is its layout alone and holds no state.
 :meth:`Module.init_state` then allocates the one flat arena laid out in that
 order, which the optimizer, the best-epoch snapshot and the checkpoint format
 all share, and draws every random init straight into its view, in layout
@@ -29,20 +30,14 @@ from .numeric.tensor import Parameter, Tensor
 class Module:
     """Base class: parameters, buffers and submodules are its plain attributes.
 
-    Every ``Parameter`` attribute is a parameter and every ``Module``
-    attribute a submodule; a list attribute holds indexed submodules, its
-    i-th named ``attr.i``. Buffers are the attributes
-    :meth:`register_buffer` names. Attributes are walked in assignment
-    order.
+    Every ``Parameter`` attribute is a parameter, every ndarray attribute
+    whose name has no leading underscore a buffer (non-trainable model
+    state), and every ``Module`` attribute a submodule; a list attribute
+    holds indexed submodules, its i-th named ``attr.i``. Attributes are
+    walked in assignment order.
     """
 
     training = True
-    _buffer_names: tuple[str, ...] = ()
-
-    def register_buffer(self, name: str, value: np.ndarray) -> None:
-        """Track a non-trainable array that is still part of model state."""
-        setattr(self, name, np.asarray(value, dtype=np.float64))
-        self._buffer_names += (name,)
 
     def named_modules(self, prefix: str = ""):
         """This module, then every submodule depth first, each with its dotted prefix."""
@@ -64,10 +59,15 @@ class Module:
     def parameters(self) -> list[Parameter]:
         return [p for _, p in self.named_parameters()]
 
-    def named_buffers(self):
+    def _buffer_slots(self):
+        """``(dotted name, module, attribute)`` for every buffer, in traversal order."""
         for prefix, m in self.named_modules():
-            for name in m._buffer_names:
-                yield prefix + name, getattr(m, name)
+            for name, value in vars(m).items():
+                if isinstance(value, np.ndarray) and not name.startswith("_"):
+                    yield prefix + name, m, name
+
+    def named_buffers(self):
+        return ((full, getattr(m, name)) for full, m, name in self._buffer_slots())
 
     def named_state(self):
         """Every parameter's array, then every buffer, both in deterministic traversal order."""
@@ -84,7 +84,7 @@ class Module:
         drawn parameter reads NaN.
         """
         params = self.parameters()
-        buffers = [(m, name) for _, m in self.named_modules() for name in m._buffer_names]
+        buffers = [(m, name) for _, m, name in self._buffer_slots()]
         arrays = [p.data for p in params] + [getattr(m, name) for m, name in buffers]
         offsets = packed_offsets(arrays)
         arena = np.empty(offsets[-1])
@@ -214,8 +214,8 @@ class BatchNorm(Module):
         self.eps = eps
         self.gamma = Parameter(num_features, 1.0)
         self.beta = Parameter(num_features, 0.0)
-        self.register_buffer("running_mean", np.broadcast_to(0.0, num_features))
-        self.register_buffer("running_var", np.broadcast_to(1.0, num_features))
+        self.running_mean = np.broadcast_to(0.0, num_features)
+        self.running_var = np.broadcast_to(1.0, num_features)
 
     def forward(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.num_features:

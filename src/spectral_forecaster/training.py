@@ -214,10 +214,10 @@ def _raw_metrics(model, rows_x: np.ndarray, rows_y: np.ndarray) -> tuple[float, 
 def _keep_heap_between_steps() -> None:
     """Keep a training step's freed memory in the heap for the next step to reuse.
 
-    glibc raises its mmap and trim thresholds only after the process frees a
-    large mmapped array. A step that frees none (Adam holds no
-    parameter-sized temporary) leaves them low: each step's activations are
-    then mapped or trimmed away and faulted in again on the next step.
+    glibc's default thresholds grow only to the largest mmapped array the
+    process has freed, and the trim threshold to twice that. A step frees
+    far more than that when its tape and gradients go, so its activations
+    are mapped or trimmed away and faulted in again on the next step.
     Fixed thresholds stop that. Where libc has no ``mallopt``, nothing is set.
     """
     try:

@@ -45,7 +45,6 @@ from spectral_forecaster.errors import DataError
 from spectral_forecaster.model.checkpoint import MAGIC
 
 from spectral_forecaster.model.network import AttentionBlock, PatchEmbedding
-from spectral_forecaster.model.revin import RevInState
 from spectral_forecaster.numeric import tensor as T
 from spectral_forecaster.numeric.tensor import (
     _GELU_CHUNK, _INV_SQRT2, _INV_SQRT_2PI, Tensor, _erf, _from_op, _wrap, irfft_kernel,
@@ -338,7 +337,7 @@ def save_checkpoint_per_entry(model, path) -> None:
             fh.write(raw)
 
 
-def load_csv_per_cell(path, frequency: str = "") -> RawSeries:
+def load_csv_per_cell(path) -> RawSeries:
     """The timestamp-plus-channels CSV read with ``csv`` and one ``float`` per cell."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -371,7 +370,7 @@ def load_csv_per_cell(path, frequency: str = "") -> RawSeries:
             rows.append(parsed)
     if not rows:
         raise DataError(f"{path}: no data rows")
-    return RawSeries(names, np.array(rows), frequency)
+    return RawSeries(names, np.array(rows))
 
 
 def tape_census(out: Tensor) -> Counter:
@@ -405,14 +404,10 @@ def patchify(x: np.ndarray, patch_len: int, stride: int) -> np.ndarray:
     return T.unfold(np.asarray(x, dtype=np.float64), patch_len, stride).data
 
 
-def revin_denormalize(y: np.ndarray, state: RevInState) -> np.ndarray:
-    """Invert ``revin_normalize`` on a forecast sharing the state's rows."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape[:-1] != state.mean.shape[:-1]:
-        raise ValueError(
-            f"state covers rows {state.mean.shape[:-1]}, forecast has rows {y.shape[:-1]}"
-        )
-    return y * state.std + state.mean
+def revin_denormalize(y: np.ndarray, stats: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Invert ``RevIN().normalize`` on a forecast of the same rows, from its (mean, std)."""
+    mean, std = stats
+    return np.asarray(y, dtype=np.float64) * std + mean
 
 
 def attention_block_forward(block: AttentionBlock, y: Tensor,

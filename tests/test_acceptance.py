@@ -31,9 +31,9 @@ from spectral_forecaster.model import (
     ForecastHead,
     ModelConfig,
     PatchEmbedding,
+    RevIN,
     count_parameters,
     load_checkpoint,
-    revin_normalize,
 )
 from spectral_forecaster.nn import BatchNorm, FeedForward, InstanceNorm, Linear
 from spectral_forecaster.numeric import Tensor, backward, no_grad
@@ -265,8 +265,8 @@ def test_instance_normalization_round_trip():
         d = int(rng.integers(1, 9))
         length = int(rng.integers(2, 200))
         x = rng.standard_normal((d, length)) * rng.uniform(0.1, 50) + rng.uniform(-20, 20)
-        xn, state = revin_normalize(x)
-        worst = max(worst, np.abs(ref.revin_denormalize(xn, state) - x).max())
+        xn, stats = RevIN().normalize(x)
+        worst = max(worst, np.abs(ref.revin_denormalize(xn.data, stats) - x).max())
     report(
         worst < 1e-10,
         "normalization round trip",
@@ -294,11 +294,11 @@ def test_filterless_model_is_bit_identical_to_backbone():
     x = np.random.default_rng(7).standard_normal((3, 16))
     with no_grad():
         out = model(x).data
-        xn, state = revin_normalize(x)
-        y = embedding(Tensor(ref.patchify(xn, cfg.patch_len, cfg.stride)))
+        xn, stats = RevIN().normalize(x)
+        y = embedding(Tensor(ref.patchify(xn.data, cfg.patch_len, cfg.stride)))
         for b in blocks:
             y = ref.attention_block_forward(b, y)
-        manual = ref.revin_denormalize(head(y).data, state)
+        manual = ref.revin_denormalize(head(y).data, stats)
     identical = np.array_equal(out, manual)
     report(
         identical,

@@ -370,10 +370,9 @@ class TestExportSpectraCommand:
         from spectral_forecaster.experiments import tiny_experiment_config
         from spectral_forecaster.model import FilterFormer, save_checkpoint
 
-        cfg = tiny_experiment_config()
-        model_cfg = dataclasses.replace(cfg.model, horizon=cfg.horizons[0])
         ckpt = tmp_path / "cut.ckpt"
-        save_checkpoint(FilterFormer(model_cfg, np.random.default_rng(0)), ckpt)
+        save_checkpoint(FilterFormer(tiny_experiment_config().model, np.random.default_rng(0)),
+                        ckpt)
         ckpt.write_bytes(ckpt.read_bytes()[:-40])
         code = cli.main([
             "export-spectra", "--tiny", "--out", str(tmp_path / "s"), "--checkpoint", str(ckpt),
@@ -419,9 +418,7 @@ class TestExportSpectraCommand:
         from spectral_forecaster.model import FilterFormer, save_checkpoint
         from spectral_forecaster.model.checkpoint import MAGIC
 
-        cfg = tiny_experiment_config()
-        model = FilterFormer(dataclasses.replace(cfg.model, horizon=cfg.horizons[0]),
-                             np.random.default_rng(0))
+        model = FilterFormer(tiny_experiment_config().model, np.random.default_rng(0))
         ckpt = tmp_path / "good.ckpt"
         save_checkpoint(model, ckpt)
         blob = ckpt.read_bytes()
@@ -464,6 +461,25 @@ class TestExportSpectraCommand:
         err = self.run_on_header(tmp_path, capsys, json.dumps(header).encode(), payload)
         assert message in err
 
+    def test_checkpoint_one_value_too_long_names_the_state_size(self, tmp_path, capsys):
+        from spectral_forecaster.experiments import tiny_experiment_config
+        from spectral_forecaster.model import FilterFormer, save_checkpoint
+        from spectral_forecaster.model.checkpoint import MAGIC
+
+        model = FilterFormer(tiny_experiment_config().model, np.random.default_rng(0))
+        n_state = sum(a.size for _, a in model.named_state())
+        assert n_state > sum(p.size for p in model.parameters())  # the buffers count too
+        ckpt = tmp_path / "good.ckpt"
+        save_checkpoint(model, ckpt)
+        blob = ckpt.read_bytes()
+        start = len(MAGIC) + 4
+        hlen = int.from_bytes(blob[len(MAGIC):start], "big")
+        payload = blob[start + hlen:] + bytes(8)
+        err = self.run_on_header(tmp_path, capsys, blob[start:start + hlen], payload)
+        assert err.rstrip("\n").endswith(
+            f"the payload holds {8 * n_state + 8} bytes, the config's {n_state} "
+            f"parameters and buffers need {8 * n_state}")
+
 
 class TestUtilityCommands:
     def test_param_count_matches_library(self, tmp_path, capsys):
@@ -475,6 +491,18 @@ class TestUtilityCommands:
         expected_total, expected_parts = count_parameters(tiny_experiment_config().model)
         assert blob["total"] == expected_total
         assert blob["breakdown"] == expected_parts
+
+    def test_param_count_counts_the_first_listed_horizon(self, tmp_path, capsys):
+        from spectral_forecaster.model import ModelConfig, count_parameters
+
+        base = dict(lookback=16, patch_len=4, d_model=8, n_heads=2, total_layers=2)
+        p = tmp_path / "exp.yaml"
+        p.write_text("model: {lookback: 16, horizon: 96, patch_len: 4, d_model: 8, n_heads: 2, "
+                     "total_layers: 2}\nsynthetic: {length: 400}\nhorizons: [192, 336]\n")
+        assert cli.main(["param-count", "--config", str(p)]) == 0
+        total = json.loads(capsys.readouterr().out)["total"]
+        assert total == count_parameters(ModelConfig(horizon=192, **base))[0]
+        assert total != count_parameters(ModelConfig(horizon=96, **base))[0]
 
     def test_synth_round_trips_through_csv(self, tmp_path, capsys):
         out = tmp_path / "series.csv"

@@ -194,9 +194,7 @@ def test_unmutated_yaml_config_is_accepted(tmp_path):
 
 @pytest.fixture(scope="module")
 def checkpoint_bytes():
-    cfg = tiny_experiment_config()
-    model = FilterFormer(dataclasses.replace(cfg.model, horizon=cfg.horizons[0]),
-                         np.random.default_rng(0))
+    model = FilterFormer(tiny_experiment_config().model, np.random.default_rng(0))
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "tiny.ckpt")
         save_checkpoint(model, path)

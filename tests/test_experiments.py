@@ -52,6 +52,13 @@ class TestExperimentConfig:
         cfg = micro_config("/tmp/unused")
         assert cfg.horizons == (4,)
 
+    def test_model_horizon_is_the_first_listed(self):
+        model = ModelConfig(lookback=16, horizon=96, patch_len=4, d_model=8, n_heads=2)
+        cfg = ExperimentConfig(model=model, synthetic=SyntheticSpec(), horizons=(192, 336))
+        assert cfg.model.horizon == 192
+        assert cfg.model == dataclasses.replace(model, horizon=192)
+        assert dataclasses.replace(cfg, horizons=(12, 8)).model.horizon == 12
+
     @pytest.mark.parametrize("value", [1.5, True])
     def test_non_integer_horizon_rejected(self, value):
         # int() used to truncate both to horizon 1

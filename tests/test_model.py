@@ -20,9 +20,8 @@ from spectral_forecaster.model import (
     ForecastHead,
     ModelConfig,
     PatchEmbedding,
-    RevInState,
+    RevIN,
     count_parameters,
-    revin_normalize,
 )
 from spectral_forecaster.numeric import Tensor, backward, no_grad
 from spectral_forecaster.numeric import tensor as T
@@ -122,33 +121,32 @@ class TestPatchify:
 
 class TestRevin:
     def test_hand_checked_statistics(self):
-        xn, state = revin_normalize(np.array([[1.0, 2.0, 3.0]]))
-        assert state.mean[0, 0] == pytest.approx(2.0)
-        assert state.std[0, 0] == pytest.approx(np.sqrt(2.0 / 3.0 + 1e-5))
-        assert xn.mean() == pytest.approx(0.0, abs=1e-12)
+        xn, (mean, std) = RevIN().normalize(np.array([[1.0, 2.0, 3.0]]))
+        assert mean[0, 0] == pytest.approx(2.0)
+        assert std[0, 0] == pytest.approx(np.sqrt(2.0 / 3.0 + 1e-5))
+        assert xn.data.mean() == pytest.approx(0.0, abs=1e-12)
 
     def test_round_trip(self):
         x = np.random.default_rng(0).standard_normal((5, 40)) * 3.0 + 1.0
-        xn, state = revin_normalize(x)
-        assert np.abs(ref.revin_denormalize(xn, state) - x).max() < 1e-10
+        revin = RevIN()
+        xn, stats = revin.normalize(x)
+        assert np.abs(ref.revin_denormalize(xn.data, stats) - x).max() < 1e-10
+        assert np.abs(revin.denormalize(xn, stats).data - x).max() < 1e-10
 
     def test_constant_channel_warns_and_stays_finite(self):
         with pytest.warns(UserWarning):
-            xn, _ = revin_normalize(np.array([[5.0, 5.0, 5.0]]))
-        np.testing.assert_array_equal(xn, np.zeros((1, 3)))
+            xn, _ = RevIN().normalize(np.array([[5.0, 5.0, 5.0]]))
+        np.testing.assert_array_equal(xn.data, np.zeros((1, 3)))
 
     def test_too_short_window_rejected(self):
         with pytest.raises(ValueError):
-            revin_normalize(np.array([[1.0]]))
+            RevIN().normalize(np.array([[1.0]]))
 
     def test_denormalize_row_mismatch_rejected(self):
-        _, state = revin_normalize(np.ones((3, 8)) + np.arange(8.0))
+        revin = RevIN()
+        _, stats = revin.normalize(np.ones((3, 8)) + np.arange(8.0))
         with pytest.raises(ValueError):
-            ref.revin_denormalize(np.zeros((4, 8)), state)
-
-    def test_state_requires_positive_std(self):
-        with pytest.raises(ValueError):
-            RevInState(mean=np.zeros((1, 1)), std=np.zeros((1, 1)))
+            revin.denormalize(Tensor(np.zeros((4, 8))), stats)
 
 
 class TestEmbeddingAndHead:
@@ -297,11 +295,11 @@ class TestFilterFormer:
         with no_grad():
             out = model(x).data
 
-            xn, state = revin_normalize(x)
-            y = embedding(Tensor(ref.patchify(xn, cfg.patch_len, cfg.stride)))
+            xn, stats = RevIN().normalize(x)
+            y = embedding(Tensor(ref.patchify(xn.data, cfg.patch_len, cfg.stride)))
             for b in blocks:
                 y = ref.attention_block_forward(b, y)
-            manual = ref.revin_denormalize(head(y).data, state)
+            manual = ref.revin_denormalize(head(y).data, stats)
         assert np.array_equal(out, manual)
 
     def test_pure_spectral_stack_reachable(self):
@@ -449,7 +447,7 @@ class TestFilterProbe:
         return model, np.random.default_rng(5).standard_normal((3, model.config.lookback))
 
     def expected_input(self, model, case, x):
-        xn, _ = revin_normalize(x)
+        xn = RevIN().normalize(x)[0].data
         if case == "pre-embedding":
             return xn
         cfg = model.config
@@ -470,7 +468,7 @@ class TestFilterProbe:
         assert fin.shape == fout.shape
         np.testing.assert_allclose(fin, self.expected_input(model, case, x), rtol=0, atol=1e-12)
         if case == "pre-embedding":
-            assert np.array_equal(fin, revin_normalize(x)[0])
+            assert np.array_equal(fin, RevIN().normalize(x)[0].data)
         rows_in = fin.reshape(-1, first.n_f)
         rows_out = fout.reshape(-1, first.n_f)
         for row_in, row_out in zip(rows_in, rows_out):
@@ -892,13 +890,26 @@ class TestStateArena:
         model = Module()
         model.norm = BatchNorm(3)
         arena = model.state_arena()
-        model.norm.register_buffer("count", np.array([5.0, 6.0]))
+        model.norm.count = np.array([5.0, 6.0])
         repacked = model.state_arena()
         assert repacked is not arena and repacked.size == arena.size + 2
         assert all(a.base is repacked for _, a in model.named_state())
         assert [n for n, _ in model.named_state()][-1] == "norm.count"
         np.testing.assert_array_equal(repacked[-2:], [5.0, 6.0])
         np.testing.assert_array_equal(repacked[:arena.size], arena)
+
+    def test_private_array_attribute_is_not_state(self):
+        from spectral_forecaster.nn import BatchNorm, Module
+
+        model = Module()
+        model.norm = BatchNorm(3)
+        arena = model.state_arena()
+        names = [n for n, _ in model.named_state()]
+        model.norm._cache = np.array([5.0, 6.0])
+        assert [n for n, _ in model.named_state()] == names
+        assert model.state_arena() is arena
+        assert model.init_state().state_arena().size == arena.size
+        np.testing.assert_array_equal(model.norm._cache, [5.0, 6.0])
 
 
 class TestParameterCounting:
