@@ -139,6 +139,8 @@ def load_experiment_config(path) -> ExperimentConfig:
 
 def synth_series(spec: SyntheticSpec, seed: int) -> RawSeries:
     """The synthetic series ``spec`` describes, its noise drawn from substream 3."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng([seed, 3]) if spec.noise > 0 else None
     return synth_three_sine(spec, rng)
 

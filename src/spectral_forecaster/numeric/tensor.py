@@ -3,7 +3,10 @@
 A :class:`Tensor` wraps an ndarray together with an optional :class:`TapeNode`
 recording the op that produced it. A node names its parents by data-free
 handles, and its backward rule keeps only the shapes and arrays it reads, so
-an intermediate no rule reads is freed as soon as the forward drops it.
+an intermediate no rule reads is freed as soon as the forward drops it. An
+output its own node can rebuild (a ``normalize`` output, from the ``xhat``
+that node keeps) carries that recipe, and a rule that reads it keeps the
+recipe, so each activation is held once.
 ``backward`` walks the recorded graph once in reverse topological order,
 accumulates gradients into ``requires_grad`` leaves, and frees each node as
 soon as it is processed; calling it twice on the same loss is an error. Ops
@@ -92,7 +95,7 @@ class _Ref:
 class Tensor:
     """Float64 array with optional gradient tracking."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_ref", "_backward_done")
+    __slots__ = ("data", "grad", "requires_grad", "_ref", "_backward_done", "_rebuild")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -103,6 +106,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._ref = None
         self._backward_done = False
+        self._rebuild = None
 
     @property
     def node(self) -> TapeNode | None:
@@ -157,6 +161,7 @@ def _make(data: np.ndarray, requires_grad: bool = False) -> Tensor:
     t.requires_grad = requires_grad
     t._ref = None
     t._backward_done = False
+    t._rebuild = None
     return t
 
 
@@ -184,6 +189,16 @@ def _from_op(data: np.ndarray, op: str, parents: tuple, backward_fn) -> Tensor:
         out._ref = _Ref(TapeNode(op, handles, backward_fn))
         return out
     return _make(data)
+
+
+def _keep(t: Tensor):
+    """What a rule keeps to read ``t.data`` in backward: a call that returns the same bits.
+
+    That is ``t``'s recipe when it has one (a :func:`normalize` output is
+    rebuilt from what its own node keeps), else the array itself.
+    """
+    data = t.data
+    return t._rebuild or (lambda: data)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -323,14 +338,14 @@ def matmul(a, b, bias=None) -> Tensor:
     sa, sb, ta, tb = a.shape, b.shape, _tracked(a), _tracked(b)
     # each operand's data is kept only for the other operand's gradient
     bd = b.data if ta else None
+    ad = _keep(a) if tb else None
     if b.ndim > 2:
         if bias is not None:
             raise ValueError(f"bias needs a 2-D weight, got weight shape {b.shape}")
-        ad = a.data if tb else None
 
         def bwd(g):
             ga = _unbroadcast(g @ np.swapaxes(bd, -1, -2), sa) if ta else None
-            gb = _unbroadcast(np.swapaxes(ad, -1, -2) @ g, sb) if tb else None
+            gb = _unbroadcast(np.swapaxes(ad(), -1, -2) @ g, sb) if tb else None
             return ga, gb
 
         return _from_op(a.data @ b.data, "matmul", (a, b), bwd)
@@ -348,12 +363,11 @@ def matmul(a, b, bias=None) -> Tensor:
         out += bias.data
         parents = (a, b, bias)
     with_bias = bias is not None
-    if not tb:
-        a2 = None
 
     def bwd(g):
         g2 = g.reshape(-1, n)
-        grads = ((g2 @ bd.T).reshape(sa) if ta else None, a2.T @ g2 if tb else None)
+        grads = ((g2 @ bd.T).reshape(sa) if ta else None,
+                 ad().reshape(-1, k).T @ g2 if tb else None)
         return grads + (g2.sum(axis=0),) if with_bias else grads
 
     return _from_op(out.reshape(sa[:-1] + (n,)), "matmul", parents, bwd)
@@ -433,6 +447,11 @@ def normalize(a, axis, eps: float, gamma, beta) -> tuple[Tensor, np.ndarray, np.
     as in numpy); ``gamma`` and ``beta`` live on the last axis. Returns the
     output with the mean and variance arrays (kept dims), which are plain
     numpy and carry no gradient.
+
+    The node keeps ``xhat`` for its own rule, so a recorded output carries a
+    recipe that reruns the forward's last two ufuncs on it: a consumer that
+    reads the output in backward keeps the recipe (:func:`_keep`), not a
+    second array of the same size.
     """
     a, gamma, beta = _wrap(a), _wrap(gamma), _wrap(beta)
     width = a.shape[-1:]
@@ -454,9 +473,9 @@ def normalize(a, axis, eps: float, gamma, beta) -> tuple[Tensor, np.ndarray, np.
     v = mean(out)
     std = np.sqrt(v + eps)
     xhat /= std
-    gd = gamma.data
+    gd, bd = gamma.data, beta.data
     np.multiply(xhat, gd, out=out)
-    out += beta.data
+    out += bd
     rows = tuple(range(a.ndim - 1))
 
     def bwd(g):
@@ -472,7 +491,15 @@ def normalize(a, axis, eps: float, gamma, beta) -> tuple[Tensor, np.ndarray, np.
         gx /= std
         return gx, ggamma, gbeta
 
-    return _from_op(out, "normalize", (a, gamma, beta), bwd), mu, v
+    def rebuild():
+        y = np.multiply(xhat, gd)
+        y += bd
+        return y
+
+    out = _from_op(out, "normalize", (a, gamma, beta), bwd)
+    if out.node is not None:
+        out._rebuild = rebuild
+    return out, mu, v
 
 
 def relu(a) -> Tensor:
@@ -614,10 +641,11 @@ def attention_scores(y, wq, wk, n_heads: int, scale: float) -> Tensor:
 
     ``y`` is (rows, n, d) and ``wq``, ``wk`` are (d, n_heads * d_k); head h
     owns columns ``h*d_k:(h+1)*d_k`` of both. The output is (rows, n_heads,
-    n, n), one node. The node keeps ``y`` (which ``head_mix`` keeps too) and
-    the two weights, not the projections: its backward rebuilds q and k from
-    ``y`` with the forward's own products, two GEMMs traded for two
-    projection-sized arrays held from forward to backward.
+    n, n), one node. The node keeps ``y`` (through :func:`_keep`, as
+    ``head_mix`` does) and the two weights, not the projections: its
+    backward rebuilds q and k from ``y`` with the forward's own products, two
+    GEMMs traded for two projection-sized arrays held from forward to
+    backward.
     """
     y, wq, wk = _wrap(y), _wrap(wq), _wrap(wk)
     h = n_heads
@@ -629,18 +657,18 @@ def attention_scores(y, wq, wk, n_heads: int, scale: float) -> Tensor:
         )
     rows, n, d = y.shape
     dk = wq.shape[1] // h
-    yd, wqd, wkd = y.data, wq.data, wk.data
+    wqd, wkd, y_data = wq.data, wk.data, _keep(y)
 
     def heads(y2, w):
         # (rows, h, n, d_k) view of one projection, laid out as its 2-D product
         return (y2 @ w).reshape(rows, n, h, dk).transpose(0, 2, 1, 3)
 
-    y2 = yd.reshape(-1, d)
+    y2 = y.data.reshape(-1, d)
     out = heads(y2, wqd) @ heads(y2, wkd).transpose(0, 1, 3, 2)
     out *= scale
 
     def bwd(g):
-        y2 = yd.reshape(-1, d)
+        y2 = y_data().reshape(-1, d)
         gs = g * scale
         # each projection's gradient in the (rows * n, h * d_k) layout of its product
         gk = (np.swapaxes(heads(y2, wqd), -1, -2) @ gs).transpose(0, 3, 1, 2).reshape(-1, h * dk)
@@ -685,10 +713,11 @@ def head_mix(attn, y, wv, wo, bias) -> Tensor:
     block of rows at a time, at most ``_HEAD_MIX_BLOCK`` bytes, and each
     block is multiplied into its rows of the preallocated output. The node
     keeps ``attn`` itself (the softmax output, which that node keeps anyway,
-    when there is no dropout) and ``y``, and permutes ``attn`` once per
-    pass. The backward recomputes the mixed values of all rows for the
-    weight gradient, whose bits depend on the whole sum, and frees them
-    before it forms the activation gradients in the same row blocks.
+    when there is no dropout), ``y`` through :func:`_keep` and the two
+    weights, and permutes ``attn`` once per pass. The backward recomputes
+    the weight product, and the mixed values of all rows for the weight
+    gradient, whose bits depend on the whole sum; it frees them before it
+    forms the activation gradients in the same row blocks.
     """
     attn, y, wv, wo, bias = (_wrap(t) for t in (attn, y, wv, wo, bias))
     rows, h, n = attn.shape[:3]
@@ -704,7 +733,7 @@ def head_mix(attn, y, wv, wo, bias) -> Tensor:
     wv3 = wv.data.reshape(d, h, dv).transpose(1, 0, 2)    # (h, d, dv)
     wo3 = wo.data.reshape(h, dv, d_out)
     mix = (wv3 @ wo3).reshape(h * d, d_out)
-    ad, yd = attn.data, y.data
+    ad, yd, y_data = attn.data, y.data, _keep(y)
     blocks = even_chunks(rows, max(1, _HEAD_MIX_BLOCK // (n * h * d * 8)))
 
     def permuted():
@@ -720,7 +749,7 @@ def head_mix(attn, y, wv, wo, bias) -> Tensor:
 
     def bwd(g):
         g2 = g.reshape(rows * n, d_out)
-        at = permuted()
+        at, yd = permuted(), y_data()
         z = (at @ yd).reshape(rows * n, h * d)
         # (d_out, h * d); head h's (d, d_out) weight gradient is a transposed view of it
         gmix = (g2.T @ z).reshape(d_out, h, d).transpose(1, 2, 0)
@@ -729,7 +758,7 @@ def head_mix(attn, y, wv, wo, bias) -> Tensor:
         np.matmul(gmix, np.swapaxes(wo3, 1, 2), out=gwv.reshape(d, h, dv).transpose(1, 0, 2))
         np.matmul(np.swapaxes(wv3, 1, 2), gmix, out=gwo.reshape(h, dv, d_out))
         del gmix
-        mix_t = np.ascontiguousarray(mix.T)
+        mix_t = np.ascontiguousarray((wv3 @ wo3).reshape(h * d, d_out).T)
         g_attn = np.empty((rows, n, h, n))
         gy = np.empty((rows, n, d))
         most = max((hi - lo for lo, hi in blocks), default=0)

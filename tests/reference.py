@@ -10,12 +10,13 @@ with four muls, a sub and an add they form the unfused gating that
 ``unfused_attention_scores`` are the 7-node attention value chain and the
 9-node scores chain that ``tensor.head_mix`` and ``tensor.attention_scores``
 are checked against.
-``two_array_gelu``, ``float_mask_dropout``, ``z_keeping_head_mix`` and
-``three_array_softmax`` are the earlier forms of the GELU node (keeping the
-cdf and exp arrays), of dropout (a ``mul`` by a float mask), of ``head_mix``
-(keeping the mixed values) and of softmax (numpy's row max, then a shifted,
-an exponentiated and a normalized array), which the leaner nodes must match
-bit for bit.
+``two_array_gelu``, ``float_mask_dropout``, ``z_keeping_head_mix``,
+``three_array_softmax`` and ``recipe_free_normalize`` are the earlier forms
+of the GELU node (keeping the cdf and exp arrays), of dropout (a ``mul`` by a
+float mask), of ``head_mix`` (keeping the mixed values and the weight
+product), of softmax (numpy's row max, then a shifted, an exponentiated and
+a normalized array) and of ``normalize`` (an output without a recipe, whose
+consumers keep its array), which the leaner nodes must match bit for bit.
 ``adam_step_per_parameter`` is the per-parameter Adam loop and
 ``adam_step_gathered`` the earlier flat update over a concatenated gradient;
 the blocked arena update must match both bit for bit.
@@ -51,6 +52,8 @@ from spectral_forecaster.numeric.tensor import (
     rfft_kernel,
 )
 from spectral_forecaster.spectral import SpectralBlock, SpectralFilter
+
+_normalize = T.normalize  # bound before any test replaces T.normalize with the form below
 
 
 def swapaxes(a, ax1: int, ax2: int) -> Tensor:
@@ -231,8 +234,15 @@ def float_mask_dropout(self, x: Tensor, rng: np.random.Generator | None = None) 
     return T.mul(x, mask)
 
 
+def recipe_free_normalize(a, axis, eps: float, gamma, beta):
+    """``normalize`` whose output carries no recipe: each consumer keeps the output array."""
+    out, mu, v = _normalize(a, axis, eps, gamma, beta)
+    out._rebuild = None
+    return out, mu, v
+
+
 def z_keeping_head_mix(attn, y, wv, wo, bias) -> Tensor:
-    """``head_mix`` whose node keeps the (rows * n, h * d) mixed values ``z`` for backward."""
+    """``head_mix`` whose node keeps the (rows * n, h * d) mixed values ``z`` and ``mix`` for backward."""
     attn, y, wv, wo, bias = (_wrap(t) for t in (attn, y, wv, wo, bias))
     rows, h, n = attn.shape[:3]
     d = y.shape[-1]

@@ -3,6 +3,9 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -223,6 +226,16 @@ class TestConfigErrors:
         err = self.exits_2(capsys, ["synth", "--spec", str(spec_path),
                                     "--out", str(tmp_path / "s.csv")])
         assert str(spec_path) in err and next(iter(spec)) in err
+        assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("noise", [0.0, 0.3])
+    def test_synth_negative_seed_exits_2(self, tmp_path, capsys, noise):
+        # without noise the seed drew nothing, so -1 used to pass unnoticed
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"noise": noise}))
+        err = self.exits_2(capsys, ["synth", "--spec", str(spec_path), "--seed", "-1",
+                                    "--out", str(tmp_path / "s.csv")])
+        assert "seed must be >= 0, got -1" in err
         assert not (tmp_path / "s.csv").exists()
 
     def test_bool_lookback_exits_2(self, tmp_path, capsys):
@@ -535,6 +548,35 @@ class TestUtilityCommands:
         with pytest.raises(SystemExit):
             cli.main(["--help"])
         assert "SPECTRAL_FORECASTER_THREADS" in capsys.readouterr().out
+
+
+def blas_threads(**variables) -> int:
+    """The BLAS thread count a fresh interpreter reads after importing numpy, then the package.
+
+    Only ``variables`` of the thread settings reach it. Skips where no
+    OpenBLAS thread setter is found beside numpy.
+    """
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (f"import sys; sys.path.insert(0, {str(src)!r}); "
+            "import numpy, spectral_forecaster as sf; get = sf._openblas('get'); "
+            "print(-1 if get is None else get())")
+    env = {k: v for k, v in os.environ.items() if k not in (
+        "SPECTRAL_FORECASTER_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, check=True, env={**env, **variables})
+    count = int(proc.stdout)
+    if count < 0:
+        pytest.skip("no OpenBLAS thread setter beside numpy")
+    return count
+
+
+def test_thread_cap_holds_when_numpy_is_imported_first():
+    assert blas_threads(SPECTRAL_FORECASTER_THREADS="1") == 1
+
+
+def test_explicit_openblas_threads_win_over_the_cap():
+    assert (blas_threads(SPECTRAL_FORECASTER_THREADS="1", OPENBLAS_NUM_THREADS="2")
+            == blas_threads(OPENBLAS_NUM_THREADS="2"))
 
 
 @pytest.mark.parametrize("reader, code, family", [

@@ -981,21 +981,22 @@ class TestRetainedMemory:
                                    dropout=0.0), 32),
     }
     # bytes traced after the forward, per float64 cell of a (rows, patches,
-    # d_model) activation: about 38 (pinned), 52 (paper-like) and 13.8
-    # (prefilter336-like) when each node keeps only what its rule reads; 92
-    # and 123 for the first two when every node kept its operands alive, and
-    # 15.2 for the last when head_mix kept a permuted copy of the softmax
-    # output beside it
-    BUDGET_CELLS = {"pinned": 55, "paper-like": 65, "prefilter336-like": 14.5}
+    # d_model) activation: about 29.4 (pinned), 35.6 (paper-like) and 10.5
+    # (prefilter336-like) when consumers rebuild each normalize output and
+    # head_mix recomputes its weight product; 34.0, 45.6 and 11.8 when they
+    # kept both; 92 and 123 for the first two when every node kept its
+    # operands alive
+    BUDGET_CELLS = {"pinned": 32, "paper-like": 40, "prefilter336-like": 11.3}
     # the peak traced during backward above the forward's end, less the
-    # gradient bytes backward leaves behind, in the same unit: about 2.0,
-    # -11.4 and 0.7 (7.5, 7.6 and 4.0 when gradients landed in an arena
+    # gradient bytes backward leaves behind, in the same unit: about 4.0,
+    # -9.4 and 0.7 (7.5, 7.6 and 4.0 when gradients landed in an arena
     # allocated before the forward)
     BACKWARD_PEAK_CELLS = {"pinned": 9.0, "paper-like": 9.0, "prefilter336-like": 4.5}
-    # the same peak with the gradients counted wherever their memory came
-    # from: about 11.0, 10.5 and 5.1; 16.1, 29.4 and 8.4 when they landed in
-    # an arena held from step to step
-    GRADIENT_PEAK_CELLS = {"pinned": 13.0, "paper-like": 12.5, "prefilter336-like": 6.0}
+    # the step's peak above its start, what the forward keeps plus the
+    # backward peak above it, with the gradients counted wherever their
+    # memory came from: about 42.3, 48.1 and 15.6; 44.9, 56.1 and 17.0 when
+    # consumers kept each normalize output and head_mix its weight product
+    GRADIENT_PEAK_CELLS = {"pinned": 44.0, "paper-like": 52.0, "prefilter336-like": 16.5}
 
     @classmethod
     def model_and_batch(cls, name):
@@ -1029,7 +1030,7 @@ class TestRetainedMemory:
 
     @classmethod
     def backward_peak(cls, name):
-        """A training step's backward peak above the forward's end, its gradients, and the bytes of a cell.
+        """A training step's forward retention, its backward peak above the forward's end, its gradients, and the bytes of a cell.
 
         Each gradient's memory is listed once, as (bytes, allocated before
         tracing began). The model steps once through Adam first, as in
@@ -1044,6 +1045,7 @@ class TestRetainedMemory:
             p.grad = None
         tracemalloc.start()
         try:
+            base = tracemalloc.get_traced_memory()[0]
             loss = mse_loss(model(x, rng=rng), y)
             end = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
@@ -1054,20 +1056,20 @@ class TestRetainedMemory:
                     for g in owners.values()]
         finally:
             tracemalloc.stop()
-        return peak, held, 8 * cls.cells(model, x)
+        return end - base, peak, held, 8 * cls.cells(model, x)
 
     @pytest.mark.parametrize("name", SHAPES)
     def test_backward_peak_within_budget(self, name):
         """Backward's own working set: its peak less the gradients it leaves behind."""
-        peak, held, cell = self.backward_peak(name)
+        _, peak, held, cell = self.backward_peak(name)
         peak -= sum(nbytes for nbytes, _ in held)
         assert peak <= self.BACKWARD_PEAK_CELLS[name] * cell, f"{peak / cell:.1f}"
 
     @pytest.mark.parametrize("name", SHAPES)
     def test_gradient_holding_peak_within_budget(self, name):
-        """Backward's peak with every gradient counted, also one held in memory from before the step."""
-        peak, held, cell = self.backward_peak(name)
-        peak += sum(nbytes for nbytes, before in held if before)
+        """The step's peak above its start, with every gradient counted, also one held in memory from before the step."""
+        kept, peak, held, cell = self.backward_peak(name)
+        peak += kept + sum(nbytes for nbytes, before in held if before)
         assert peak <= self.GRADIENT_PEAK_CELLS[name] * cell, f"{peak / cell:.1f}"
 
     def test_dead_intermediates_freed_when_forward_returns(self, monkeypatch):
@@ -1090,12 +1092,12 @@ class TestRetainedMemory:
         spy(block.norm1, "residual sum", arg=True)
         spy(block.mlp.lin1, "lin1 input", arg=True)
         loss = mse_loss(model(x, rng=rng), y)
-        # control: lin1's weight gradient reads its input, so the tape keeps it
-        assert refs["lin1 input"]() is not None
+        # lin1's weight gradient reads its input, norm1's output, which the
+        # rule rebuilds from what norm1's node keeps instead of keeping it
+        assert refs["lin1 input"]() is None
         assert refs["lin1 output"]() is None
         assert refs["residual sum"]() is None
-        backward(loss)
-        assert refs["lin1 input"]() is None
+        assert loss.node is not None  # the tape that would hold them is alive
 
     def test_head_activations_freed_before_embedding_backward(self, monkeypatch):
         from spectral_forecaster.training import mse_loss
@@ -1128,7 +1130,12 @@ class TestRetainedMemory:
 
 class TestLeanNodesTrainAlike:
     def test_three_steps_match_the_earlier_nodes_bit_for_bit(self, monkeypatch):
-        """Three dropout-0.1 Adam steps give the same parameter bits with the earlier nodes."""
+        """Three dropout-0.1 Adam steps give the same parameter bits with the earlier nodes.
+
+        In those, consumers keep each normalize output, head_mix keeps its
+        weight product and mixed values, and GELU, dropout and softmax keep
+        their earlier arrays.
+        """
         from spectral_forecaster import nn
         from spectral_forecaster.training import AdamState, adam_step, mse_loss
 
@@ -1153,6 +1160,7 @@ class TestLeanNodesTrainAlike:
         monkeypatch.setattr(nn.Dropout, "forward", ref.float_mask_dropout)
         monkeypatch.setattr(T, "head_mix", ref.z_keeping_head_mix)
         monkeypatch.setattr(T, "softmax", ref.three_array_softmax)
+        monkeypatch.setattr(T, "normalize", ref.recipe_free_normalize)
         earlier = train()
         assert lean[1] == earlier[1]
         assert lean[0].tobytes() == earlier[0].tobytes()

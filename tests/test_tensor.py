@@ -795,6 +795,55 @@ class TestRetainedState:
         for a, b in zip(new, old):
             np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("norm", ["BatchNorm", "InstanceNorm"])
+    def test_normalize_recipe_rebuilds_the_output_bit_for_bit(self, norm):
+        from spectral_forecaster import nn
+
+        rng = np.random.default_rng(180)
+        module = getattr(nn, norm)(6).init_state()
+        module.gamma.data[...] = 1.0 + 0.3 * rng.standard_normal(6)
+        module.beta.data[...] = rng.standard_normal(6)
+        x = rng.standard_normal((5, 7, 6)) * 3.0 + 1.0
+        out = module(Parameter(x))
+        rebuilt = out._rebuild()
+        assert rebuilt is not out.data
+        assert rebuilt.tobytes() == out.data.tobytes()
+        with no_grad():
+            assert module(Parameter(x))._rebuild is None  # an unrecorded output keeps nothing
+
+    def test_normalize_output_freed_when_the_forward_returns(self, monkeypatch):
+        """A Linear reading a BatchNorm output rebuilds it in backward, with the kept array's bits."""
+        from spectral_forecaster.nn import BatchNorm, Linear
+
+        rng = np.random.default_rng(181)
+        norm, lin = BatchNorm(6).init_state(), Linear(6, 4).init_state(rng)
+        x = Parameter(rng.standard_normal((5, 7, 6)))
+        proj = rng.standard_normal((5, 7, 4))
+        params = (x, norm.gamma, norm.beta, lin.weight, lin.bias)
+
+        def step():
+            refs = []
+
+            def forward():
+                y = norm(x)
+                refs.append(weakref.ref(y.data))
+                return ref.sum(T.mul(lin(y), proj))
+
+            loss = forward()
+            alive = refs[0]() is not None
+            backward(loss)
+            grads = [p.grad for p in params]
+            for p in params:
+                p.grad = None
+            return alive, grads
+
+        lean = step()
+        monkeypatch.setattr(T, "normalize", ref.recipe_free_normalize)
+        kept = step()
+        assert not lean[0] and kept[0]  # the control: without a recipe, lin keeps the array
+        for a, b in zip(lean[1], kept[1]):
+            assert a.tobytes() == b.tobytes()
+
     def test_attention_scores_keeps_its_input_not_q_or_k(self):
         # q and k are (rows, n, h * d_k), wider than y here, so sizes tell them apart
         rows, n, d, h, dk = TestAttentionScores.SHAPES["explicit-d_k"]
