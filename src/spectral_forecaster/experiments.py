@@ -64,6 +64,9 @@ class ExperimentConfig:
         horizons = tuple(config_int(f"horizons.{i}", h) for i, h in enumerate(self.horizons))
         if any(h < 1 for h in horizons):
             raise ConfigError(f"horizons must be >= 1, got {horizons}")
+        if len(set(horizons)) != len(horizons):
+            # each horizon names its own files and metrics row, so a repeat would train twice
+            raise ConfigError(f"horizons must be distinct, got {horizons}")
         object.__setattr__(self, "horizons", horizons)
         object.__setattr__(self, "model", dataclasses.replace(self.model, horizon=horizons[0]))
         object.__setattr__(self, "exclude", tuple(self.exclude))

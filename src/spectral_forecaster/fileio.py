@@ -24,9 +24,12 @@ def atomic_write(path, mode: str = "w", newline: str | None = None):
         with open(tmp, mode, newline=newline) as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:
+            # name the path the caller asked for, not the temp file beside it
+            raise type(exc)(exc.errno, exc.strerror, path) from None
         raise
 
 

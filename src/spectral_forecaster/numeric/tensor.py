@@ -4,9 +4,12 @@ A :class:`Tensor` wraps an ndarray together with an optional :class:`TapeNode`
 recording the op that produced it. A node names its parents by data-free
 handles, and its backward rule keeps only the shapes and arrays it reads, so
 an intermediate no rule reads is freed as soon as the forward drops it. An
-output its own node can rebuild (a ``normalize`` output, from the ``xhat``
-that node keeps) carries that recipe, and a rule that reads it keeps the
-recipe, so each activation is held once.
+output its own node can rebuild carries that recipe, and a rule that reads
+it keeps the recipe, so each activation is held once: a ``normalize``
+output is rebuilt from the ``xhat`` that node keeps, a ``softmax`` output is
+the array its node keeps, a ``dropout`` over an output with a recipe
+reruns its mask on that recipe, and a ``reshape`` passes its input's
+recipe on.
 ``backward`` walks the recorded graph once in reverse topological order,
 accumulates gradients into ``requires_grad`` leaves, and frees each node as
 soon as it is processed; calling it twice on the same loss is an error. Ops
@@ -195,7 +198,9 @@ def _keep(t: Tensor):
     """What a rule keeps to read ``t.data`` in backward: a call that returns the same bits.
 
     That is ``t``'s recipe when it has one (a :func:`normalize` output is
-    rebuilt from what its own node keeps), else the array itself.
+    rebuilt from what its own node keeps), else the array itself. A rule
+    must not write into what the call returns: a softmax recipe returns the
+    array its node keeps.
     """
     data = t.data
     return t._rebuild or (lambda: data)
@@ -385,13 +390,22 @@ def transpose(a, axes=None) -> Tensor:
 
 
 def reshape(a, shape) -> Tensor:
+    """``a`` in a new shape; a recorded output passes ``a``'s recipe on, reshaped.
+
+    So a consumer of a reshaped :func:`normalize` output (the forecast
+    head's flatten) keeps nothing of it either.
+    """
     a = _wrap(a)
     orig = a.shape
 
     def bwd(g):
         return (g.reshape(orig),)
 
-    return _from_op(a.data.reshape(shape), "reshape", (a,), bwd)
+    out = _from_op(a.data.reshape(shape), "reshape", (a,), bwd)
+    if a._rebuild is not None and out.node is not None:
+        src, new_shape = a._rebuild, out.shape
+        out._rebuild = lambda: src().reshape(new_shape)
+    return out
 
 
 def unfold(a, size: int, step: int) -> Tensor:
@@ -451,7 +465,9 @@ def normalize(a, axis, eps: float, gamma, beta) -> tuple[Tensor, np.ndarray, np.
     The node keeps ``xhat`` for its own rule, so a recorded output carries a
     recipe that reruns the forward's last two ufuncs on it: a consumer that
     reads the output in backward keeps the recipe (:func:`_keep`), not a
-    second array of the same size.
+    second array of the same size. The backward allocates one array of the
+    input's size, its result, and forms ``g * gamma`` a second time in
+    blocks of rows for the last step rather than keep it beside a second one.
     """
     a, gamma, beta = _wrap(a), _wrap(gamma), _wrap(beta)
     width = a.shape[-1:]
@@ -479,15 +495,23 @@ def normalize(a, axis, eps: float, gamma, beta) -> tuple[Tensor, np.ndarray, np.
     rows = tuple(range(a.ndim - 1))
 
     def bwd(g):
-        gx = np.multiply(g, xhat)  # g * xhat, until the input gradient overwrites it
+        # the one full-size array: g * xhat, g * gamma * xhat, xhat * proj, then the input gradient
+        gx = np.multiply(g, xhat)
         ggamma = gx.sum(axis=rows)
         gbeta = g.sum(axis=rows)
         np.multiply(g, gd, out=gx)
-        tmp = gx * xhat
-        proj = mean(tmp)
-        gx -= mean(gx)
-        np.multiply(xhat, proj, out=tmp)
-        gx -= tmp
+        centre = mean(gx)
+        gx *= xhat
+        proj = mean(gx)
+        np.multiply(xhat, proj, out=gx)
+        # (g * gamma - centre) - xhat * proj, with g * gamma formed again in blocks of rows
+        step = len(gx) if gx.ndim == 1 else max(1, _GELU_CHUNK * len(gx) // max(1, gx.size))
+        for lo in range(0, len(gx), step):
+            block = slice(lo, lo + step)
+            part = np.multiply(g[block], gd)
+            part -= centre if len(centre) == 1 else centre[block]
+            np.subtract(part, gx[block], out=gx[block])
+            del part  # one block at a time
         gx /= std
         return gx, ggamma, gbeta
 
@@ -534,7 +558,8 @@ _ERF_PQ = [c.reshape(2, 1) for c in np.array([
      3.54937778887819891062e2, 9.75708501743205489753e2, 1.82390916687909736289e3,
      2.24633760818710981792e3, 1.65666309194161350182e3, 5.57535340817727675546e2],
 ]).T]
-# elements per GELU pass: the Horner temporaries of one chunk stay in cache
+# elements per GELU pass, and per block of normalize's last backward step:
+# the temporaries of one chunk stay in cache
 _GELU_CHUNK = 16384
 
 
@@ -616,7 +641,10 @@ def softmax(a, axis: int = -1) -> Tensor:
 
     The max is taken column by column with ``np.maximum``: exact, and over
     the few patches of an attention row several times faster than numpy's
-    strided ``max(axis=-1)``.
+    strided ``max(axis=-1)``. The node keeps its output for its own rule, so
+    a recorded output's recipe returns that array: a consumer (dropout,
+    ``head_mix``) keeps the recipe, not a second reference that would
+    outlive the node.
     """
     a = _wrap(a)
     cols = np.moveaxis(a.data, axis, -1)
@@ -633,7 +661,10 @@ def softmax(a, axis: int = -1) -> Tensor:
         gx *= out
         return (gx,)
 
-    return _from_op(out, "softmax", (a,), bwd)
+    res = _from_op(out, "softmax", (a,), bwd)
+    if res.node is not None:
+        res._rebuild = lambda: out
+    return res
 
 
 def attention_scores(y, wq, wk, n_heads: int, scale: float) -> Tensor:
@@ -674,9 +705,11 @@ def attention_scores(y, wq, wk, n_heads: int, scale: float) -> Tensor:
         gk = (np.swapaxes(heads(y2, wqd), -1, -2) @ gs).transpose(0, 3, 1, 2).reshape(-1, h * dk)
         gq = (gs @ heads(y2, wkd)).transpose(0, 2, 1, 3).reshape(-1, h * dk)
         del gs
+        gwq, gwk = y2.T @ gq, y2.T @ gk
+        del y2  # a rebuilt y is freed before gy allocates
         gy = gq @ wqd.T
         gy += gk @ wkd.T
-        return gy.reshape(rows, n, d), y2.T @ gq, y2.T @ gk
+        return gy.reshape(rows, n, d), gwq, gwk
 
     return _from_op(out, "attention_scores", (y, wq, wk), bwd)
 
@@ -694,6 +727,9 @@ def even_chunks(n: int, most: int) -> list[tuple[int, int]]:
 
 # bytes of mixed values one head_mix block forms: its products stay in cache
 _HEAD_MIX_BLOCK = 512 * 1024
+# bytes of mixed values one group of heads forms for head_mix's weight
+# gradient: the pinned shape's four 16-column heads stay one group up to 341 rows
+_HEAD_MIX_GROUP = 2 * 1024 * 1024
 
 
 def head_mix(attn, y, wv, wo, bias) -> Tensor:
@@ -712,12 +748,26 @@ def head_mix(attn, y, wv, wo, bias) -> Tensor:
     The mixed values are h times wider than ``y``, so they are formed one
     block of rows at a time, at most ``_HEAD_MIX_BLOCK`` bytes, and each
     block is multiplied into its rows of the preallocated output. The node
-    keeps ``attn`` itself (the softmax output, which that node keeps anyway,
-    when there is no dropout), ``y`` through :func:`_keep` and the two
-    weights, and permutes ``attn`` once per pass. The backward recomputes
-    the weight product, and the mixed values of all rows for the weight
-    gradient, whose bits depend on the whole sum; it frees them before it
-    forms the activation gradients in the same row blocks.
+    keeps ``attn`` and ``y`` through :func:`_keep` (the softmax output,
+    which that node keeps anyway, or the recipe of the dropout over it) and
+    the two weights. The backward recomputes the weight product. Its weight
+    gradient spans all rows, so it is formed one group of whole heads at a
+    time: group k's columns of the mixed values, ``z_k``, come from a copy of
+    ``attn[:, heads_k]``, at most ``_HEAD_MIX_GROUP`` bytes of them (at
+    least one head), and ``g^T @ z_k`` gives the group's heads their
+    ``wv``/``wo`` gradients, written into their views. Neither the full
+    mixed values nor their full gradient product exists. When one group
+    holds every head, attn is permuted once for both passes. The activation
+    gradients follow in the row blocks, and the attention gradient is
+    written over the permuted attention each block has just read.
+
+    A group's columns come from a GEMM that is narrower than the full one,
+    and the bits of a GEMM can depend on its width. On scipy-openblas
+    0.3.31 with one thread, column groups of 64 and 128 matched the full
+    product at 1-305 rows, while groups of 16 and 32 columns differed from
+    about 83 rows on. The budget keeps the benchmark shapes' groups at whole heads of
+    64 columns or more, or a single group; a narrower split, or another
+    BLAS, may change the weight gradient's last bits.
     """
     attn, y, wv, wo, bias = (_wrap(t) for t in (attn, y, wv, wo, bias))
     rows, h, n = attn.shape[:3]
@@ -733,14 +783,16 @@ def head_mix(attn, y, wv, wo, bias) -> Tensor:
     wv3 = wv.data.reshape(d, h, dv).transpose(1, 0, 2)    # (h, d, dv)
     wo3 = wo.data.reshape(h, dv, d_out)
     mix = (wv3 @ wo3).reshape(h * d, d_out)
-    ad, yd, y_data = attn.data, y.data, _keep(y)
+    yd, attn_data, y_data = y.data, _keep(attn), _keep(y)
     blocks = even_chunks(rows, max(1, _HEAD_MIX_BLOCK // (n * h * d * 8)))
 
-    def permuted():
-        # row i * h + head holds query i's attention weights under that head
-        return ad.transpose(0, 2, 1, 3).reshape(rows, n * h, n)
+    def permuted(a):
+        # a fresh copy of a slice of attn (reshape alone returns a view when the
+        # slice has one head or one patch): row i * k + head holds query i's
+        # weights under each of its k heads
+        return a.transpose(0, 2, 1, 3).copy().reshape(len(a), -1, n)
 
-    at = permuted()
+    at = permuted(attn.data)
     out = np.empty((rows * n, d_out))
     for lo, hi in blocks:
         np.matmul((at[lo:hi] @ yd[lo:hi]).reshape(-1, h * d), mix, out=out[lo * n:hi * n])
@@ -749,17 +801,23 @@ def head_mix(attn, y, wv, wo, bias) -> Tensor:
 
     def bwd(g):
         g2 = g.reshape(rows * n, d_out)
-        at, yd = permuted(), y_data()
-        z = (at @ yd).reshape(rows * n, h * d)
-        # (d_out, h * d); head h's (d, d_out) weight gradient is a transposed view of it
-        gmix = (g2.T @ z).reshape(d_out, h, d).transpose(1, 2, 0)
-        del z  # the widest array here: gone before the next products allocate
+        ad, yd = attn_data(), y_data()
         gwv, gwo = np.empty((d, h * dv)), np.empty((h * dv, d_out))
-        np.matmul(gmix, np.swapaxes(wo3, 1, 2), out=gwv.reshape(d, h, dv).transpose(1, 0, 2))
-        np.matmul(np.swapaxes(wv3, 1, 2), gmix, out=gwo.reshape(h, dv, d_out))
-        del gmix
+        gwv3, gwo3 = gwv.reshape(d, h, dv).transpose(1, 0, 2), gwo.reshape(h, dv, d_out)
+        groups = even_chunks(h, max(1, _HEAD_MIX_GROUP // max(1, rows * n * d * 8)))
+        for lo, hi in groups:
+            at = permuted(ad[:, lo:hi])
+            z = (at @ yd).reshape(rows * n, -1)
+            # (d_out, heads * d); each head's (d, d_out) weight gradient is a transposed view
+            gmix = (g2.T @ z).reshape(d_out, hi - lo, d).transpose(1, 2, 0)
+            del z  # the widest array here: gone before the next products allocate
+            np.matmul(gmix, np.swapaxes(wo3[lo:hi], 1, 2), out=gwv3[lo:hi])
+            np.matmul(np.swapaxes(wv3[lo:hi], 1, 2), gmix, out=gwo3[lo:hi])
+            del gmix
         mix_t = np.ascontiguousarray((wv3 @ wo3).reshape(h * d, d_out).T)
-        g_attn = np.empty((rows, n, h, n))
+        if len(groups) > 1:
+            at = permuted(ad)  # a single group has already permuted every head
+        del ad  # a rebuilt attn is freed before the activation gradients allocate
         gy = np.empty((rows, n, d))
         most = max((hi - lo for lo, hi in blocks), default=0)
         gz_rows = np.empty((most * n, h * d))  # every block's gz, in turn
@@ -767,10 +825,10 @@ def head_mix(attn, y, wv, wo, bias) -> Tensor:
             gz = gz_rows[:(hi - lo) * n]
             np.matmul(g2[lo * n:hi * n], mix_t, out=gz)
             gz = gz.reshape(hi - lo, n * h, d)
-            ga = g_attn[lo:hi].reshape(hi - lo, n * h, n)
-            np.matmul(gz, np.swapaxes(yd[lo:hi], 1, 2), out=ga)
             np.matmul(np.swapaxes(at[lo:hi], 1, 2), gz, out=gy[lo:hi])
-        return g_attn.transpose(0, 2, 1, 3), gy, gwv, gwo, g2.sum(axis=0)
+            # the attention gradient has at's layout, so it overwrites the rows gy just read
+            np.matmul(gz, np.swapaxes(yd[lo:hi], 1, 2), out=at[lo:hi])
+        return at.reshape(rows, n, h, n).transpose(0, 2, 1, 3), gy, gwv, gwo, g2.sum(axis=0)
 
     return _from_op(out.reshape(rows, n, d_out), "head_mix", (attn, y, wv, wo, bias), bwd)
 
@@ -781,7 +839,11 @@ def dropout(a, keep: np.ndarray, scale: float) -> Tensor:
     The node keeps the one-byte mask and the scalar, not a float mask.
     Multiplying by ``keep`` and then by ``scale`` gives the same bits as
     multiplying by the float mask ``keep * scale``: each element is either
-    multiplied by exactly 1 and then by ``scale``, or zeroed.
+    multiplied by exactly 1 and then by ``scale``, or zeroed. When ``a``
+    carries a recipe (a softmax output does), a recorded output carries one
+    too: ``a``'s recipe times ``keep`` times ``scale``, the forward's own two
+    ufuncs, so a consumer rebuilds the dropped values instead of keeping
+    them.
     """
     a = _wrap(a)
     if keep.shape != a.shape:
@@ -794,7 +856,16 @@ def dropout(a, keep: np.ndarray, scale: float) -> Tensor:
         gx *= scale
         return (gx,)
 
-    return _from_op(out, "dropout", (a,), bwd)
+    res = _from_op(out, "dropout", (a,), bwd)
+    if a._rebuild is not None and res.node is not None:
+        src = a._rebuild
+
+        def rebuild():
+            y = src() * keep
+            y *= scale
+            return y
+        res._rebuild = rebuild
+    return res
 
 
 def rfft_kernel(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

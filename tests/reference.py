@@ -11,12 +11,14 @@ with four muls, a sub and an add they form the unfused gating that
 9-node scores chain that ``tensor.head_mix`` and ``tensor.attention_scores``
 are checked against.
 ``two_array_gelu``, ``float_mask_dropout``, ``z_keeping_head_mix``,
-``three_array_softmax`` and ``recipe_free_normalize`` are the earlier forms
-of the GELU node (keeping the cdf and exp arrays), of dropout (a ``mul`` by a
-float mask), of ``head_mix`` (keeping the mixed values and the weight
-product), of softmax (numpy's row max, then a shifted, an exponentiated and
-a normalized array) and of ``normalize`` (an output without a recipe, whose
-consumers keep its array), which the leaner nodes must match bit for bit.
+``three_array_softmax``, ``recipe_free_normalize`` and
+``recipe_free_reshape`` are the earlier forms of the GELU node (keeping the
+cdf and exp arrays), of dropout (a ``mul`` by a float mask, whose output has
+no recipe), of ``head_mix`` (keeping the mixed values, all heads at once,
+and the weight product), of softmax (numpy's row max, then a shifted, an
+exponentiated and a normalized array, and no recipe) and of ``normalize``
+and ``reshape`` (outputs without a recipe, whose consumers keep their
+arrays), which the leaner nodes must match bit for bit.
 ``adam_step_per_parameter`` is the per-parameter Adam loop and
 ``adam_step_gathered`` the earlier flat update over a concatenated gradient;
 the blocked arena update must match both bit for bit.
@@ -53,7 +55,8 @@ from spectral_forecaster.numeric.tensor import (
 )
 from spectral_forecaster.spectral import SpectralBlock, SpectralFilter
 
-_normalize = T.normalize  # bound before any test replaces T.normalize with the form below
+# bound before any test replaces T.normalize or T.reshape with the forms below
+_normalize, _reshape = T.normalize, T.reshape
 
 
 def swapaxes(a, ax1: int, ax2: int) -> Tensor:
@@ -239,6 +242,13 @@ def recipe_free_normalize(a, axis, eps: float, gamma, beta):
     out, mu, v = _normalize(a, axis, eps, gamma, beta)
     out._rebuild = None
     return out, mu, v
+
+
+def recipe_free_reshape(a, shape) -> Tensor:
+    """``reshape`` whose output carries no recipe: its consumer keeps the reshaped array."""
+    out = _reshape(a, shape)
+    out._rebuild = None
+    return out
 
 
 def z_keeping_head_mix(attn, y, wv, wo, bias) -> Tensor:

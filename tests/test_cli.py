@@ -164,6 +164,15 @@ class TestConfigErrors:
         assert "--out" in self.exits_2(capsys, ["run", "--tiny", "--out", ""])
         assert list(tmp_path.iterdir()) == []
 
+    def test_repeated_horizon_exits_2(self, tmp_path, capsys):
+        # used to train horizon 8 twice, write two metrics rows and list its files twice
+        err = self.exits_2(capsys, ["run", "--tiny", "--horizon", "8,8",
+                                    "--out", str(tmp_path / "out")])
+        assert "horizons must be distinct, got (8, 8)" in err
+        assert not (tmp_path / "out").exists()
+        err = self.param_count(tmp_path, capsys, "horizons: [4, 6, 4]\n")
+        assert "exp.yaml: horizons must be distinct, got (4, 6, 4)" in err
+
     def test_scalar_horizons_exits_2(self, tmp_path, capsys):
         assert "horizons" in self.param_count(tmp_path, capsys, "horizons: 5\n")
 
@@ -533,6 +542,15 @@ class TestUtilityCommands:
         out = tmp_path / "short.csv"
         assert cli.main(["synth", "--spec", str(spec_path), "--out", str(out)]) == 0
         assert load_csv(out).n_steps == 128
+
+    def test_synth_into_missing_directory_names_the_given_path(self, tmp_path, capsys):
+        # used to name the temp file beside it, 'x.csv.<pid>.tmp'
+        out = tmp_path / "missing_dir" / "x.csv"
+        assert cli.main(["synth", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1
+        assert err.rstrip().endswith(f"{str(out)!r}") and ".tmp" not in err
+        assert not (tmp_path / "missing_dir").exists()
 
     def test_synth_without_out_exits_2(self, capsys):
         assert cli.main(["synth"]) == 2

@@ -166,3 +166,17 @@ def test_every_csv_artifact_is_in_the_one_dialect(tmp_path):
             assert len(cells) == header.count(",") + 1, (path.name, row)
             for cell in cells[1:]:
                 assert repr(float(cell)) == cell, (path.name, row)
+
+
+@pytest.mark.parametrize("case", ["missing directory", "directory in the way"])
+def test_failed_open_or_rename_names_the_target_not_the_temp_file(tmp_path, case):
+    path = tmp_path / "missing" / "f.csv"
+    if case == "directory in the way":
+        path = tmp_path / "f.csv"
+        path.mkdir()
+    with pytest.raises(OSError) as info:
+        with atomic_write(path) as fh:
+            fh.write("x\n")
+    assert info.value.filename == str(path) and info.value.filename2 is None
+    assert ".tmp" not in str(info.value)
+    assert not [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]

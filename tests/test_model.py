@@ -981,22 +981,28 @@ class TestRetainedMemory:
                                    dropout=0.0), 32),
     }
     # bytes traced after the forward, per float64 cell of a (rows, patches,
-    # d_model) activation: about 29.4 (pinned), 35.6 (paper-like) and 10.5
-    # (prefilter336-like) when consumers rebuild each normalize output and
-    # head_mix recomputes its weight product; 34.0, 45.6 and 11.8 when they
-    # kept both; 92 and 123 for the first two when every node kept its
-    # operands alive
-    BUDGET_CELLS = {"pinned": 32, "paper-like": 40, "prefilter336-like": 11.3}
+    # d_model) activation: about 28.4 (pinned), 32.3 (paper-like) and 9.5
+    # (prefilter336-like) when consumers also rebuild the dropped attention
+    # and the head's flattened input; 29.4, 35.6 and 10.5 when they kept
+    # those; 34.0, 45.6 and 11.8 when they kept each normalize output and
+    # head_mix its weight product too; 92 and 123 for the first two when
+    # every node kept its operands alive
+    BUDGET_CELLS = {"pinned": 28.9, "paper-like": 34.0, "prefilter336-like": 9.95}
     # the peak traced during backward above the forward's end, less the
-    # gradient bytes backward leaves behind, in the same unit: about 4.0,
-    # -9.4 and 0.7 (7.5, 7.6 and 4.0 when gradients landed in an arena
-    # allocated before the forward)
+    # gradient bytes backward leaves behind, in the same unit: about 4.1,
+    # -9.2 and 1.1 (4.0, -9.4 and 0.7 when the forward kept the dropped
+    # attention and the head's input, which backward now rebuilds; 7.5, 7.6
+    # and 4.0 when gradients landed in an arena allocated before the forward)
     BACKWARD_PEAK_CELLS = {"pinned": 9.0, "paper-like": 9.0, "prefilter336-like": 4.5}
     # the step's peak above its start, what the forward keeps plus the
     # backward peak above it, with the gradients counted wherever their
-    # memory came from: about 42.3, 48.1 and 15.6; 44.9, 56.1 and 17.0 when
-    # consumers kept each normalize output and head_mix its weight product
-    GRADIENT_PEAK_CELLS = {"pinned": 44.0, "paper-like": 52.0, "prefilter336-like": 16.5}
+    # memory came from: about 41.4, 45.1 and 15.0; 42.3, 48.1 and 15.6 when
+    # the dropped attention and the head's input were kept, head_mix formed
+    # its weight gradient from all heads' mixed values at once and its
+    # attention gradient in an array of its own, and normalize's backward
+    # held a second full-size array; 44.9, 56.1 and 17.0 when consumers kept
+    # each normalize output and head_mix its weight product
+    GRADIENT_PEAK_CELLS = {"pinned": 41.85, "paper-like": 46.6, "prefilter336-like": 15.3}
 
     @classmethod
     def model_and_batch(cls, name):
@@ -1123,18 +1129,65 @@ class TestRetainedMemory:
         monkeypatch.setattr(model.head, "forward", head_spy)
         monkeypatch.setattr(model.embedding, "forward", embed_spy)
         loss = mse_loss(model(x, rng=rng), y)
-        assert head_input[0]() is not None  # the head's weight gradient reads it
+        # the head's weight gradient reads it, rebuilt from the last norm's recipe
+        assert head_input[0]() is None
         backward(loss)
         assert seen == [None]
+
+    def test_dropped_attention_and_head_input_freed_when_forward_returns(self, monkeypatch):
+        """head_mix rebuilds the dropped attention and the head its flattened input, with the kept arrays' bits.
+
+        The control swaps in the softmax and reshape without recipes: then
+        head_mix keeps every block's dropped attention and the head's matmul
+        its input, and every gradient is the same.
+        """
+        from spectral_forecaster.training import mse_loss
+
+        def step():
+            model, x, y, rng = self.model_and_batch("paper-like")
+            refs = []
+
+            def spy(module):
+                forward = module.forward
+
+                def wrapped(*args):
+                    out = forward(*args)
+                    refs.append(weakref.ref(_owner(out.data)))
+                    return out
+                monkeypatch.setattr(module, "forward", wrapped)
+
+            attention = [b for b in model.blocks if hasattr(b, "attn_drop")]
+            for block in attention:
+                spy(block.attn_drop)
+
+            def head_spy(t):  # ForecastHead.forward, with a handle on the flattened input
+                flat = T.reshape(t, (t.shape[0], -1))
+                refs.append(weakref.ref(_owner(flat.data)))
+                return model.head.lin(flat)
+            monkeypatch.setattr(model.head, "forward", head_spy)
+            loss = mse_loss(model(x, rng=rng), y)
+            alive = [r() is not None for r in refs]
+            assert len(alive) == len(attention) + 1
+            backward(loss)
+            return alive, [p.grad for p in model.parameters()]
+
+        lean = step()
+        monkeypatch.setattr(T, "softmax", ref.three_array_softmax)
+        monkeypatch.setattr(T, "reshape", ref.recipe_free_reshape)
+        kept = step()
+        assert not any(lean[0]) and all(kept[0])
+        for a, b in zip(lean[1], kept[1]):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestLeanNodesTrainAlike:
     def test_three_steps_match_the_earlier_nodes_bit_for_bit(self, monkeypatch):
         """Three dropout-0.1 Adam steps give the same parameter bits with the earlier nodes.
 
-        In those, consumers keep each normalize output, head_mix keeps its
-        weight product and mixed values, and GELU, dropout and softmax keep
-        their earlier arrays.
+        In those, consumers keep each normalize, softmax, dropout and reshape
+        output, head_mix keeps its weight product and mixed values and forms
+        its weight gradient from all heads at once, and GELU, dropout and
+        softmax keep their earlier arrays.
         """
         from spectral_forecaster import nn
         from spectral_forecaster.training import AdamState, adam_step, mse_loss
@@ -1161,6 +1214,7 @@ class TestLeanNodesTrainAlike:
         monkeypatch.setattr(T, "head_mix", ref.z_keeping_head_mix)
         monkeypatch.setattr(T, "softmax", ref.three_array_softmax)
         monkeypatch.setattr(T, "normalize", ref.recipe_free_normalize)
+        monkeypatch.setattr(T, "reshape", ref.recipe_free_reshape)
         earlier = train()
         assert lean[1] == earlier[1]
         assert lean[0].tobytes() == earlier[0].tobytes()

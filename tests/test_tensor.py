@@ -1,6 +1,8 @@
 """Tape mechanics and per-op gradient rules against finite differences."""
 
+import inspect
 import math
+import sys
 import tracemalloc
 import weakref
 
@@ -811,6 +813,48 @@ class TestRetainedState:
         with no_grad():
             assert module(Parameter(x))._rebuild is None  # an unrecorded output keeps nothing
 
+    def test_softmax_recipe_returns_the_kept_output(self):
+        rng = np.random.default_rng(182)
+        x = Parameter(rng.standard_normal((3, 2, 5, 5)) * 4.0)
+        out = T.softmax(x, axis=-1)
+        rebuilt = out._rebuild()
+        assert rebuilt is out.data  # the array the node keeps for its own rule
+        kept = [c.cell_contents for c in out.node.backward_fn.__closure__
+                if isinstance(c.cell_contents, np.ndarray)]
+        assert any(a is rebuilt for a in kept)
+        with no_grad():
+            assert T.softmax(x)._rebuild is None
+
+    @pytest.mark.parametrize("p", [0.1, 0.5])
+    def test_dropout_over_softmax_recipe_rebuilds_bit_for_bit(self, p):
+        rng = np.random.default_rng(183)
+        x = Parameter(rng.standard_normal((3, 2, 5, 5)) * 4.0)
+        keep = rng.random(x.shape) >= p
+        out = T.dropout(T.softmax(x, axis=-1), keep, 1.0 / (1.0 - p))
+        rebuilt = out._rebuild()
+        assert rebuilt is not out.data
+        assert rebuilt.tobytes() == out.data.tobytes()
+        # over an output without a recipe, or unrecorded, there is nothing to rerun
+        assert T.dropout(x, keep, 2.0)._rebuild is None
+        with no_grad():
+            assert T.dropout(T.softmax(x), keep, 2.0)._rebuild is None
+
+    def test_reshape_over_normalize_recipe_rebuilds_bit_for_bit(self):
+        from spectral_forecaster.nn import BatchNorm
+
+        rng = np.random.default_rng(184)
+        norm = BatchNorm(6).init_state()
+        norm.gamma.data[...] = 1.0 + 0.3 * rng.standard_normal(6)
+        norm.beta.data[...] = rng.standard_normal(6)
+        x = Parameter(rng.standard_normal((5, 7, 6)) * 3.0 + 1.0)
+        out = T.reshape(norm(x), (5, -1))
+        rebuilt = out._rebuild()
+        assert rebuilt.shape == out.shape == (5, 42)
+        assert rebuilt.tobytes() == out.data.tobytes()
+        assert T.reshape(x, (5, -1))._rebuild is None
+        with no_grad():
+            assert T.reshape(norm(x), (5, -1))._rebuild is None
+
     def test_normalize_output_freed_when_the_forward_returns(self, monkeypatch):
         """A Linear reading a BatchNorm output rebuilds it in backward, with the kept array's bits."""
         from spectral_forecaster.nn import BatchNorm, Linear
@@ -891,34 +935,120 @@ class TestRetainedState:
         for a, b in zip(new, old):
             assert a.tobytes() == b.tobytes()
 
-    def test_head_mix_working_set_is_one_block(self):
-        """Neither pass forms the full-width mixed values' products for all rows at once.
+    # rows per training step of each benchmark workload
+    WORKLOAD_ROWS = {"paper": 112, "prefilter336": 112, "pinned": 16}
 
-        At 1,024 rows of the pinned heads the mixed values take 6.3 MB, 13
-        blocks. The forward holds the permuted attention weights and the
-        output, plus one block; the backward holds the permuted weights and
-        either the mixed values (for the weight gradient, which spans all
-        rows) or the activation gradients, plus one block of theirs.
+    @pytest.mark.parametrize("name", HEAD_MIX_WORKLOADS)
+    def test_head_mix_at_the_workload_batch_matches_z_keeping_form(self, name):
+        """The head groups a training step uses give the all-heads bits (paper's take 3 groups)."""
+        h, n, d = self.HEAD_MIX_WORKLOADS[name]
+        rows = self.WORKLOAD_ROWS[name]
+        heads = max(1, T._HEAD_MIX_GROUP // (rows * n * d * 8))
+        assert len(T.even_chunks(h, heads)) == {"paper": 3, "prefilter336": 4, "pinned": 1}[name]
+        rng = np.random.default_rng(178)
+        arrays = self.head_mix_operands(rng, rows, h, n, d)
+        proj = rng.standard_normal((rows, n, d))
+        new = _grads_of(T.head_mix, arrays, proj)
+        old = _grads_of(ref.z_keeping_head_mix, arrays, proj)
+        for a, b in zip(new, old):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("name", TestHeadMix.SHAPES)
+    def test_head_mix_backward_leaves_attn_intact(self, name):
+        """The attention gradient is written over a copy of attn, even where a reshape would be a view."""
+        rows, h, n, _, _, d_out = TestHeadMix.SHAPES[name]
+        rng = np.random.default_rng(179)
+        arrays, _ = TestHeadMix.operands(rng, TestHeadMix.SHAPES[name], False)
+        scores = Parameter(rng.standard_normal((rows, h, n, n)))
+        attn = T.softmax(scores, axis=-1)
+        before = attn.data.copy()
+        out = T.head_mix(attn, *(Parameter(a) for a in arrays[1:]))
+        backward(ref.sum(T.mul(out, rng.standard_normal((rows, n, d_out)))))
+        assert attn.data.tobytes() == before.tobytes()
+        assert np.isfinite(scores.grad).all()
+
+    @staticmethod
+    def phase_peaks(rule, g):
+        """Traced peaks of a head_mix rule before the line that forms ``mix_t`` and from it on.
+
+        ``mix_t``, the weight product the activation gradients read, starts
+        the second pass. The line is found in the rule's source; reading the
+        frame's locals instead would keep them alive.
+        """
+        lines, start = inspect.getsourcelines(rule)
+        boundary = start + next(i for i, line in enumerate(lines) if "mix_t = " in line)
+        peaks = []
+
+        def local(frame, event, arg):
+            if event == "line" and frame.f_lineno == boundary and not peaks:
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+                tracemalloc.reset_peak()
+            return local
+
+        def tracer(frame, event, arg):
+            return local if frame.f_code is rule.__code__ else None
+
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        sys.settrace(tracer)
+        try:
+            grads = rule(g)
+        finally:
+            sys.settrace(None)
+        assert len(peaks) == 1, "the rule formed no mix_t"
+        return peaks[0], tracemalloc.get_traced_memory()[1] - base, grads
+
+    def test_head_mix_working_set_is_one_block(self):
+        """Neither pass forms the mixed values, or products of their width, for all rows or heads at once.
+
+        At 1,024 rows of the pinned heads the mixed values take 6.3 MB: 13
+        row blocks, or 4 head groups of 1.6 MB. The forward holds the
+        permuted attention weights and the output, plus one block. The
+        backward's weight gradient holds one group's copy of the attention
+        weights and its mixed values; the activation gradients then hold
+        the permuted weights, which the attention gradient overwrites, and
+        gy, plus one block of theirs.
         """
         rows, h, n, d = 1024, 4, 12, 16
         params = [Parameter(a) for a in
                   self.head_mix_operands(np.random.default_rng(177), rows, h, n, d)]
         attn, block, wide = params[0].data.nbytes, T._HEAD_MIX_BLOCK, rows * n * h * d * 8
+        heads = max(1, T._HEAD_MIX_GROUP // (wide // h))
+        assert heads < h
         g = np.ones((rows, n, d))
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             out = T.head_mix(*params)
             forward_peak = tracemalloc.get_traced_memory()[1] - base - out.data.nbytes
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            g_attn, gy = out.node.backward_fn(g)[:2]
-            backward_peak = tracemalloc.get_traced_memory()[1] - base
+            weight_peak, backward_peak, grads = self.phase_peaks(out.node.backward_fn, g)
         finally:
             tracemalloc.stop()
         assert forward_peak <= attn + 2 * block, f"{forward_peak / block:.1f} blocks"
-        bound = attn + max(wide, g_attn.nbytes + gy.nbytes) + 2 * block
+        group = (attn + wide) * heads // h
+        assert weight_peak <= group + 2 * block, f"{(weight_peak - group) / block:.1f} blocks over"
+        g_attn, gy = grads[:2]
+        assert g_attn.base is not None  # a view of the permuted copy, not an array of its own
+        bound = attn + gy.nbytes + 2 * block
         assert backward_peak <= bound, f"{(backward_peak - bound) / block:.1f} blocks over"
+
+    def test_normalize_backward_allocates_one_full_size_array(self):
+        """The input gradient is the one array of the input's size; the rest is a block of rows."""
+        rng = np.random.default_rng(185)
+        x = Parameter(rng.standard_normal((64, 32, 32)))
+        gamma, beta = Parameter(rng.standard_normal(32)), Parameter(rng.standard_normal(32))
+        out, _, _ = T.normalize(x, (0, 1), 1e-5, gamma, beta)
+        g = rng.standard_normal(x.shape)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            gx = out.node.backward_fn(g)[0]
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # one block of rows, and the buffer numpy's ufuncs use to broadcast an operand
+        bound = gx.nbytes + 8 * T._GELU_CHUNK + 8 * np.getbufsize() + 32 * 1024
+        assert peak <= bound, f"{peak / gx.nbytes:.2f} input sizes"
 
     @pytest.mark.parametrize("n, most", [(0, 4), (1, 4), (4, 4), (5, 4), (305, 85), (305, 10)])
     def test_even_chunks_cover_the_range_in_even_sizes(self, n, most):
