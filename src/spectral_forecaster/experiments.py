@@ -231,6 +231,10 @@ def _write_metrics_table(path, column: str, rows) -> None:
 
 def _sweep(config: ExperimentConfig, column: str, settings) -> tuple[list, str]:
     """Train one model per (label, ModelConfig) pair, all sharing the seed."""
+    labels = tuple(label for label, _ in settings)
+    if len(set(labels)) != len(labels):
+        # each label names one table row, so a repeat would train the same model twice
+        raise ConfigError(f"{column} values must be distinct, got {labels}")
     series = load_series(config)
     os.makedirs(config.out_dir, exist_ok=True)
     rows = []

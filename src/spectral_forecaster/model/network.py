@@ -128,9 +128,9 @@ class AttentionBlock(Module):
     back to d_model. Q/K/V maps carry no bias. Dropout hits the attention
     weights and the MLP interior only.
 
-    The scores are one ``T.attention_scores`` node, which keeps ``y`` and
-    rebuilds q and k in its backward. The value path runs reassociated, as
-    one ``T.head_mix`` node:
+    The scores, the softmax, the attention dropout and the value path are
+    one ``T.attention`` node, whose mask ``attn_drop.mask`` draws. The value
+    path runs reassociated:
     ``sum_h A_h (y Wv_h) Wo_h = [A_1 y | ... | A_H y] [Wv_h Wo_h]_h``. The
     same function with the same parameters (``wv``, ``out_proj``), at
     h * d^3 + R * n * h * d^2 multiply-adds instead of 2 * R * n * h * d^2
@@ -153,9 +153,10 @@ class AttentionBlock(Module):
         self.norm2 = BatchNorm(d_model)
 
     def _attend(self, y: Tensor, rng: np.random.Generator | None) -> Tensor:
-        scores = T.attention_scores(y, self.wq, self.wk, self.n_heads, 1.0 / np.sqrt(self.d_k))
-        attn = self.attn_drop(T.softmax(scores, axis=-1), rng)
-        return T.head_mix(attn, y, self.wv, self.out_proj.weight, self.out_proj.bias)
+        rows, n = y.shape[:2]
+        keep = self.attn_drop.mask((rows, self.n_heads, n, n), rng)
+        return T.attention(y, self.wq, self.wk, self.wv, self.out_proj.weight, self.out_proj.bias,
+                           self.n_heads, 1.0 / np.sqrt(self.d_k), keep, self.attn_drop.scale)
 
     def forward(self, y: Tensor, rng: np.random.Generator | None = None) -> Tensor:
         if y.ndim != 3 or y.shape[-1] != self.d_model:

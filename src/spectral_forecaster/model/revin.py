@@ -12,6 +12,7 @@ import warnings
 
 import numpy as np
 
+from ..errors import NumericError
 from ..numeric import tensor as T
 from ..numeric.tensor import Parameter, Tensor
 from ..nn import Module
@@ -38,8 +39,11 @@ class RevIN(Module):
         x = np.asarray(x, dtype=np.float64)
         if x.shape[-1] < 2:
             raise ValueError(f"revin needs at least 2 samples per row, got shape {x.shape}")
-        mean = x.mean(axis=-1, keepdims=True)
-        var = x.var(axis=-1, keepdims=True)  # population variance
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below, in one line
+            mean = x.mean(axis=-1, keepdims=True)
+            var = x.var(axis=-1, keepdims=True)  # population variance
+        if not np.isfinite(var).all():
+            raise NumericError("rows too large for revin statistics in float64")
         if np.any(var == 0.0):
             warnings.warn("zero-variance channel normalized with eps-floored std", stacklevel=2)
         std = np.sqrt(var + REVIN_EPS)

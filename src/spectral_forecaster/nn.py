@@ -185,19 +185,25 @@ class Linear(Module):
 
 
 class Dropout(Module):
-    """Inverted dropout; identity in eval mode or at rate zero."""
+    """Inverted dropout; identity in eval mode or at rate zero, the rule :meth:`mask` owns."""
 
     def __init__(self, p: float):
         if not 0.0 <= p < 1.0:
             raise ValueError(f"dropout rate must be in [0, 1), got {p}")
         self.p = float(p)
+        self.scale = 1.0 / (1.0 - self.p)
 
-    def forward(self, x: Tensor, rng: np.random.Generator | None = None) -> Tensor:
+    def mask(self, shape, rng: np.random.Generator | None) -> np.ndarray | None:
+        """The boolean keep mask of one forward over ``shape``, or None where dropout is the identity."""
         if not self.training or self.p == 0.0:
-            return x
+            return None
         if rng is None:
             raise ValueError("dropout requires an rng in training mode")
-        return T.dropout(x, rng.random(x.shape) >= self.p, 1.0 / (1.0 - self.p))
+        return rng.random(shape) >= self.p
+
+    def forward(self, x: Tensor, rng: np.random.Generator | None = None) -> Tensor:
+        keep = self.mask(x.shape, rng)
+        return x if keep is None else T.dropout(x, keep, self.scale)
 
 
 class BatchNorm(Module):

@@ -6,10 +6,10 @@ handles, and its backward rule keeps only the shapes and arrays it reads, so
 an intermediate no rule reads is freed as soon as the forward drops it. An
 output its own node can rebuild carries that recipe, and a rule that reads
 it keeps the recipe, so each activation is held once: a ``normalize``
-output is rebuilt from the ``xhat`` that node keeps, a ``softmax`` output is
-the array its node keeps, a ``dropout`` over an output with a recipe
-reruns its mask on that recipe, and a ``reshape`` passes its input's
-recipe on.
+output is rebuilt from the ``xhat`` that node keeps, and a ``reshape``
+passes its input's recipe on. Multi-head attention is one node,
+:func:`attention`, which keeps only its softmax maps and dropout mask and
+recomputes the rest in backward.
 ``backward`` walks the recorded graph once in reverse topological order,
 accumulates gradients into ``requires_grad`` leaves, and frees each node as
 soon as it is processed; calling it twice on the same loss is an error. Ops
@@ -43,9 +43,7 @@ __all__ = [
     "normalize",
     "relu",
     "gelu",
-    "softmax",
-    "attention_scores",
-    "head_mix",
+    "attention",
     "dropout",
     "unfold",
     "spectral_gate",
@@ -198,9 +196,8 @@ def _keep(t: Tensor):
     """What a rule keeps to read ``t.data`` in backward: a call that returns the same bits.
 
     That is ``t``'s recipe when it has one (a :func:`normalize` output is
-    rebuilt from what its own node keeps), else the array itself. A rule
-    must not write into what the call returns: a softmax recipe returns the
-    array its node keeps.
+    rebuilt from what its own node keeps), else the array itself, which a
+    rule must not write into.
     """
     data = t.data
     return t._rebuild or (lambda: data)
@@ -636,84 +633,6 @@ def gelu(a) -> Tensor:
     return _from_op(out.reshape(shape), "gelu", (a,), bwd)
 
 
-def softmax(a, axis: int = -1) -> Tensor:
-    """Softmax along ``axis``, shifted by the exact row max, in one output buffer.
-
-    The max is taken column by column with ``np.maximum``: exact, and over
-    the few patches of an attention row several times faster than numpy's
-    strided ``max(axis=-1)``. The node keeps its output for its own rule, so
-    a recorded output's recipe returns that array: a consumer (dropout,
-    ``head_mix``) keeps the recipe, not a second reference that would
-    outlive the node.
-    """
-    a = _wrap(a)
-    cols = np.moveaxis(a.data, axis, -1)
-    top = cols[..., 0].copy()
-    for j in range(1, cols.shape[-1]):
-        np.maximum(top, cols[..., j], out=top)
-    out = a.data - np.expand_dims(top, axis)
-    np.exp(out, out=out)
-    out /= out.sum(axis=axis, keepdims=True)
-
-    def bwd(g):
-        inner = (g * out).sum(axis=axis, keepdims=True)
-        gx = g - inner
-        gx *= out
-        return (gx,)
-
-    res = _from_op(out, "softmax", (a,), bwd)
-    if res.node is not None:
-        res._rebuild = lambda: out
-    return res
-
-
-def attention_scores(y, wq, wk, n_heads: int, scale: float) -> Tensor:
-    """Every head's attention scores, ``scale * q_h @ k_h^T`` of ``q = y @ wq``, ``k = y @ wk``.
-
-    ``y`` is (rows, n, d) and ``wq``, ``wk`` are (d, n_heads * d_k); head h
-    owns columns ``h*d_k:(h+1)*d_k`` of both. The output is (rows, n_heads,
-    n, n), one node. The node keeps ``y`` (through :func:`_keep`, as
-    ``head_mix`` does) and the two weights, not the projections: its
-    backward rebuilds q and k from ``y`` with the forward's own products, two
-    GEMMs traded for two projection-sized arrays held from forward to
-    backward.
-    """
-    y, wq, wk = _wrap(y), _wrap(wq), _wrap(wk)
-    h = n_heads
-    if (y.ndim != 3 or wq.ndim != 2 or wk.shape != wq.shape or wq.shape[0] != y.shape[-1]
-            or h < 1 or wq.shape[1] % h):
-        raise ValueError(
-            f"attention_scores shapes do not fit: y {y.shape}, wq {wq.shape}, wk {wk.shape}, "
-            f"n_heads {n_heads}"
-        )
-    rows, n, d = y.shape
-    dk = wq.shape[1] // h
-    wqd, wkd, y_data = wq.data, wk.data, _keep(y)
-
-    def heads(y2, w):
-        # (rows, h, n, d_k) view of one projection, laid out as its 2-D product
-        return (y2 @ w).reshape(rows, n, h, dk).transpose(0, 2, 1, 3)
-
-    y2 = y.data.reshape(-1, d)
-    out = heads(y2, wqd) @ heads(y2, wkd).transpose(0, 1, 3, 2)
-    out *= scale
-
-    def bwd(g):
-        y2 = y_data().reshape(-1, d)
-        gs = g * scale
-        # each projection's gradient in the (rows * n, h * d_k) layout of its product
-        gk = (np.swapaxes(heads(y2, wqd), -1, -2) @ gs).transpose(0, 3, 1, 2).reshape(-1, h * dk)
-        gq = (gs @ heads(y2, wkd)).transpose(0, 2, 1, 3).reshape(-1, h * dk)
-        del gs
-        gwq, gwk = y2.T @ gq, y2.T @ gk
-        del y2  # a rebuilt y is freed before gy allocates
-        gy = gq @ wqd.T
-        gy += gk @ wkd.T
-        return gy.reshape(rows, n, d), gwq, gwk
-
-    return _from_op(out, "attention_scores", (y, wq, wk), bwd)
-
-
 def even_chunks(n: int, most: int) -> list[tuple[int, int]]:
     """``range(n)`` as ceil(n / most) ``(lo, hi)`` ranges whose sizes differ by at most one.
 
@@ -725,99 +644,119 @@ def even_chunks(n: int, most: int) -> list[tuple[int, int]]:
     return [(i * n // chunks, (i + 1) * n // chunks) for i in range(chunks)]
 
 
-# bytes of mixed values one head_mix block forms: its products stay in cache
+# bytes of mixed values one row block of the value path forms: its products stay in cache
 _HEAD_MIX_BLOCK = 512 * 1024
-# bytes of mixed values one group of heads forms for head_mix's weight
+# bytes of mixed values one group of heads forms for the value-weight
 # gradient: the pinned shape's four 16-column heads stay one group up to 341 rows
 _HEAD_MIX_GROUP = 2 * 1024 * 1024
 
 
-def head_mix(attn, y, wv, wo, bias) -> Tensor:
-    """Multi-head attention's value path, ``sum_h attn_h @ (y @ wv_h) @ wo_h + bias``, one node.
+def attention(y, wq, wk, wv, wo, bias, n_heads: int, scale: float, keep=None,
+              drop_scale: float = 1.0) -> Tensor:
+    """Multi-head self-attention, ``sum_h A_h @ (y @ wv_h) @ wo_h + bias``, as one node.
 
-    ``attn`` is (rows, h, n, n), ``y`` (rows, n, d), ``wv`` (d, h * dv) and
-    ``wo`` (h * dv, d_out); head h owns columns ``h*dv:(h+1)*dv`` of ``wv``
-    and the same rows of ``wo``. Reassociated as
-    ``[attn_1 @ y | ... | attn_h @ y] @ [wv_h @ wo_h]_h``: the per-head
-    weight products cost h * d * dv * d_out once, and each row then costs
-    n * h * d * d_out instead of n * h * dv * (d + d_out). With dv = d, as
-    in the attention block, that saves work whenever rows * n exceeds
-    d_out. The small ``attn`` is permuted, not the wide values, so the mixed
-    values come out in the (rows * n, h * d) layout of the final GEMM.
+    ``y`` is (rows, n, d); ``wq`` and ``wk`` are (d, h * d_k), ``wv`` (d, h *
+    dv) and ``wo`` (h * dv, d_out); head h owns its slice of each weight's
+    heads axis. ``A_h`` is the softmax over keys of ``scale * q_h @ k_h^T``
+    (``q = y @ wq``, ``k = y @ wk``), shifted by the exact row max, times
+    ``keep * drop_scale`` when a boolean mask ``keep`` (rows, h, n, n) is
+    given: inverted dropout. The value path is reassociated as ``[A_1 @ y |
+    ... | A_h @ y] @ [wv_h @ wo_h]_h``, fewer multiply-adds whenever rows * n
+    exceeds d_out (with dv = d). Its mixed values are h times wider than
+    ``y``, so they are formed one block of rows at a time, at most
+    ``_HEAD_MIX_BLOCK`` bytes.
 
-    The mixed values are h times wider than ``y``, so they are formed one
-    block of rows at a time, at most ``_HEAD_MIX_BLOCK`` bytes, and each
-    block is multiplied into its rows of the preallocated output. The node
-    keeps ``attn`` and ``y`` through :func:`_keep` (the softmax output,
-    which that node keeps anyway, or the recipe of the dropout over it) and
-    the two weights. The backward recomputes the weight product. Its weight
-    gradient spans all rows, so it is formed one group of whole heads at a
-    time: group k's columns of the mixed values, ``z_k``, come from a copy of
-    ``attn[:, heads_k]``, at most ``_HEAD_MIX_GROUP`` bytes of them (at
-    least one head), and ``g^T @ z_k`` gives the group's heads their
-    ``wv``/``wo`` gradients, written into their views. Neither the full
-    mixed values nor their full gradient product exists. When one group
-    holds every head, attn is permuted once for both passes. The activation
-    gradients follow in the row blocks, and the attention gradient is
-    written over the permuted attention each block has just read.
+    As in FlashAttention, the node keeps only the softmax maps and the mask,
+    in the value path's permuted layout (rows, n * h, n), where row i * h + j
+    holds query i's weights under head j, besides ``y`` (through
+    :func:`_keep`) and the weights. Its backward rebuilds ``y`` once and
+    recomputes the rest: the value-weight gradient one group of whole heads
+    at a time, at most ``_HEAD_MIX_GROUP`` bytes of mixed values, so neither
+    the full mixed values nor their full gradient product exists; the
+    activation gradients in the row blocks, the map gradient written over
+    the dropped maps each block has just read; then the dropout, softmax and
+    score gradients in place, with q and k rebuilt. ``y`` is listed twice
+    among the parents, value path first, so ``backward`` sums its gradient
+    as (other uses + value path) + scores.
 
     A group's columns come from a GEMM that is narrower than the full one,
     and the bits of a GEMM can depend on its width. On scipy-openblas
     0.3.31 with one thread, column groups of 64 and 128 matched the full
     product at 1-305 rows, while groups of 16 and 32 columns differed from
-    about 83 rows on. The budget keeps the benchmark shapes' groups at whole heads of
-    64 columns or more, or a single group; a narrower split, or another
-    BLAS, may change the weight gradient's last bits.
+    about 83 rows on. The budget keeps the benchmark shapes' groups at whole
+    heads of 64 columns or more, or a single group; a narrower split, or
+    another BLAS, may change the weight gradient's last bits.
     """
-    attn, y, wv, wo, bias = (_wrap(t) for t in (attn, y, wv, wo, bias))
-    rows, h, n = attn.shape[:3]
-    d = y.shape[-1]
-    dv = wv.shape[1] // h
-    d_out = wo.shape[1]
-    if (attn.shape != (rows, h, n, n) or y.shape != (rows, n, d) or wv.shape != (d, h * dv)
-            or wo.shape != (h * dv, d_out) or bias.shape != (d_out,)):
-        raise ValueError(
-            f"head_mix shapes do not fit: attn {attn.shape}, y {y.shape}, "
-            f"wv {wv.shape}, wo {wo.shape}, bias {bias.shape}"
-        )
+    y, wq, wk, wv, wo, bias = (_wrap(t) for t in (y, wq, wk, wv, wo, bias))
+    h = n_heads
+    if not (y.ndim == 3 and wq.ndim == wv.ndim == wo.ndim == 2 and h >= 1
+            and wk.shape == wq.shape and wq.shape[0] == wv.shape[0] == y.shape[-1]
+            and wq.shape[1] % h == 0 and wv.shape[1] % h == 0 and wo.shape[0] == wv.shape[1]
+            and bias.shape == wo.shape[1:]
+            and (keep is None or keep.shape == (y.shape[0], h, y.shape[1], y.shape[1]))):
+        raise ValueError(f"attention shapes do not fit: y {y.shape}, wq {wq.shape}, wk {wk.shape}, "
+                         f"wv {wv.shape}, wo {wo.shape}, bias {bias.shape}, n_heads {n_heads}, "
+                         f"keep {None if keep is None else keep.shape}")
+    rows, n, d = y.shape
+    dk, dv, d_out = wq.shape[1] // h, wv.shape[1] // h, wo.shape[1]
+    wqd, wkd, y_data = wq.data, wk.data, _keep(y)
     wv3 = wv.data.reshape(d, h, dv).transpose(1, 0, 2)    # (h, d, dv)
     wo3 = wo.data.reshape(h, dv, d_out)
-    mix = (wv3 @ wo3).reshape(h * d, d_out)
-    yd, attn_data, y_data = y.data, _keep(attn), _keep(y)
     blocks = even_chunks(rows, max(1, _HEAD_MIX_BLOCK // (n * h * d * 8)))
 
-    def permuted(a):
-        # a fresh copy of a slice of attn (reshape alone returns a view when the
-        # slice has one head or one patch): row i * k + head holds query i's
-        # weights under each of its k heads
-        return a.transpose(0, 2, 1, 3).copy().reshape(len(a), -1, n)
+    def heads(y2, w):
+        # (rows, h, n, d_k) view of one projection, laid out as its 2-D product
+        return (y2 @ w).reshape(rows, n, h, dk).transpose(0, 2, 1, 3)
 
-    at = permuted(attn.data)
+    def per_head(maps):
+        # (rows, h, n, n) view of permuted maps
+        return maps.reshape(rows, n, h, n).transpose(0, 2, 1, 3)
+
+    y2 = y.data.reshape(-1, d)
+    p = np.empty((rows, n * h, n))
+    np.matmul(heads(y2, wqd), heads(y2, wkd).transpose(0, 1, 3, 2), out=per_head(p))
+    p *= scale
+    top = p[..., 0].copy()
+    for j in range(1, n):
+        np.maximum(top, p[..., j], out=top)
+    p -= top[..., None]
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    if keep is not None:
+        keep = keep.transpose(0, 2, 1, 3).reshape(rows, n * h, n)
+
+    def dropped():
+        if keep is None:
+            return p
+        at = p * keep
+        at *= drop_scale
+        return at
+
+    at, yd = dropped(), y.data
+    mix = (wv3 @ wo3).reshape(h * d, d_out)
     out = np.empty((rows * n, d_out))
     for lo, hi in blocks:
         np.matmul((at[lo:hi] @ yd[lo:hi]).reshape(-1, h * d), mix, out=out[lo * n:hi * n])
-    del at
     out += bias.data
 
     def bwd(g):
         g2 = g.reshape(rows * n, d_out)
-        ad, yd = attn_data(), y_data()
+        yd, at = y_data(), dropped()
         gwv, gwo = np.empty((d, h * dv)), np.empty((h * dv, d_out))
         gwv3, gwo3 = gwv.reshape(d, h, dv).transpose(1, 0, 2), gwo.reshape(h, dv, d_out)
         groups = even_chunks(h, max(1, _HEAD_MIX_GROUP // max(1, rows * n * d * 8)))
         for lo, hi in groups:
-            at = permuted(ad[:, lo:hi])
-            z = (at @ yd).reshape(rows * n, -1)
+            # group k's maps: a view for one head or all, else a copy out of the permuted layout
+            z = at.reshape(rows, n, h, n)[:, :, lo:hi].reshape(rows, -1, n) @ yd
             # (d_out, heads * d); each head's (d, d_out) weight gradient is a transposed view
-            gmix = (g2.T @ z).reshape(d_out, hi - lo, d).transpose(1, 2, 0)
+            gmix = (g2.T @ z.reshape(rows * n, -1)).reshape(d_out, hi - lo, d).transpose(1, 2, 0)
             del z  # the widest array here: gone before the next products allocate
             np.matmul(gmix, np.swapaxes(wo3[lo:hi], 1, 2), out=gwv3[lo:hi])
             np.matmul(np.swapaxes(wv3[lo:hi], 1, 2), gmix, out=gwo3[lo:hi])
             del gmix
         mix_t = np.ascontiguousarray((wv3 @ wo3).reshape(h * d, d_out).T)
-        if len(groups) > 1:
-            at = permuted(ad)  # a single group has already permuted every head
-        del ad  # a rebuilt attn is freed before the activation gradients allocate
+        # the map gradient overwrites dropped maps each block has just read, never p
+        ga = np.empty_like(p) if at is p else at
         gy = np.empty((rows, n, d))
         most = max((hi - lo for lo, hi in blocks), default=0)
         gz_rows = np.empty((most * n, h * d))  # every block's gz, in turn
@@ -826,11 +765,26 @@ def head_mix(attn, y, wv, wo, bias) -> Tensor:
             np.matmul(g2[lo * n:hi * n], mix_t, out=gz)
             gz = gz.reshape(hi - lo, n * h, d)
             np.matmul(np.swapaxes(at[lo:hi], 1, 2), gz, out=gy[lo:hi])
-            # the attention gradient has at's layout, so it overwrites the rows gy just read
-            np.matmul(gz, np.swapaxes(yd[lo:hi], 1, 2), out=at[lo:hi])
-        return at.reshape(rows, n, h, n).transpose(0, 2, 1, 3), gy, gwv, gwo, g2.sum(axis=0)
+            np.matmul(gz, np.swapaxes(yd[lo:hi], 1, 2), out=ga[lo:hi])
+        del at, gz_rows, gz, mix_t
+        if keep is not None:
+            ga *= keep
+            ga *= drop_scale
+        ga -= np.multiply(ga, p).sum(axis=-1, keepdims=True)
+        ga *= p
+        ga *= scale
+        # each projection's gradient in the (rows * n, h * d_k) layout of its product
+        y2, gs = yd.reshape(-1, d), per_head(ga)
+        gk = (np.swapaxes(heads(y2, wqd), -1, -2) @ gs).transpose(0, 3, 1, 2).reshape(-1, h * dk)
+        gq = (gs @ heads(y2, wkd)).transpose(0, 2, 1, 3).reshape(-1, h * dk)
+        del ga, gs
+        gwq, gwk = y2.T @ gq, y2.T @ gk
+        del y2, yd  # a rebuilt y is freed before its score gradient allocates
+        gys = gq @ wqd.T
+        gys += gk @ wkd.T
+        return gy, gys.reshape(rows, n, d), gwq, gwk, gwv, gwo, g2.sum(axis=0)
 
-    return _from_op(out.reshape(rows, n, d_out), "head_mix", (attn, y, wv, wo, bias), bwd)
+    return _from_op(out.reshape(rows, n, d_out), "attention", (y, y, wq, wk, wv, wo, bias), bwd)
 
 
 def dropout(a, keep: np.ndarray, scale: float) -> Tensor:
@@ -839,11 +793,8 @@ def dropout(a, keep: np.ndarray, scale: float) -> Tensor:
     The node keeps the one-byte mask and the scalar, not a float mask.
     Multiplying by ``keep`` and then by ``scale`` gives the same bits as
     multiplying by the float mask ``keep * scale``: each element is either
-    multiplied by exactly 1 and then by ``scale``, or zeroed. When ``a``
-    carries a recipe (a softmax output does), a recorded output carries one
-    too: ``a``'s recipe times ``keep`` times ``scale``, the forward's own two
-    ufuncs, so a consumer rebuilds the dropped values instead of keeping
-    them.
+    multiplied by exactly 1 and then by ``scale``, or zeroed. Dropout on
+    attention maps runs inside :func:`attention`, in the same two ufuncs.
     """
     a = _wrap(a)
     if keep.shape != a.shape:
@@ -856,16 +807,7 @@ def dropout(a, keep: np.ndarray, scale: float) -> Tensor:
         gx *= scale
         return (gx,)
 
-    res = _from_op(out, "dropout", (a,), bwd)
-    if a._rebuild is not None and res.node is not None:
-        src = a._rebuild
-
-        def rebuild():
-            y = src() * keep
-            y *= scale
-            return y
-        res._rebuild = rebuild
-    return res
+    return _from_op(out, "dropout", (a,), bwd)
 
 
 def rfft_kernel(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -314,4 +314,6 @@ def evaluate(model, samples) -> Metrics:
         raise ValueError("cannot evaluate an empty stream")
     rows_x, rows_y = _rows(samples)
     mse_v, mae_v = _raw_metrics(model, rows_x, rows_y)
+    if math.isinf(mse_v) or math.isinf(mae_v):  # a NaN is left to Metrics to reject
+        raise NumericError(f"metrics overflowed float64: mse {mse_v}, mae {mae_v}")
     return Metrics(mse=mse_v, mae=mae_v)

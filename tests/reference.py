@@ -6,19 +6,25 @@ reducers and as the unfused mean/var/sub/div chain that ``tensor.normalize``
 is checked against.
 ``rfft`` and ``irfft`` are tape ops over ``(re, im)`` tensor pairs; chained
 with four muls, a sub and an add they form the unfused gating that
-``tensor.spectral_gate`` is checked against. ``unfused_head_mix`` and
-``unfused_attention_scores`` are the 7-node attention value chain and the
-9-node scores chain that ``tensor.head_mix`` and ``tensor.attention_scores``
-are checked against.
-``two_array_gelu``, ``float_mask_dropout``, ``z_keeping_head_mix``,
-``three_array_softmax``, ``recipe_free_normalize`` and
+``tensor.spectral_gate`` is checked against. ``unfused_attention`` is
+attention as the 17-node chain (18 with a dropout mask) that
+``tensor.attention`` is checked against to rounding: the 9-node scores
+chain ``unfused_attention_scores``, a softmax, the dropout as a ``mul`` and
+the 7-node value chain ``unfused_head_mix``.
+``split_attention`` is the four-node chain ``tensor.attention`` replaced,
+which it must match bit for bit: ``attention_scores`` (every head's scaled
+q k^T as one node that rebuilds q and k in backward), ``three_array_softmax``
+(numpy's row max, then a shifted, an exponentiated and a normalized array),
+the dropout as a ``mul`` by a float mask and ``z_keeping_head_mix`` (the
+value path reassociated as one node that keeps the mixed values, all heads
+at once, and the weight product). ``split_attend`` is
+``AttentionBlock._attend`` over that chain, with ``float_mask_dropout``
+drawing the mask.
+``two_array_gelu``, ``float_mask_dropout``, ``recipe_free_normalize`` and
 ``recipe_free_reshape`` are the earlier forms of the GELU node (keeping the
-cdf and exp arrays), of dropout (a ``mul`` by a float mask, whose output has
-no recipe), of ``head_mix`` (keeping the mixed values, all heads at once,
-and the weight product), of softmax (numpy's row max, then a shifted, an
-exponentiated and a normalized array, and no recipe) and of ``normalize``
-and ``reshape`` (outputs without a recipe, whose consumers keep their
-arrays), which the leaner nodes must match bit for bit.
+cdf and exp arrays), of dropout (a ``mul`` by a float mask) and of
+``normalize`` and ``reshape`` (outputs without a recipe, whose consumers
+keep their arrays), which the leaner nodes must match bit for bit.
 ``adam_step_per_parameter`` is the per-parameter Adam loop and
 ``adam_step_gathered`` the earlier flat update over a concatenated gradient;
 the blocked arena update must match both bit for bit.
@@ -50,7 +56,7 @@ from spectral_forecaster.model.checkpoint import MAGIC
 from spectral_forecaster.model.network import AttentionBlock, PatchEmbedding
 from spectral_forecaster.numeric import tensor as T
 from spectral_forecaster.numeric.tensor import (
-    _GELU_CHUNK, _INV_SQRT2, _INV_SQRT_2PI, Tensor, _erf, _from_op, _wrap, irfft_kernel,
+    _GELU_CHUNK, _INV_SQRT2, _INV_SQRT_2PI, Tensor, _erf, _from_op, _keep, _wrap, irfft_kernel,
     rfft_kernel,
 )
 from spectral_forecaster.spectral import SpectralBlock, SpectralFilter
@@ -185,6 +191,65 @@ def unfused_attention_scores(y, wq, wk, n_heads: int, scale: float) -> Tensor:
     q = split_heads(T.matmul(y, wq))
     k = split_heads(T.matmul(y, wk))
     return T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), scale)
+
+
+def unfused_attention(y, wq, wk, wv, wo, bias, n_heads: int, scale: float, keep=None,
+                      drop_scale: float = 1.0) -> Tensor:
+    """``tensor.attention`` as the 17-node chain: scores, softmax, a float-mask ``mul``, value path."""
+    attn = three_array_softmax(unfused_attention_scores(y, wq, wk, n_heads, scale), axis=-1)
+    if keep is not None:
+        attn = T.mul(attn, keep * drop_scale)
+    return unfused_head_mix(attn, y, wv, wo, bias)
+
+
+def attention_scores(y, wq, wk, n_heads: int, scale: float) -> Tensor:
+    """Every head's attention scores, ``scale * q_h @ k_h^T`` of ``q = y @ wq``, ``k = y @ wk``, one node.
+
+    ``y`` is (rows, n, d) and ``wq``, ``wk`` are (d, n_heads * d_k); the
+    output is (rows, n_heads, n, n). The node keeps ``y`` and the two
+    weights, and its backward rebuilds q and k from ``y``.
+    """
+    y, wq, wk = _wrap(y), _wrap(wq), _wrap(wk)
+    h = n_heads
+    rows, n, d = y.shape
+    dk = wq.shape[1] // h
+    wqd, wkd, y_data = wq.data, wk.data, _keep(y)
+
+    def heads(y2, w):
+        # (rows, h, n, d_k) view of one projection, laid out as its 2-D product
+        return (y2 @ w).reshape(rows, n, h, dk).transpose(0, 2, 1, 3)
+
+    y2 = y.data.reshape(-1, d)
+    out = heads(y2, wqd) @ heads(y2, wkd).transpose(0, 1, 3, 2)
+    out *= scale
+
+    def bwd(g):
+        y2 = y_data().reshape(-1, d)
+        gs = g * scale
+        gk = (np.swapaxes(heads(y2, wqd), -1, -2) @ gs).transpose(0, 3, 1, 2).reshape(-1, h * dk)
+        gq = (gs @ heads(y2, wkd)).transpose(0, 2, 1, 3).reshape(-1, h * dk)
+        gwq, gwk = y2.T @ gq, y2.T @ gk
+        gy = gq @ wqd.T
+        gy += gk @ wkd.T
+        return gy.reshape(rows, n, d), gwq, gwk
+
+    return _from_op(out, "attention_scores", (y, wq, wk), bwd)
+
+
+def split_attention(y, wq, wk, wv, wo, bias, n_heads: int, scale: float, keep=None,
+                    drop_scale: float = 1.0) -> Tensor:
+    """``tensor.attention`` as the four-node chain it replaced, with the same bits."""
+    attn = three_array_softmax(attention_scores(y, wq, wk, n_heads, scale), axis=-1)
+    if keep is not None:
+        attn = T.mul(attn, keep * drop_scale)
+    return z_keeping_head_mix(attn, y, wv, wo, bias)
+
+
+def split_attend(self, y: Tensor, rng: np.random.Generator | None) -> Tensor:
+    """``AttentionBlock._attend`` over the split chain, its mask drawn by ``float_mask_dropout``."""
+    scores = attention_scores(y, self.wq, self.wk, self.n_heads, 1.0 / np.sqrt(self.d_k))
+    attn = float_mask_dropout(self.attn_drop, three_array_softmax(scores, axis=-1), rng)
+    return z_keeping_head_mix(attn, y, self.wv, self.out_proj.weight, self.out_proj.bias)
 
 
 def two_array_gelu(a) -> Tensor:

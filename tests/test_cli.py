@@ -342,6 +342,23 @@ class TestAblationCommands:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "at least one attention block" in err
 
+    def test_repeated_alpha_exits_2(self, tmp_path, capsys):
+        # used to train alpha 1 twice and write two identical rows
+        code = cli.main(["ablate-alpha", "--tiny", "--alphas", "1,1",
+                         "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1
+        assert "alpha values must be distinct, got (1, 1)" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_repeated_attention_count_exits_2(self, tmp_path, capsys):
+        code = cli.main(["ablate-layers", "--config", str(write_micro_config(tmp_path)),
+                         "--attention-blocks", "1,0,1"])
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1
+        assert "attention_blocks values must be distinct, got (1, 0, 1)" in err
+        assert not (tmp_path / "out").exists()
+
     def test_bad_list_flag_exits_2(self, tmp_path, capsys):
         code = cli.main([
             "ablate-layers", "--config", str(write_micro_config(tmp_path)),

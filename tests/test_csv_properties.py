@@ -146,3 +146,28 @@ def test_run_on_mutated_csv_exits_with_a_documented_code(tmp_path_factory, text)
     # a series shorter than lookback + horizon has no window in any split
     if loaded[0] == "DataError" or loaded[1][0] < 8 + 4:
         assert code == 3, lines
+
+
+def _run_on(tmp_path, text):
+    data, config = tmp_path / "huge.csv", tmp_path / "huge.yaml"
+    data.write_text(text, encoding="utf-8", newline="")
+    config.write_text(RUN_YAML.format(dataset=data, out=tmp_path / "out"))
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("default")
+        code = cli.main(["run", "--config", str(config)])
+    return code, err.getvalue().splitlines()
+
+
+# one huge cell in a validation input (rows 0-41 of 60 are the train
+# segment): RevIN's variance overflowed, which printed a warning line before
+# the numeric error
+def test_huge_value_after_the_train_segment_exits_4_in_one_line(tmp_path):
+    values = np.random.default_rng(0).standard_normal((60, 3)) * 1e-3
+    values[48, 0] = 1.591446235513268e151
+    text = "date,a,b,c\n" + "".join(f"{i},{a!r},{b!r},{c!r}\n"
+                                    for i, (a, b, c) in enumerate(values.tolist()))
+    code, lines = _run_on(tmp_path, text)
+    assert code == 4 and len(lines) == 1, lines
+    assert lines[0] == "numeric error: rows too large for revin statistics in float64"

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -230,7 +231,7 @@ class TestAblations:
         cfg = micro_config(tmp_path / "al")
         rows, path = ablate_alpha(cfg, [0, 1, 2])
         assert [r[0] for r in rows] == [0, 1, 2]
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         assert lines[0] == "alpha,mse,mae"
         assert len(lines) == 4
 
@@ -258,7 +259,7 @@ class TestAblations:
         cfg = micro_config(tmp_path / "ly")
         rows, path = ablate_layers(cfg, [0, 1])
         assert [r[0] for r in rows] == [0, 1]
-        assert open(path).read().splitlines()[0] == "attention_blocks,mse,mae"
+        assert Path(path).read_text().splitlines()[0] == "attention_blocks,mse,mae"
 
     def test_placement_covers_both_and_baseline(self, tmp_path):
         rows, path = ablate_filter_placement(micro_config(tmp_path / "pl"))
@@ -338,17 +339,17 @@ class TestExportSpectra:
         assert [os.path.basename(p) for p in paths] == [
             "x_filter0.csv", "x_embedding_spectrum.csv"
         ]
-        filter_lines = open(paths[0]).read().splitlines()
+        filter_lines = Path(paths[0]).read_text().splitlines()
         assert filter_lines[0] == "bin_index,amplitude"
         assert len(filter_lines) == 1 + 8 // 2 + 1
-        spec_lines = open(paths[1]).read().splitlines()
+        spec_lines = Path(paths[1]).read_text().splitlines()
         assert spec_lines[0] == "bin_index,pre_amplitude,post_amplitude"
         assert len(spec_lines) == 1 + 8 // 2 + 1
 
     def test_untrained_filter_is_nearly_flat(self, tmp_path):
         model = self.build_model()
         paths = export_spectra(model, self.probe(), tmp_path, "flat")
-        rows = open(paths[0]).read().splitlines()[1:]
+        rows = Path(paths[0]).read_text().splitlines()[1:]
         amps = np.array([float(r.split(",")[1]) for r in rows])
         # near-impulse init: transfer magnitude hovers around 1
         assert np.all(np.abs(amps - 1.0) < 0.5)
@@ -360,12 +361,12 @@ class TestExportSpectra:
                           filter_placement="pre-embedding")
         model = FilterFormer(cfg, np.random.default_rng(0))
         paths = export_spectra(model, self.probe(), tmp_path, "pre")
-        spec_lines = open(paths[-1]).read().splitlines()
+        spec_lines = Path(paths[-1]).read_text().splitlines()
         assert len(spec_lines) == 1 + 16 // 2 + 1
 
     def test_probe_spectra_are_positive(self, tmp_path):
         paths = export_spectra(self.build_model(), self.probe(), tmp_path, "pos")
-        rows = open(paths[-1]).read().splitlines()[1:]
+        rows = Path(paths[-1]).read_text().splitlines()[1:]
         for row in rows:
             _, pre, post = row.split(",")
             assert float(pre) >= 0 and float(post) >= 0

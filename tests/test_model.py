@@ -225,14 +225,15 @@ class TestAttentionBlock:
         (8, 4, 2, (1, 5, 8)),
     ])
     def test_value_path_matches_unfused_chain(self, monkeypatch, d, heads, d_k, shape):
-        # training mode with dropout on the attention weights: the fused and the
-        # unfused block must draw the same masks and give the same gradients
+        # training mode with dropout on the attention weights: the block over the
+        # attention node and over the 18-node unfused chain must draw the same
+        # masks and give the same gradients
         rng = np.random.default_rng(d + heads + d_k)
         y = rng.standard_normal(shape)
         proj = rng.standard_normal(shape)
         results = []
-        for mix in (T.head_mix, ref.unfused_head_mix):
-            monkeypatch.setattr(T, "head_mix", mix)
+        for attention in (T.attention, ref.unfused_attention):
+            monkeypatch.setattr(T, "attention", attention)
             block = AttentionBlock(d, heads, d_k, 2 * d, dropout=0.3).init_state(np.random.default_rng(0))
             x = Tensor(y.copy(), requires_grad=True)
             out = ref.attention_block_forward(block, x, np.random.default_rng(1))
@@ -559,8 +560,8 @@ class TestFusedLayers:
         """Op kinds on one acceptance-shape training step's tape, walked from the loss."""
         from spectral_forecaster.training import mse_loss
 
-        cfg = ModelConfig(lookback=96, horizon=96, patch_len=8, d_model=16, n_heads=4,
-                          dropout=0.0, **overrides)
+        cfg = ModelConfig(**{"lookback": 96, "horizon": 96, "patch_len": 8, "d_model": 16,
+                             "n_heads": 4, "dropout": 0.0, **overrides})
         model = FilterFormer(cfg, np.random.default_rng(0)).train()
         rng = np.random.default_rng(1)
         loss = mse_loss(model(rng.standard_normal((16, 96)), rng=rng),
@@ -577,7 +578,7 @@ class TestFusedLayers:
         assert sum(self.training_step_census(overrides).values()) <= limit
 
     # the same shapes with each attention block's scores as one
-    # attention_scores node: 36 and 41 nodes
+    # attention_scores node: 36 and 41 nodes (32 and 36 with attention as one node)
     @pytest.mark.parametrize("overrides,limit", [
         (dict(total_layers=3, alpha=1), 36),
         (dict(total_layers=4, alpha=1, filter_placement="pre-embedding"), 41),
@@ -589,14 +590,24 @@ class TestFusedLayers:
         # the pinned benchmark's step: 74 nodes with gating as an 11-node
         # rfft/mul/irfft chain, 64 with it as one spectral_gate node, 52 with
         # each attention block's value path as one head_mix node instead of 7,
-        # 36 with its scores as one attention_scores node instead of 9
+        # 36 with its scores as one attention_scores node instead of 9, 32
+        # with scores, softmax and value path as one attention node
         census = self.training_step_census(dict(total_layers=3, alpha=1))
-        assert sum(census.values()) <= 36
+        assert sum(census.values()) <= 32
         assert census["spectral_gate"] == 1
-        assert census["head_mix"] == 2
-        assert census["attention_scores"] == 2
+        assert census["attention"] == 2
         assert census["matmul"] == 8
-        assert not census.keys() & {"rfft_re", "rfft_im", "irfft"}
+        assert not census.keys() & {"rfft_re", "rfft_im", "irfft", "softmax"}
+
+    def test_paper_step_tape_census(self):
+        # the paper benchmark's step (d_model 128, 8 heads, dropout 0.1): 53
+        # nodes with attention as scores, softmax, dropout and value-path
+        # nodes, 44 with it as one node per block
+        census = self.training_step_census(dict(patch_len=16, d_model=128, n_heads=8,
+                                                total_layers=4, alpha=1, dropout=0.1))
+        assert sum(census.values()) == 44
+        assert census["attention"] == 3
+        assert census["dropout"] == 4  # the MLPs' and the spectral block's, none on the maps
 
 
 class TestCheckpoint:
@@ -971,7 +982,7 @@ class TestRetainedMemory:
 
     # the pinned benchmark's shape, a small paper-like one with dropout, and
     # a prefilter336-like one: two input filters, 21 patches, and 32 rows, so
-    # head_mix forms its mixed values in three row blocks
+    # the attention node forms its mixed values in three row blocks
     SHAPES = {
         "pinned": (dict(patch_len=8, d_model=16, n_heads=4, total_layers=3, dropout=0.0), 16),
         "paper-like": (dict(patch_len=16, d_model=32, n_heads=4, total_layers=4,
@@ -996,13 +1007,15 @@ class TestRetainedMemory:
     BACKWARD_PEAK_CELLS = {"pinned": 9.0, "paper-like": 9.0, "prefilter336-like": 4.5}
     # the step's peak above its start, what the forward keeps plus the
     # backward peak above it, with the gradients counted wherever their
-    # memory came from: about 41.4, 45.1 and 15.0; 42.3, 48.1 and 15.6 when
+    # memory came from: about 39.2, 44.9 and 15.0; 41.4, 45.1 and 15.0 when
+    # attention was four nodes, whose backward rebuilt y twice and held the
+    # map gradients in a layout other than the maps'; 42.3, 48.1 and 15.6 when
     # the dropped attention and the head's input were kept, head_mix formed
     # its weight gradient from all heads' mixed values at once and its
     # attention gradient in an array of its own, and normalize's backward
     # held a second full-size array; 44.9, 56.1 and 17.0 when consumers kept
     # each normalize output and head_mix its weight product
-    GRADIENT_PEAK_CELLS = {"pinned": 41.85, "paper-like": 46.6, "prefilter336-like": 15.3}
+    GRADIENT_PEAK_CELLS = {"pinned": 39.7, "paper-like": 46.6, "prefilter336-like": 15.3}
 
     @classmethod
     def model_and_batch(cls, name):
@@ -1135,30 +1148,25 @@ class TestRetainedMemory:
         assert seen == [None]
 
     def test_dropped_attention_and_head_input_freed_when_forward_returns(self, monkeypatch):
-        """head_mix rebuilds the dropped attention and the head its flattened input, with the kept arrays' bits.
+        """The attention node keeps no dropped maps, and the head rebuilds its flattened input with the kept array's bits.
 
-        The control swaps in the softmax and reshape without recipes: then
-        head_mix keeps every block's dropped attention and the head's matmul
-        its input, and every gradient is the same.
+        Each attention node keeps its softmax maps and mask and rebuilds the
+        dropped maps in backward. The control swaps in the reshape without
+        a recipe: then the head's matmul keeps its input, and every gradient
+        is the same.
         """
         from spectral_forecaster.training import mse_loss
 
         def step():
             model, x, y, rng = self.model_and_batch("paper-like")
-            refs = []
+            refs, nodes = [], []
+            attention = T.attention
 
-            def spy(module):
-                forward = module.forward
-
-                def wrapped(*args):
-                    out = forward(*args)
-                    refs.append(weakref.ref(_owner(out.data)))
-                    return out
-                monkeypatch.setattr(module, "forward", wrapped)
-
-            attention = [b for b in model.blocks if hasattr(b, "attn_drop")]
-            for block in attention:
-                spy(block.attn_drop)
+            def attention_spy(*args):
+                out = attention(*args)
+                nodes.append(out.node)
+                return out
+            monkeypatch.setattr(T, "attention", attention_spy)
 
             def head_spy(t):  # ForecastHead.forward, with a handle on the flattened input
                 flat = T.reshape(t, (t.shape[0], -1))
@@ -1166,17 +1174,22 @@ class TestRetainedMemory:
                 return model.head.lin(flat)
             monkeypatch.setattr(model.head, "forward", head_spy)
             loss = mse_loss(model(x, rng=rng), y)
+            rows, n, heads = x.shape[0], model.config.n_patches, model.config.n_heads
+            for node in nodes:
+                maps = {id(a): a for cell in node.backward_fn.__closure__
+                        for a in [cell.cell_contents] if isinstance(a, np.ndarray)
+                        and a.size == rows * heads * n * n}
+                assert sorted(a.dtype.name for a in maps.values()) == ["bool", "float64"]
             alive = [r() is not None for r in refs]
-            assert len(alive) == len(attention) + 1
             backward(loss)
-            return alive, [p.grad for p in model.parameters()]
+            return len(nodes), alive, [p.grad for p in model.parameters()]
 
         lean = step()
-        monkeypatch.setattr(T, "softmax", ref.three_array_softmax)
         monkeypatch.setattr(T, "reshape", ref.recipe_free_reshape)
         kept = step()
-        assert not any(lean[0]) and all(kept[0])
-        for a, b in zip(lean[1], kept[1]):
+        assert lean[0] == kept[0] == 3
+        assert lean[1] == [False] and kept[1] == [True]
+        for a, b in zip(lean[2], kept[2]):
             assert a.tobytes() == b.tobytes()
 
 
@@ -1184,10 +1197,11 @@ class TestLeanNodesTrainAlike:
     def test_three_steps_match_the_earlier_nodes_bit_for_bit(self, monkeypatch):
         """Three dropout-0.1 Adam steps give the same parameter bits with the earlier nodes.
 
-        In those, consumers keep each normalize, softmax, dropout and reshape
-        output, head_mix keeps its weight product and mixed values and forms
-        its weight gradient from all heads at once, and GELU, dropout and
-        softmax keep their earlier arrays.
+        In those, consumers keep each normalize and reshape output,
+        attention runs as the split chain (a scores node, a softmax, a
+        float-mask dropout and a value-path node that keeps its weight
+        product and mixed values and forms its weight gradient from all
+        heads at once), and GELU and dropout keep their earlier arrays.
         """
         from spectral_forecaster import nn
         from spectral_forecaster.training import AdamState, adam_step, mse_loss
@@ -1211,8 +1225,7 @@ class TestLeanNodesTrainAlike:
         lean = train()
         monkeypatch.setitem(nn._ACTIVATIONS, "gelu", ref.two_array_gelu)
         monkeypatch.setattr(nn.Dropout, "forward", ref.float_mask_dropout)
-        monkeypatch.setattr(T, "head_mix", ref.z_keeping_head_mix)
-        monkeypatch.setattr(T, "softmax", ref.three_array_softmax)
+        monkeypatch.setattr(AttentionBlock, "_attend", ref.split_attend)
         monkeypatch.setattr(T, "normalize", ref.recipe_free_normalize)
         monkeypatch.setattr(T, "reshape", ref.recipe_free_reshape)
         earlier = train()

@@ -59,9 +59,14 @@ class TestForward:
             T.matmul(Tensor(np.ones(3)), Tensor(np.ones((3, 2))))
 
     def test_softmax_rows_sum_to_one(self):
-        x = np.random.default_rng(2).standard_normal((5, 7)) * 30
-        s = T.softmax(Tensor(x), axis=-1)
-        np.testing.assert_allclose(s.data.sum(axis=-1), np.ones(5), atol=1e-12)
+        # the attention node's kept maps, under scores of about +-30
+        rng = np.random.default_rng(2)
+        y, wq, wk = (rng.standard_normal(s) for s in [(5, 7, 4), (4, 8), (4, 8)])
+        out = T.attention(Parameter(y), wq, wk, np.eye(4, 8), np.ones((8, 4)), np.zeros(4), 2, 3.0)
+        maps = [a for a in TestAttention.kept(out.node.backward_fn).values()
+                if a.shape == (5, 14, 7)]
+        assert len(maps) == 1 and np.ptp(maps[0]) > 0.99  # some rows are one-hot
+        np.testing.assert_allclose(maps[0].sum(axis=-1), np.ones((5, 14)), atol=1e-12)
 
     def test_var_is_population(self):
         x = np.random.default_rng(3).standard_normal((4, 6))
@@ -191,10 +196,12 @@ class TestGradientsAgainstFiniteDifferences:
         gradcheck(lambda a: ref.sum(ref.sqrt(a)), np.abs(x) + 1.0)
 
     def test_softmax(self):
+        # through the attention node, whose value weights pass the maps on unmixed
         rng = np.random.default_rng(17)
-        x = rng.standard_normal((3, 6))
-        w = rng.standard_normal((3, 6))
-        gradcheck(lambda a, p: ref.sum(T.mul(T.softmax(a, axis=-1), p)), x, w)
+        y, wq, wk = (rng.standard_normal(s) for s in [(3, 6, 4), (4, 4), (4, 4)])
+        w = rng.standard_normal((3, 6, 4))
+        gradcheck(lambda a, q, k: ref.sum(T.mul(T.attention(a, q, k, np.eye(4), np.eye(4), np.zeros(4),
+                                                            1, 1.0), w)), y, wq, wk)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 12, 16, 21])
     def test_rfft(self, n):
@@ -297,8 +304,70 @@ class TestSpectralGate:
             T.spectral_gate(Tensor(np.ones((2, 8))), Tensor(np.ones((1, 8))))
 
 
+class TestAttention:
+    """``T.attention``: the scores, softmax, dropout and value path of multi-head attention as one node."""
+
+    @staticmethod
+    def operands(rng, rows, n, d, h, dk, dv, d_out):
+        """y, wq, wk, wv, wo and bias; the query and key weights scaled so no map is flat or one-hot."""
+        return [rng.standard_normal((rows, n, d)), rng.standard_normal((d, h * dk)) / np.sqrt(d),
+                rng.standard_normal((d, h * dk)) / np.sqrt(d), rng.standard_normal((d, h * dv)),
+                rng.standard_normal((h * dv, d_out)), rng.standard_normal(d_out)]
+
+    @staticmethod
+    def mask(rng, rows, n, h, p=0.3):
+        return rng.random((rows, h, n, n)) >= p
+
+    @staticmethod
+    def run(op, arrays, h, keep, proj, view=lambda y: y, scale=0.5):
+        """``op``'s output and every operand's gradient under ``proj``, on fresh Parameters."""
+        params = [Parameter(a.copy()) for a in arrays]
+        out = op(view(params[0]), *params[1:], h, scale, keep, 1.0 / 0.7)
+        backward(ref.sum(T.mul(out, proj)))
+        return [out.data] + [p.grad for p in params]
+
+    @staticmethod
+    def kept(fn, found=None):
+        """Every array a rule's closure holds, through the functions it calls, each once, by id."""
+        found = {} if found is None else found
+        for cell in fn.__closure__ or ():
+            v = cell.cell_contents
+            if isinstance(v, np.ndarray):
+                found[id(v)] = v
+            elif callable(v) and getattr(v, "__closure__", None):
+                TestAttention.kept(v, found)
+        return found
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_unrecorded_forward_gives_the_recorded_bits(self, masked):
+        rng = np.random.default_rng(204)
+        arrays = self.operands(rng, 3, 5, 8, 2, 4, 8, 8)
+        keep = self.mask(rng, 3, 5, 2) if masked else None
+        recorded = T.attention(*(Parameter(a) for a in arrays), 2, 0.5, keep, 1.0 / 0.7)
+        with no_grad():
+            out = T.attention(*(Parameter(a) for a in arrays), 2, 0.5, keep, 1.0 / 0.7)
+        assert out.node is None and recorded.node is not None
+        assert out.data.tobytes() == recorded.data.tobytes()
+
+    def test_a_full_mask_at_scale_one_is_no_mask(self):
+        rng = np.random.default_rng(205)
+        arrays = self.operands(rng, 3, 5, 8, 2, 4, 8, 8)
+        proj = rng.standard_normal((3, 5, 8))
+        full = np.ones((3, 2, 5, 5), dtype=bool)
+        with_mask = [np.asarray(a) for a in self.run(
+            lambda *args: T.attention(*args[:-1], 1.0), arrays, 2, full, proj)]
+        without = self.run(T.attention, arrays, 2, None, proj)
+        for a, b in zip(with_mask, without):
+            assert a.tobytes() == b.tobytes()
+
+
 class TestHeadMix:
-    """``T.head_mix`` against finite differences and the 7-node value chain it replaced."""
+    """``T.attention``'s value path against finite differences and chains, at the value shapes.
+
+    The shapes the ``head_mix`` node was checked at before ``T.attention``
+    took it over: one head, one patch, one row and values narrower than the
+    model width, with and without a dropout mask.
+    """
 
     # rows, heads, patches, model width, value width, output width
     SHAPES = {
@@ -310,63 +379,59 @@ class TestHeadMix:
     }
 
     @staticmethod
-    def operands(rng, shape, swapped):
-        """attn, y, wv, wo, bias, and the view that reaches head_mix (transposed if swapped)."""
+    def operands(rng, shape, masked):
+        """y, wq, wk, wv, wo and bias with query and key width 2, and the mask (None if not masked)."""
         rows, h, n, d, dv, d_out = shape
-        attn = rng.random((rows, h, n, n))
-        arrays = [attn, rng.standard_normal((rows, n, d)), rng.standard_normal((d, h * dv)),
-                  rng.standard_normal((h * dv, d_out)), rng.standard_normal(d_out)]
-        if swapped:
-            arrays[0] = np.ascontiguousarray(np.swapaxes(attn, -1, -2))
-            return arrays, lambda a: ref.swapaxes(a, -1, -2)
-        return arrays, lambda a: a
+        arrays = TestAttention.operands(rng, rows, n, d, h, 2, dv, d_out)
+        return arrays, TestAttention.mask(rng, rows, n, h) if masked else None
 
-    @pytest.mark.parametrize("swapped", [False, True])
+    @pytest.mark.parametrize("masked", [False, True])
     @pytest.mark.parametrize("name", SHAPES)
-    def test_matches_unfused_chain(self, name, swapped):
+    def test_matches_unfused_chain(self, name, masked):
         rng = np.random.default_rng(140 + len(name))
-        arrays, view = self.operands(rng, self.SHAPES[name], swapped)
-        rows, _, n, _, _, d_out = self.SHAPES[name]
+        arrays, keep = self.operands(rng, self.SHAPES[name], masked)
+        rows, h, n, _, _, d_out = self.SHAPES[name]
         proj = rng.standard_normal((rows, n, d_out))
-        results = []
-        for mix in (T.head_mix, ref.unfused_head_mix):
-            params = [Parameter(a.copy()) for a in arrays]
-            attn = view(params[0])
-            assert attn.data.flags.c_contiguous == (not swapped or n == 1)
-            out = mix(attn, *params[1:])
-            backward(ref.sum(T.mul(out, proj)))
-            results.append([out.data] + [p.grad for p in params])
-        for new, old in zip(*results):
-            assert new.shape == old.shape
-            np.testing.assert_allclose(new, old, rtol=1e-12, atol=1e-12 * np.abs(old).max())
+        new = TestAttention.run(T.attention, arrays, h, keep, proj)
+        old = TestAttention.run(ref.unfused_attention, arrays, h, keep, proj)
+        for a, b in zip(new, old):
+            assert a.shape == b.shape
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
 
-    @pytest.mark.parametrize("swapped", [False, True])
+    @pytest.mark.parametrize("masked", [False, True])
     @pytest.mark.parametrize("name", SHAPES)
-    def test_gradcheck(self, name, swapped):
+    def test_gradcheck(self, name, masked):
         rng = np.random.default_rng(150 + len(name))
-        arrays, view = self.operands(rng, self.SHAPES[name], swapped)
-        rows, _, n, _, _, d_out = self.SHAPES[name]
+        arrays, keep = self.operands(rng, self.SHAPES[name], masked)
+        rows, h, n, _, _, d_out = self.SHAPES[name]
         proj = rng.standard_normal((rows, n, d_out))
-        gradcheck(lambda a, *rest: ref.sum(T.mul(T.head_mix(view(a), *rest), proj)), *arrays)
+        gradcheck(lambda *ops: ref.sum(T.mul(T.attention(*ops, h, 0.7, keep, 1.0 / 0.7), proj)),
+                  *arrays)
 
     def test_one_node_replaces_seven(self):
+        """One node for the 7-node value chain, the 9-node scores chain and the softmax."""
         arrays, _ = self.operands(np.random.default_rng(160), self.SHAPES["base"], False)
         params = [Parameter(a) for a in arrays]
-        assert ref.tape_census(T.head_mix(*params)) == {"head_mix": 1}
-        assert sum(ref.tape_census(ref.unfused_head_mix(*params)).values()) == 7
+        assert ref.tape_census(T.attention(*params, 2, 0.5)) == {"attention": 1}
+        assert sum(ref.tape_census(ref.unfused_attention(*params, 2, 0.5)).values()) == 17
 
     def test_shape_mismatch_rejected(self):
         arrays, _ = self.operands(np.random.default_rng(161), self.SHAPES["base"], False)
-        for i, bad in enumerate([np.ones((3, 2, 4, 3)), np.ones((3, 4, 6)),
-                                 np.ones((5, 9)), np.ones((11, 5)), np.ones(4)]):
+        for i, bad in [(3, np.ones((4, 10))), (3, np.ones((5, 9))), (4, np.ones((11, 5))),
+                       (4, np.ones(10)), (5, np.ones(4)), (5, np.ones((1, 5)))]:
             args = list(arrays)
             args[i] = bad
-            with pytest.raises(ValueError, match="head_mix shapes"):
-                T.head_mix(*args)
+            with pytest.raises(ValueError, match="attention shapes"):
+                T.attention(*args, 2, 0.5)
 
 
 class TestAttentionScores:
-    """``T.attention_scores`` against finite differences and the 9-node chain it replaced."""
+    """``T.attention``'s scores against chains and finite differences, at the score shapes.
+
+    The shapes the ``attention_scores`` node was checked at before
+    ``T.attention`` took it over, the three workloads' blocks among them,
+    with ``y`` contiguous or a transposed view.
+    """
 
     # rows, patches, model width, heads, query/key width per head
     SHAPES = {
@@ -380,10 +445,9 @@ class TestAttentionScores:
 
     @staticmethod
     def operands(rng, shape, swapped):
-        """y, wq, wk, and the view that reaches the op (a transposed, non-contiguous y if swapped)."""
+        """y, wq, wk, wv, wo, bias, and the view that reaches the op (a transposed, non-contiguous y if swapped)."""
         rows, n, d, h, dk = shape
-        arrays = [rng.standard_normal((rows, n, d)), rng.standard_normal((d, h * dk)) / d,
-                  rng.standard_normal((d, h * dk)) / d]
+        arrays = TestAttention.operands(rng, rows, n, d, h, dk, d, d)
         if swapped:
             arrays[0] = np.ascontiguousarray(np.swapaxes(arrays[0], 0, 1))
             return arrays, lambda a: ref.swapaxes(a, 0, 1)
@@ -392,22 +456,17 @@ class TestAttentionScores:
     @pytest.mark.parametrize("swapped", [False, True])
     @pytest.mark.parametrize("name", SHAPES)
     def test_matches_unfused_chain(self, name, swapped):
+        """To rounding against the unfused chain, and bit for bit against the split one, under a mask."""
         rows, n, d, h, dk = self.SHAPES[name]
         rng = np.random.default_rng(180 + len(name))
         arrays, view = self.operands(rng, self.SHAPES[name], swapped)
-        proj = rng.standard_normal((rows, h, n, n))
-        results = []
-        for scores in (T.attention_scores, ref.unfused_attention_scores):
-            params = [Parameter(a.copy()) for a in arrays]
-            y = view(params[0])
-            assert y.data.flags.c_contiguous == (not swapped or rows == 1 or n == 1)
-            out = scores(y, params[1], params[2], h, 1.0 / np.sqrt(dk))
-            backward(ref.sum(T.mul(out, proj)))
-            results.append([out.data] + [p.grad for p in params])
-        assert results[0][0].tobytes() == results[1][0].tobytes()  # the forward, bit for bit
-        for new, old in zip(*results):
-            assert new.shape == old.shape
-            np.testing.assert_allclose(new, old, rtol=1e-12, atol=1e-12 * np.abs(old).max())
+        keep = TestAttention.mask(rng, rows, n, h)
+        proj = rng.standard_normal((rows, n, d))
+        new, split, old = (TestAttention.run(op, arrays, h, keep, proj, view, 1.0 / np.sqrt(dk))
+                           for op in (T.attention, ref.split_attention, ref.unfused_attention))
+        for a, b, c in zip(new, split, old):
+            assert a.tobytes() == b.tobytes()
+            np.testing.assert_allclose(a, c, rtol=1e-12, atol=1e-12 * np.abs(c).max())
 
     @pytest.mark.parametrize("swapped", [False, True])
     @pytest.mark.parametrize("name", ["explicit-d_k", "one-head", "one-patch"])
@@ -415,23 +474,37 @@ class TestAttentionScores:
         rows, n, d, h, dk = self.SHAPES[name]
         rng = np.random.default_rng(190 + len(name))
         arrays, view = self.operands(rng, self.SHAPES[name], swapped)
-        proj = rng.standard_normal((rows, h, n, n))
-        gradcheck(lambda y, wq, wk: ref.sum(T.mul(T.attention_scores(view(y), wq, wk, h, 0.7),
-                                                  proj)), *arrays)
+        keep = TestAttention.mask(rng, rows, n, h) if swapped else None
+        proj = rng.standard_normal((rows, n, d))
+        gradcheck(lambda y, *ws: ref.sum(T.mul(T.attention(view(y), *ws, h, 0.7, keep, 1.0 / 0.7),
+                                               proj)), *arrays)
 
     def test_one_node_replaces_nine(self):
-        arrays, _ = self.operands(np.random.default_rng(200), self.SHAPES["explicit-d_k"], False)
-        params = [Parameter(a) for a in arrays]
-        assert ref.tape_census(T.attention_scores(*params, 2, 0.5)) == {"attention_scores": 1}
-        census = ref.tape_census(ref.unfused_attention_scores(*params, 2, 0.5))
-        assert sum(census.values()) == 9
+        """Under a mask: one node for the split chain's four, and the unfused chain's eighteen."""
+        rows, n, d, h, dk = self.SHAPES["explicit-d_k"]
+        rng = np.random.default_rng(200)
+        arrays, _ = self.operands(rng, self.SHAPES["explicit-d_k"], False)
+        params, keep = [Parameter(a) for a in arrays], TestAttention.mask(rng, rows, n, h)
+        assert ref.tape_census(T.attention(*params, h, 0.5, keep, 2.0)) == {"attention": 1}
+        assert ref.tape_census(ref.split_attention(*params, h, 0.5, keep, 2.0)) == {
+            "attention_scores": 1, "softmax": 1, "mul": 1, "head_mix": 1}
+        unfused = ref.tape_census(ref.unfused_attention(*params, h, 0.5, keep, 2.0))
+        assert sum(unfused.values()) == 18
 
     def test_shape_mismatch_rejected(self):
-        y, wq, wk = self.operands(np.random.default_rng(202), self.SHAPES["explicit-d_k"], False)[0]
-        for args in [(y[0], wq, wk, 2), (y, wq[1:], wk[1:], 2), (y, wq, wk[:, 1:], 2),
-                     (y, wq[:, 1:], wk[:, 1:], 2), (y, wq, wk, 0), (y, wq[None], wk[None], 2)]:
-            with pytest.raises(ValueError, match="attention_scores shapes"):
-                T.attention_scores(*args, 0.5)
+        rows, n, d, h, dk = self.SHAPES["explicit-d_k"]
+        y, wq, wk, *rest = self.operands(np.random.default_rng(202), self.SHAPES["explicit-d_k"],
+                                         False)[0]
+        keep = np.ones((rows, h, n, n), dtype=bool)
+        for args in [(y[0], wq, wk, *rest, 2), (y, wq[1:], wk[1:], *rest, 2),
+                     (y, wq, wk[:, 1:], *rest, 2), (y, wq[:, 1:], wk[:, 1:], *rest, 2),
+                     (y, wq, wk, *rest, 0), (y, wq[None], wk[None], *rest, 2)]:
+            with pytest.raises(ValueError, match="attention shapes"):
+                T.attention(*args, 0.5)
+        for bad in (keep[:, :1], keep[..., :1], keep[0]):
+            with pytest.raises(ValueError, match="attention shapes"):
+                T.attention(y, wq, wk, *rest, h, 0.5, bad)
+        T.attention(y, wq, wk, *rest, h, 0.5, keep)  # the mask's own shape passes
 
 
 class TestSharedWeightMatmul:
@@ -747,20 +820,6 @@ class TestRetainedState:
         assert out.node is None
         np.testing.assert_array_equal(out.data, new[0])
 
-    @pytest.mark.parametrize("shape,axis", [((3, 1), -1), ((5, 7), 0), ((4, 3, 12, 12), -1),
-                                            ((6, 2, 21, 21), -1), ((2, 5, 4), 1)])
-    def test_softmax_matches_three_array_form(self, shape, axis):
-        rng = np.random.default_rng(172)
-        x = rng.standard_normal(shape) * 30.0
-        x[..., 0] = x[..., -1]  # ties for the row max
-        x.flat[::7] = 0.0
-        x.flat[1::7] = -0.0
-        proj = rng.standard_normal(shape)
-        new = _grads_of(lambda a: T.softmax(a, axis=axis), [x], proj)
-        old = _grads_of(lambda a: ref.three_array_softmax(a, axis=axis), [x], proj)
-        for a, b in zip(new, old):
-            assert a.tobytes() == b.tobytes()
-
     @pytest.mark.parametrize("p", [0.1, 0.3, 0.5])
     def test_dropout_matches_float_mask(self, p):
         rng = np.random.default_rng(171)
@@ -787,15 +846,16 @@ class TestRetainedState:
 
     @pytest.mark.parametrize("name", TestHeadMix.SHAPES)
     def test_head_mix_matches_z_keeping_form(self, name):
+        """The node gives the split chain's bits, whose value path keeps the mixed values."""
         shape = TestHeadMix.SHAPES[name]
         rng = np.random.default_rng(173 + len(name))
-        arrays, _ = TestHeadMix.operands(rng, shape, False)
-        rows, _, n, _, _, d_out = shape
+        arrays, keep = TestHeadMix.operands(rng, shape, True)
+        rows, h, n, _, _, d_out = shape
         proj = rng.standard_normal((rows, n, d_out))
-        new = _grads_of(T.head_mix, arrays, proj)
-        old = _grads_of(ref.z_keeping_head_mix, arrays, proj)
+        new = TestAttention.run(T.attention, arrays, h, keep, proj)
+        old = TestAttention.run(ref.split_attention, arrays, h, keep, proj)
         for a, b in zip(new, old):
-            np.testing.assert_array_equal(a, b)
+            assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("norm", ["BatchNorm", "InstanceNorm"])
     def test_normalize_recipe_rebuilds_the_output_bit_for_bit(self, norm):
@@ -814,30 +874,51 @@ class TestRetainedState:
             assert module(Parameter(x))._rebuild is None  # an unrecorded output keeps nothing
 
     def test_softmax_recipe_returns_the_kept_output(self):
-        rng = np.random.default_rng(182)
-        x = Parameter(rng.standard_normal((3, 2, 5, 5)) * 4.0)
-        out = T.softmax(x, axis=-1)
-        rebuilt = out._rebuild()
-        assert rebuilt is out.data  # the array the node keeps for its own rule
-        kept = [c.cell_contents for c in out.node.backward_fn.__closure__
-                if isinstance(c.cell_contents, np.ndarray)]
-        assert any(a is rebuilt for a in kept)
-        with no_grad():
-            assert T.softmax(x)._rebuild is None
+        """The maps' recipe returns the softmax maps the node keeps, in the permuted layout.
+
+        Row i * h + j of the kept (rows, n * h, n) maps is query i's softmax
+        under head j, with the split chain's bits; the mask is kept in the
+        same layout, and without one the recipe is the kept array itself.
+        """
+        rows, n, d, h, dk = 3, 5, 8, 2, 4
+        rng = np.random.default_rng(206)
+        arrays = TestAttention.operands(rng, rows, n, d, h, dk, d, d)
+        keep = TestAttention.mask(rng, rows, n, h)
+        softmax = ref.three_array_softmax(ref.attention_scores(*arrays[:3], h, 0.5)).data
+        for mask in (keep, None):
+            out = T.attention(*(Parameter(a) for a in arrays), h, 0.5, mask, 1.0 / 0.7)
+            bwd = out.node.backward_fn
+            cells = dict(zip(bwd.__code__.co_freevars, (c.cell_contents for c in bwd.__closure__)))
+            assert cells["p"].tobytes() == softmax.transpose(0, 2, 1, 3).tobytes()
+            if mask is None:
+                assert cells["dropped"]() is cells["p"]
+            else:
+                assert cells["keep"].tobytes() == keep.transpose(0, 2, 1, 3).tobytes()
+                dropped = cells["dropped"]()
+                assert dropped is not cells["p"]
+                assert dropped.tobytes() == (cells["p"] * cells["keep"] * (1.0 / 0.7)).tobytes()
 
     @pytest.mark.parametrize("p", [0.1, 0.5])
     def test_dropout_over_softmax_recipe_rebuilds_bit_for_bit(self, p):
+        """The node rebuilds the dropped maps in backward, with the bits of a dropout node over the softmax."""
+        rows, n, d, h = 3, 5, 6, 2
         rng = np.random.default_rng(183)
-        x = Parameter(rng.standard_normal((3, 2, 5, 5)) * 4.0)
-        keep = rng.random(x.shape) >= p
-        out = T.dropout(T.softmax(x, axis=-1), keep, 1.0 / (1.0 - p))
-        rebuilt = out._rebuild()
-        assert rebuilt is not out.data
-        assert rebuilt.tobytes() == out.data.tobytes()
-        # over an output without a recipe, or unrecorded, there is nothing to rerun
-        assert T.dropout(x, keep, 2.0)._rebuild is None
-        with no_grad():
-            assert T.dropout(T.softmax(x), keep, 2.0)._rebuild is None
+        arrays = TestAttention.operands(rng, rows, n, d, h, 3, d, d)
+        keep = TestAttention.mask(rng, rows, n, h, p)
+        proj = rng.standard_normal((rows, n, d))
+
+        def dropout_node_chain(y, wq, wk, wv, wo, bias, h, scale, keep, drop_scale):
+            attn = ref.three_array_softmax(ref.attention_scores(y, wq, wk, h, scale))
+            return ref.z_keeping_head_mix(T.dropout(attn, keep, drop_scale), y, wv, wo, bias)
+
+        new = TestAttention.run(T.attention, arrays, h, keep, proj)
+        old = TestAttention.run(dropout_node_chain, arrays, h, keep, proj)
+        for a, b in zip(new, old):
+            assert a.tobytes() == b.tobytes()
+        out = T.attention(*(Parameter(a) for a in arrays), h, 0.5, keep, 1.0 / (1.0 - p))
+        maps = [a for a in TestAttention.kept(out.node.backward_fn).values()
+                if a.shape == (rows, n * h, n)]
+        assert sorted(a.dtype.name for a in maps) == ["bool", "float64"]  # no dropped maps
 
     def test_reshape_over_normalize_recipe_rebuilds_bit_for_bit(self):
         from spectral_forecaster.nn import BatchNorm
@@ -889,49 +970,39 @@ class TestRetainedState:
             assert a.tobytes() == b.tobytes()
 
     def test_attention_scores_keeps_its_input_not_q_or_k(self):
-        # q and k are (rows, n, h * d_k), wider than y here, so sizes tell them apart
-        rows, n, d, h, dk = TestAttentionScores.SHAPES["explicit-d_k"]
-        arrays, _ = TestAttentionScores.operands(np.random.default_rng(203),
-                                                 (rows, n, d, h, dk), False)
-        y, wq, wk = (Parameter(a) for a in arrays)
-        out = T.attention_scores(y, wq, wk, h, 0.5)
-
-        def kept(fn):
-            arrays = []
-            for cell in fn.__closure__ or ():
-                v = cell.cell_contents
-                if isinstance(v, np.ndarray):
-                    arrays.append(v)
-                elif callable(v):
-                    arrays += kept(v)
-            return arrays
-
-        held = kept(out.node.backward_fn)
-        assert all(a.size != rows * n * h * dk for a in held)
-        assert sorted(map(id, held)) == sorted(map(id, (y.data, wq.data, wk.data)))
+        """The node keeps y, the weights, the softmax maps and the mask: no q, k, scores or values."""
+        # q and k are (rows, n, h * d_k), a size no kept array has here
+        rows, n, d, h, dk = 3, 5, 6, 2, 4
+        rng = np.random.default_rng(203)
+        params = [Parameter(a) for a in TestAttention.operands(rng, rows, n, d, h, dk, d, d)]
+        out = T.attention(*params, h, 0.5, TestAttention.mask(rng, rows, n, h), 2.0)
+        kept = TestAttention.kept(out.node.backward_fn).values()
+        held = {id(a): a for a in (a if a.base is None else a.base for a in kept)}
+        assert all(a.size != rows * n * h * dk for a in held.values())
+        for p in params[:5]:
+            del held[id(p.data)]
+        assert sorted((a.size, a.dtype.name) for a in held.values()) == [
+            (rows * h * n * n, "bool"), (rows * h * n * n, "float64")]
 
     # heads, patches and model width of each benchmark workload's attention blocks
     HEAD_MIX_WORKLOADS = {"paper": (8, 6, 128), "prefilter336": (4, 21, 64), "pinned": (4, 12, 16)}
 
     @staticmethod
     def head_mix_operands(rng, rows, h, n, d):
-        attn = rng.random((rows, h, n, n))
-        attn /= attn.sum(axis=-1, keepdims=True)
-        return [attn, rng.standard_normal((rows, n, d)), rng.standard_normal((d, h * d)),
-                rng.standard_normal((h * d, d)), rng.standard_normal(d)]
+        return TestAttention.operands(rng, rows, n, d, h, d // h, d, d)
 
     @pytest.mark.parametrize("rows", ["1", "b-1", "b", "b+1", "305"])
     @pytest.mark.parametrize("name", HEAD_MIX_WORKLOADS)
     def test_head_mix_in_row_blocks_matches_z_keeping_form(self, name, rows):
-        """Row blocks of the mixed values give the full-width bits, remainders included."""
+        """Row blocks of the mixed values give the split chain's full-width bits, remainders included."""
         h, n, d = self.HEAD_MIX_WORKLOADS[name]
         b = T._HEAD_MIX_BLOCK // (n * h * d * 8)  # the most rows one block holds
         rows = {"1": 1, "b-1": b - 1, "b": b, "b+1": b + 1, "305": 305}[rows]
         rng = np.random.default_rng(176)
         arrays = self.head_mix_operands(rng, rows, h, n, d)
         proj = rng.standard_normal((rows, n, d))
-        new = _grads_of(T.head_mix, arrays, proj)
-        old = _grads_of(ref.z_keeping_head_mix, arrays, proj)
+        new = TestAttention.run(T.attention, arrays, h, None, proj)
+        old = TestAttention.run(ref.split_attention, arrays, h, None, proj)
         for a, b in zip(new, old):
             assert a.tobytes() == b.tobytes()
 
@@ -940,7 +1011,7 @@ class TestRetainedState:
 
     @pytest.mark.parametrize("name", HEAD_MIX_WORKLOADS)
     def test_head_mix_at_the_workload_batch_matches_z_keeping_form(self, name):
-        """The head groups a training step uses give the all-heads bits (paper's take 3 groups)."""
+        """The head groups a training step uses give the split chain's bits (paper's take 3 groups)."""
         h, n, d = self.HEAD_MIX_WORKLOADS[name]
         rows = self.WORKLOAD_ROWS[name]
         heads = max(1, T._HEAD_MIX_GROUP // (rows * n * d * 8))
@@ -948,39 +1019,43 @@ class TestRetainedState:
         rng = np.random.default_rng(178)
         arrays = self.head_mix_operands(rng, rows, h, n, d)
         proj = rng.standard_normal((rows, n, d))
-        new = _grads_of(T.head_mix, arrays, proj)
-        old = _grads_of(ref.z_keeping_head_mix, arrays, proj)
-        for a, b in zip(new, old):
-            assert a.tobytes() == b.tobytes()
+        for keep in (None, TestAttention.mask(rng, rows, n, h, 0.1)):
+            new = TestAttention.run(T.attention, arrays, h, keep, proj)
+            old = TestAttention.run(ref.split_attention, arrays, h, keep, proj)
+            for a, b in zip(new, old):
+                assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("name", TestHeadMix.SHAPES)
     def test_head_mix_backward_leaves_attn_intact(self, name):
-        """The attention gradient is written over a copy of attn, even where a reshape would be a view."""
+        """The map gradient is written over the dropped maps or an array of its own, never the kept softmax maps."""
         rows, h, n, _, _, d_out = TestHeadMix.SHAPES[name]
         rng = np.random.default_rng(179)
-        arrays, _ = TestHeadMix.operands(rng, TestHeadMix.SHAPES[name], False)
-        scores = Parameter(rng.standard_normal((rows, h, n, n)))
-        attn = T.softmax(scores, axis=-1)
-        before = attn.data.copy()
-        out = T.head_mix(attn, *(Parameter(a) for a in arrays[1:]))
-        backward(ref.sum(T.mul(out, rng.standard_normal((rows, n, d_out)))))
-        assert attn.data.tobytes() == before.tobytes()
-        assert np.isfinite(scores.grad).all()
+        for masked in (False, True):
+            arrays, keep = TestHeadMix.operands(rng, TestHeadMix.SHAPES[name], masked)
+            params = [Parameter(a) for a in arrays]
+            out = T.attention(*params, h, 0.5, keep, 2.0)
+            maps = [a for a in TestAttention.kept(out.node.backward_fn).values()
+                    if a.dtype == np.float64 and a.shape == (rows, n * h, n)]
+            before = maps[0].copy()
+            backward(ref.sum(T.mul(out, rng.standard_normal((rows, n, d_out)))))
+            assert len(maps) == 1 and maps[0].tobytes() == before.tobytes()
+            assert np.isfinite(params[1].grad).all()
 
     @staticmethod
-    def phase_peaks(rule, g):
-        """Traced peaks of a head_mix rule before the line that forms ``mix_t`` and from it on.
+    def phase_peaks(rule, g, markers):
+        """Traced peaks of a rule between the first lines that contain each of ``markers``, in order.
 
-        ``mix_t``, the weight product the activation gradients read, starts
-        the second pass. The line is found in the rule's source; reading the
-        frame's locals instead would keep them alive.
+        The lines are found in the rule's source; reading the frame's locals
+        instead would keep them alive. Returns one peak per phase, one more
+        than there are markers, and the rule's result.
         """
         lines, start = inspect.getsourcelines(rule)
-        boundary = start + next(i for i, line in enumerate(lines) if "mix_t = " in line)
+        bounds = [start + next(i for i, line in enumerate(lines) if m in line) for m in markers]
         peaks = []
 
         def local(frame, event, arg):
-            if event == "line" and frame.f_lineno == boundary and not peaks:
+            if (event == "line" and len(peaks) < len(bounds)
+                    and frame.f_lineno == bounds[len(peaks)]):
                 peaks.append(tracemalloc.get_traced_memory()[1] - base)
                 tracemalloc.reset_peak()
             return local
@@ -995,42 +1070,47 @@ class TestRetainedState:
             grads = rule(g)
         finally:
             sys.settrace(None)
-        assert len(peaks) == 1, "the rule formed no mix_t"
-        return peaks[0], tracemalloc.get_traced_memory()[1] - base, grads
+        assert len(peaks) == len(bounds), "the rule skipped a phase"
+        return peaks + [tracemalloc.get_traced_memory()[1] - base], grads
 
     def test_head_mix_working_set_is_one_block(self):
-        """Neither pass forms the mixed values, or products of their width, for all rows or heads at once.
+        """No pass forms the mixed values, or products of their width, for all rows or heads at once.
 
         At 1,024 rows of the pinned heads the mixed values take 6.3 MB: 13
-        row blocks, or 4 head groups of 1.6 MB. The forward holds the
-        permuted attention weights and the output, plus one block. The
-        backward's weight gradient holds one group's copy of the attention
-        weights and its mixed values; the activation gradients then hold
-        the permuted weights, which the attention gradient overwrites, and
-        gy, plus one block of theirs.
+        row blocks, or 4 one-head groups of 1.6 MB. The forward holds the
+        maps and, while the scores form, q and k, or the output plus one
+        block. The backward's value-weight gradient holds one group's
+        copy of the maps and its mixed values. The activation gradients
+        then hold the map gradient and gy, plus one block of theirs. The
+        softmax gradient holds the map gradient with one product of the
+        maps' size; the score gradients, which follow, hold fewer bytes.
         """
         rows, h, n, d = 1024, 4, 12, 16
         params = [Parameter(a) for a in
                   self.head_mix_operands(np.random.default_rng(177), rows, h, n, d)]
-        attn, block, wide = params[0].data.nbytes, T._HEAD_MIX_BLOCK, rows * n * h * d * 8
+        block, wide, proj = T._HEAD_MIX_BLOCK, rows * n * h * d * 8, rows * n * d * 8
+        attn = rows * h * n * n * 8
         heads = max(1, T._HEAD_MIX_GROUP // (wide // h))
         assert heads < h
         g = np.ones((rows, n, d))
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            out = T.head_mix(*params)
+            out = T.attention(*params, h, 0.5)
             forward_peak = tracemalloc.get_traced_memory()[1] - base - out.data.nbytes
-            weight_peak, backward_peak, grads = self.phase_peaks(out.node.backward_fn, g)
+            markers = ["mix_t = ", "if keep is not None:"]
+            peaks, grads = self.phase_peaks(out.node.backward_fn, g, markers)
         finally:
             tracemalloc.stop()
-        assert forward_peak <= attn + 2 * block, f"{forward_peak / block:.1f} blocks"
+        assert forward_peak <= attn + 2 * proj + 2 * block, f"{forward_peak / block:.1f} blocks"
+        weight_peak, activation_peak, score_peak = peaks
         group = (attn + wide) * heads // h
         assert weight_peak <= group + 2 * block, f"{(weight_peak - group) / block:.1f} blocks over"
-        g_attn, gy = grads[:2]
-        assert g_attn.base is not None  # a view of the permuted copy, not an array of its own
-        bound = attn + gy.nbytes + 2 * block
-        assert backward_peak <= bound, f"{(backward_peak - bound) / block:.1f} blocks over"
+        gy = grads[0].nbytes
+        bound = attn + gy + 2 * block
+        assert activation_peak <= bound, f"{(activation_peak - bound) / block:.1f} blocks over"
+        bound = 2 * attn + gy + 2 * block
+        assert score_peak <= bound, f"{(score_peak - bound) / block:.1f} blocks over"
 
     def test_normalize_backward_allocates_one_full_size_array(self):
         """The input gradient is the one array of the input's size; the rest is a block of rows."""

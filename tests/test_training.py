@@ -598,6 +598,16 @@ class TestEvaluate:
         ws = window_set(np.zeros((4, 3)), y, n_val=1, n_test=2)
         assert evaluate(Zero(), ws.test) == Metrics(mse=2.0, mae=1.0)
 
+    def test_overflowing_metrics_are_a_numeric_error(self):
+        # errors of 1e200 square to inf: a numeric failure (exit 4), not an invalid value
+        class Huge(Module):
+            def predict(self, x):
+                return np.full((x.shape[0], 2), 1e200)
+
+        ws = window_set(np.zeros((4, 3)), np.zeros((4, 2)), n_val=1, n_test=2)
+        with pytest.raises(NumericError, match="metrics overflowed"):
+            evaluate(Huge(), ws.test)
+
     def test_empty_stream_rejected(self):
         with pytest.raises(ValueError):
             evaluate(LinearStub(4, 2, np.random.default_rng(0)), [])
