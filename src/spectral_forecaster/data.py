@@ -393,12 +393,13 @@ def synth_three_sine(spec: SyntheticSpec, rng: np.random.Generator | None = None
     """Evaluate x_t = sum_j A_j sin(2 pi f_j t + phi_j) (+ noise) as one channel."""
     t = np.arange(spec.length, dtype=np.float64)
     x = np.zeros(spec.length)
-    for amp, freq, phase in spec.components:
-        x = x + amp * np.sin(2.0 * np.pi * freq * t + phase)
-    if spec.noise > 0:
-        if rng is None:
-            raise ValueError("noise > 0 requires an rng")
-        x = x + spec.noise * rng.standard_normal(spec.length)
+    with np.errstate(over="ignore", invalid="ignore"):  # RawSeries rejects what overflows
+        for amp, freq, phase in spec.components:
+            x = x + amp * np.sin(2.0 * np.pi * freq * t + phase)
+        if spec.noise > 0:
+            if rng is None:
+                raise ValueError("noise > 0 requires an rng")
+            x = x + spec.noise * rng.standard_normal(spec.length)
     return RawSeries(("synthetic",), x[:, None], frequency="synthetic")
 
 

@@ -72,6 +72,11 @@ def mse_loss(pred, target) -> Tensor:
     return T.mean(T.mul(diff, diff))
 
 
+# Adam's moment decays and denominator floor
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 # elements per Adam block: its five block-sized arrays (1.25 MB) stay in cache
 # across the update's passes
 ADAM_BLOCK = 32768
@@ -112,9 +117,6 @@ class AdamState:
     block: np.ndarray
     scratch: np.ndarray
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def for_model(cls, model) -> "AdamState":
@@ -162,25 +164,24 @@ def adam_step(state: AdamState, named_params, lr: float) -> None:
         if bad is not None:
             raise NumericError(f"non-finite gradient for parameter {bad} at step {t}")
     state.step = t
-    b1, b2 = state.beta1, state.beta2
-    bc1 = 1.0 - b1 ** t
-    bc2 = 1.0 - b2 ** t
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
     # ranges are independent: backwards, the first spanning range met is the
     # one the check gathered last, which state.block still holds
     for lo, hi, *span in reversed(state.plan):
         g = gather(lo, hi, *span)
         m, v = state.m[lo:hi], state.v[lo:hi]
         tmp = state.scratch[:g.size]
-        m *= b1
-        np.multiply(g, 1.0 - b1, out=tmp)
+        m *= ADAM_BETA1
+        np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
         m += tmp
-        v *= b2
+        v *= ADAM_BETA2
         np.multiply(g, g, out=tmp)
-        tmp *= 1.0 - b2
+        tmp *= 1.0 - ADAM_BETA2
         v += tmp
         np.divide(v, bc2, out=tmp)
         np.sqrt(tmp, out=tmp)
-        tmp += state.eps
+        tmp += ADAM_EPS
         np.divide(m, tmp, out=tmp)
         tmp *= lr / bc1
         state.arena[lo:hi] -= tmp
@@ -202,10 +203,11 @@ def _rows(samples) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _raw_metrics(model, rows_x: np.ndarray, rows_y: np.ndarray) -> tuple[float, float]:
+    # divergence shows up as inf or NaN in the result and is reported upstream;
     # in place in the prediction: |e| * |e| has the bits of e * e
-    err = model.predict(rows_x)
-    err -= rows_y
-    with np.errstate(over="ignore"):  # divergence shows up as inf and is handled upstream
+    with np.errstate(over="ignore", invalid="ignore"):
+        err = model.predict(rows_x)
+        err -= rows_y
         mae = float(np.mean(np.abs(err, out=err)))
         err *= err
         return float(np.mean(err)), mae
@@ -251,34 +253,34 @@ def fit(model, windows: WindowSet, cfg: TrainConfig) -> FitResult:
         p.grad = None
     val_x, val_y = _rows(windows.val)
 
-    history: list[tuple[int, float, float]] = []
-    best_val = math.inf
+    # with the Adam state and the generators, all an epoch hands the next;
+    # the best value, the patience count and the stopped epoch derive from these
+    history: list[tuple[int, float, float]] = []  # (epoch, train_mse, val_mse)
     best_epoch = 0
     best_state: np.ndarray | None = None
-    best_is_live = False  # the model holds the best epoch's state, not yet copied
-    epochs_since_improvement = 0
-    stopped_epoch = 0
 
     for epoch in range(1, cfg.max_epochs + 1):
-        if best_is_live:
+        if epoch > 1 and best_epoch == epoch - 1:
+            # the model holds the best epoch's state, which this epoch changes
             if best_state is None:
                 best_state = np.empty_like(model_state)
             best_state[...] = model_state
-            best_is_live = False
         model.train()
         order = shuffle_rng.permutation(len(windows.train))
         sq_sum = 0.0
         n_elems = 0
-        for lo in range(0, len(order), cfg.batch_size):
-            batch = [windows.train[i] for i in order[lo:lo + cfg.batch_size]]
-            rows_x, rows_y = _rows(batch)
-            loss = mse_loss(model(rows_x, rng=dropout_rng), rows_y)
-            backward(loss)
-            adam_step(state, params, cfg.learning_rate)
-            for _, p in params:
-                p.grad = None  # freed here, so the next forward reuses their memory
-            sq_sum += loss.item() * rows_y.size
-            n_elems += rows_y.size
+        # an overflow ends in adam_step's non-finite-gradient error, reported alone
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo in range(0, len(order), cfg.batch_size):
+                batch = [windows.train[i] for i in order[lo:lo + cfg.batch_size]]
+                rows_x, rows_y = _rows(batch)
+                loss = mse_loss(model(rows_x, rng=dropout_rng), rows_y)
+                backward(loss)
+                adam_step(state, params, cfg.learning_rate)
+                for _, p in params:
+                    p.grad = None  # freed here, so the next forward reuses their memory
+                sq_sum += loss.item() * rows_y.size
+                n_elems += rows_y.size
         train_mse = sq_sum / n_elems
 
         model.eval()
@@ -286,24 +288,18 @@ def fit(model, windows: WindowSet, cfg: TrainConfig) -> FitResult:
         if not math.isfinite(val_mse):
             raise NumericError(f"validation loss diverged at epoch {epoch}")
         history.append((epoch, train_mse, val_mse))
-        stopped_epoch = epoch
 
-        if val_mse < best_val:
-            best_val = val_mse
+        if best_epoch == 0 or val_mse < history[best_epoch - 1][2]:
             best_epoch = epoch
-            best_is_live = True
-            epochs_since_improvement = 0
-        else:
-            epochs_since_improvement += 1
-            if epochs_since_improvement >= cfg.patience:
-                break
+        elif epoch - best_epoch >= cfg.patience:
+            break
 
-    if not best_is_live:
+    if best_epoch != epoch:
         model_state[...] = best_state
     model.eval()
     return FitResult(
         model=model, history=history, best_epoch=best_epoch,
-        best_val=best_val, stopped_epoch=stopped_epoch,
+        best_val=history[best_epoch - 1][2], stopped_epoch=epoch,
     )
 
 

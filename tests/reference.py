@@ -60,6 +60,7 @@ from spectral_forecaster.numeric.tensor import (
     rfft_kernel,
 )
 from spectral_forecaster.spectral import SpectralBlock, SpectralFilter
+from spectral_forecaster.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 
 # bound before any test replaces T.normalize or T.reshape with the forms below
 _normalize, _reshape = T.normalize, T.reshape
@@ -380,20 +381,20 @@ def adam_step_gathered(state, named_params, lr: float) -> None:
     state.step += 1
     t = state.step
     g = np.concatenate(grads)
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
     m, v = state.m, state.v
     tmp = np.empty_like(g)
-    m *= state.beta1
-    np.multiply(g, 1.0 - state.beta1, out=tmp)
+    m *= ADAM_BETA1
+    np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
     m += tmp
-    v *= state.beta2
+    v *= ADAM_BETA2
     np.multiply(g, g, out=tmp)
-    tmp *= 1.0 - state.beta2
+    tmp *= 1.0 - ADAM_BETA2
     v += tmp
     np.divide(v, bc2, out=tmp)
     np.sqrt(tmp, out=tmp)
-    tmp += state.eps
+    tmp += ADAM_EPS
     np.divide(m, tmp, out=tmp)
     tmp *= lr / bc1
     state.arena -= tmp

@@ -102,6 +102,24 @@ class TestRunCommand:
         assert code == 4
         assert "numeric error" in capsys.readouterr().err
 
+    def test_diverging_run_exits_4_with_one_line(self, tmp_path, capsys):
+        # the steps overflow before a gradient turns non-finite; numpy says
+        # nothing of it, so the error is the one line on stderr
+        p = tmp_path / "exp.yaml"
+        p.write_text(MICRO_YAML.format(out=tmp_path / "out").replace(
+            "learning_rate: 1e-3", "learning_rate: 1e300"))
+        assert cli.main(["run", "--config", str(p)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numeric error: non-finite gradient") and err.count("\n") == 1
+
+    def test_overflowing_synthetic_series_exits_3_with_one_line(self, tmp_path, capsys):
+        p = tmp_path / "exp.yaml"
+        p.write_text(MICRO_YAML.format(out=tmp_path / "out").replace(
+            "length: 300", "length: 300, noise: 1e308"))
+        assert cli.main(["run", "--config", str(p)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: series contains") and err.count("\n") == 1
+
     def test_excluding_only_channel_exits_2(self, tmp_path, capsys):
         code = cli.main([
             "run", "--tiny", "--out", str(tmp_path),
@@ -559,6 +577,19 @@ class TestUtilityCommands:
         out = tmp_path / "short.csv"
         assert cli.main(["synth", "--spec", str(spec_path), "--out", str(out)]) == 0
         assert load_csv(out).n_steps == 128
+
+    @pytest.mark.parametrize("spec", [
+        {"noise": 1e308},
+        {"components": [[1e308, 0.01, 0.0], [1e308, 0.02, 0.0], [1e308, 0.03, 0.0]]},
+    ], ids=["noise", "amplitudes"])
+    def test_overflowing_synth_spec_exits_3_with_one_line(self, tmp_path, capsys, spec):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        out = tmp_path / "series.csv"
+        assert cli.main(["synth", "--spec", str(spec_path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: series contains") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_synth_into_missing_directory_names_the_given_path(self, tmp_path, capsys):
         # used to name the temp file beside it, 'x.csv.<pid>.tmp'

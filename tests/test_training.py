@@ -509,6 +509,44 @@ class TestFit:
         assert result.best_epoch < result.stopped_epoch
         assert evaluate(model, ws.val).mse == result.best_val
 
+    @staticmethod
+    def record_validation_states(model):
+        """A copy of the model's whole state at each predict: fit's validation, once per epoch."""
+        states, predict = [], model.predict
+
+        def recording(x):
+            states.append(model.state_arena().copy())
+            return predict(x)
+
+        model.predict = recording
+        return states
+
+    def test_patience_stopped_run_restores_its_middle_best_epoch_bit_for_bit(self):
+        # val MSE falls to the best epoch, then rises above it but stays under
+        # the epoch before it, until patience runs out
+        ws = learnable_windows(lookback=16)
+        model = arena_model(seed=2)
+        states = self.record_validation_states(model)
+        cfg = TrainConfig(learning_rate=0.05, max_epochs=12, patience=2)
+        result = fit(model, ws, cfg)
+        assert 1 < result.best_epoch < result.stopped_epoch < cfg.max_epochs
+        assert result.stopped_epoch == result.best_epoch + cfg.patience
+        assert len(states) == len(result.history) == result.stopped_epoch
+        history = [v for _, _, v in result.history]
+        assert history[result.best_epoch - 2] > history[result.best_epoch] > result.best_val
+        assert result.best_val == min(history)
+        np.testing.assert_array_equal(model.state_arena(), states[result.best_epoch - 1])
+
+    def test_last_epoch_best_keeps_the_trained_state(self):
+        # fit snapshots the best epoch before each later one; none of them
+        # may come back when the last epoch is best
+        ws = learnable_windows(lookback=16)
+        model = arena_model(seed=2)
+        states = self.record_validation_states(model)
+        result = fit(model, ws, TrainConfig(learning_rate=0.1, max_epochs=4, patience=4))
+        assert result.best_epoch == result.stopped_epoch == len(states) == 4
+        np.testing.assert_array_equal(model.state_arena(), states[-1])
+
     def test_best_snapshot_taken_only_before_weights_change(self):
         # one epoch is the best and the last: fit copies no arena for a restore.
         # Its peak is Adam's m and v plus a step's gradients (about 3.38
