@@ -78,7 +78,7 @@ def _load_config(args) -> ExperimentConfig:
         )
     if args.exclude_channels is not None:
         config = dataclasses.replace(
-            config, exclude=_parse_channel_list(args.exclude_channels)
+            config, exclude_channels=_parse_channel_list(args.exclude_channels)
         )
     return config
 

@@ -103,23 +103,23 @@ def config_value(tp, value, name: str):
 def config_section(cls, raw, name: str):
     """Build the config dataclass ``cls`` from the mapping ``raw``, reading values by annotation.
 
-    ``name`` is the section's path ("" at the top level); a field's key is
-    ``metadata["key"]`` if set, else its name. An unknown key, a missing
-    required field or a mistyped value raises ConfigError naming its path,
-    e.g. ``train.learning_rate``.
+    ``name`` is the section's path ("" at the top level); each field is read
+    under its own name. An unknown key, a missing required field or a
+    mistyped value raises ConfigError naming its path, e.g.
+    ``train.learning_rate``.
     """
     if not isinstance(raw, dict):
         raise ConfigError(f"{name} must be a mapping, got {raw!r}")
     prefix = f"{name}." if name else ""
     hints = typing.get_type_hints(cls)
-    fields = {f.metadata.get("key", f.name): f for f in dataclasses.fields(cls)}
+    fields = {f.name: f for f in dataclasses.fields(cls)}
     unknown = sorted(prefix + str(key) for key in raw if key not in fields)
     if unknown:
         raise ConfigError(f"unknown keys {unknown}")
     kwargs = {}
     for key, f in fields.items():
         if key in raw:
-            kwargs[f.name] = config_value(hints[f.name], raw[key], prefix + key)
+            kwargs[key] = config_value(hints[key], raw[key], prefix + key)
         elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
             raise ConfigError(f"missing required field {prefix + key}")
     return cls(**kwargs)

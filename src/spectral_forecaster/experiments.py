@@ -41,8 +41,7 @@ class ExperimentConfig:
     Exactly one of `dataset` (CSV path) and `synthetic` must be set. The
     model is retrained once per entry in `horizons`, which defaults to the
     model's own horizon; `model.horizon` is set to the first, the horizon
-    every single-model command uses. A YAML file names `exclude` as
-    `exclude_channels`.
+    every single-model command uses.
     """
 
     model: ModelConfig
@@ -50,8 +49,7 @@ class ExperimentConfig:
     split: SplitSpec = SplitSpec()
     dataset: str | None = None
     synthetic: SyntheticSpec | None = None
-    exclude: tuple[int | str, ...] = dataclasses.field(
-        default=(), metadata={"key": "exclude_channels"})
+    exclude_channels: tuple[int | str, ...] = ()
     horizons: tuple[int, ...] = ()
     out_dir: str = "runs"
     tag: str = "run"
@@ -69,7 +67,7 @@ class ExperimentConfig:
             raise ConfigError(f"horizons must be distinct, got {horizons}")
         object.__setattr__(self, "horizons", horizons)
         object.__setattr__(self, "model", dataclasses.replace(self.model, horizon=horizons[0]))
-        object.__setattr__(self, "exclude", tuple(self.exclude))
+        object.__setattr__(self, "exclude_channels", tuple(self.exclude_channels))
         if not self.tag or any(c in self.tag for c in "/\\"):
             raise ConfigError(f"tag must be a nonempty path-free name, got {self.tag!r}")
 
@@ -154,7 +152,7 @@ def load_series(config: ExperimentConfig) -> RawSeries:
         series = load_csv(config.dataset)
     else:
         series = synth_series(config.synthetic, config.train.seed)
-    return exclude_channels(series, config.exclude)
+    return exclude_channels(series, config.exclude_channels)
 
 
 def init_model(model_cfg: ModelConfig, seed: int) -> FilterFormer:

@@ -34,12 +34,14 @@ PREDICT_CHUNK = 128
 class ModelConfig:
     """Every shape hyperparameter of the forecaster.
 
-    ``stride`` defaults to ``patch_len`` (non-overlapping patches) and ``d_k``
-    to ``d_model // n_heads``. ``alpha`` of the ``total_layers`` blocks are
-    spectral, the rest attention; spectral blocks always come first. With
-    ``filter_placement="pre-embedding"`` the ``alpha`` filters act on the
-    input instead, and they still count against ``total_layers``: the
-    embedded stack holds ``total_layers - alpha`` attention blocks.
+    ``stride`` defaults to ``patch_len`` (non-overlapping patches), ``d_k``
+    to ``d_model // n_heads``, and ``FeedForward`` widens a None
+    ``ffn_hidden`` to ``2 * d_model``. ``alpha`` of the ``total_layers``
+    blocks are spectral, the rest attention; spectral blocks always come
+    first. With ``filter_placement="pre-embedding"`` the ``alpha`` filters
+    act on the input instead, and they still count against
+    ``total_layers``: the embedded stack holds ``total_layers - alpha``
+    attention blocks.
     """
 
     lookback: int
@@ -99,9 +101,6 @@ class ModelConfig:
     def n_patches(self) -> int:
         return (self.lookback - self.patch_len) // self.stride + 1
 
-    def resolved_ffn_hidden(self) -> int:
-        return self.ffn_hidden if self.ffn_hidden is not None else 2 * self.d_model
-
 
 def _position_init(rng: np.random.Generator, view: np.ndarray) -> None:
     """N(0, 0.02) drawn in place, with the same bits as ``rng.normal(0.0, 0.02)``."""
@@ -125,8 +124,9 @@ class AttentionBlock(Module):
 
     Per head, queries and keys are d_k wide while values keep the full
     d_model width; the concatenated (n_heads * d_model) output is projected
-    back to d_model. Q/K/V maps carry no bias. Dropout hits the attention
-    weights and the MLP interior only.
+    back to d_model. Q/K/V maps carry no bias; ``T.attention`` scales the
+    scores by ``1 / sqrt(d_k)``. Dropout hits the attention weights and the
+    MLP interior only.
 
     The scores, the softmax, the attention dropout and the value path are
     one ``T.attention`` node, whose mask ``attn_drop.mask`` draws. The value
@@ -138,25 +138,24 @@ class AttentionBlock(Module):
     R * n > d, which every training batch and predict chunk meets.
     """
 
-    def __init__(self, d_model: int, n_heads: int, d_k: int, ffn_hidden: int,
+    def __init__(self, d_model: int, n_heads: int, d_k: int, ffn_hidden: int | None,
                  activation: str = "gelu", dropout: float = 0.0):
         self.d_model = d_model
         self.n_heads = n_heads
-        self.d_k = d_k
         self.wq = Parameter((d_model, n_heads * d_k), xavier_uniform)
         self.wk = Parameter((d_model, n_heads * d_k), xavier_uniform)
         self.wv = Parameter((d_model, n_heads * d_model), xavier_uniform)
         self.out_proj = Linear(n_heads * d_model, d_model)
         self.attn_drop = Dropout(dropout)
         self.norm1 = BatchNorm(d_model)
-        self.mlp = FeedForward(d_model, ffn_hidden, d_model, activation, dropout)
+        self.mlp = FeedForward(d_model, ffn_hidden, activation, dropout)
         self.norm2 = BatchNorm(d_model)
 
     def _attend(self, y: Tensor, rng: np.random.Generator | None) -> Tensor:
         rows, n = y.shape[:2]
         keep = self.attn_drop.mask((rows, self.n_heads, n, n), rng)
         return T.attention(y, self.wq, self.wk, self.wv, self.out_proj.weight, self.out_proj.bias,
-                           self.n_heads, 1.0 / np.sqrt(self.d_k), keep, self.attn_drop.scale)
+                           self.n_heads, keep, self.attn_drop.scale)
 
     def forward(self, y: Tensor, rng: np.random.Generator | None = None) -> Tensor:
         if y.ndim != 3 or y.shape[-1] != self.d_model:
@@ -201,7 +200,7 @@ class FilterFormer(Module):
         self.embedding = PatchEmbedding(cfg)
         self.blocks = [SpectralBlock(cfg.d_model, cfg.n_patches, cfg.spectral, cfg.activation,
                                      cfg.dropout) for _ in range(0 if pre_embedding else cfg.alpha)]
-        self.blocks += [AttentionBlock(cfg.d_model, cfg.n_heads, cfg.d_k, cfg.resolved_ffn_hidden(),
+        self.blocks += [AttentionBlock(cfg.d_model, cfg.n_heads, cfg.d_k, cfg.ffn_hidden,
                                        cfg.activation, cfg.dropout)
                         for _ in range(cfg.total_layers - cfg.alpha)]
         self.head = ForecastHead(cfg.n_patches, cfg.d_model, cfg.horizon)

@@ -24,7 +24,9 @@ import math
 import numpy as np
 
 from .numeric import tensor as T
-from .numeric.tensor import Parameter, Tensor
+from .numeric.tensor import NORM_EPS, Parameter, Tensor
+
+BATCHNORM_MOMENTUM = 0.1  # the weight of a batch's statistics in the running averages
 
 
 class Module:
@@ -211,13 +213,12 @@ class BatchNorm(Module):
 
     Training normalizes with batch statistics (population variance) in one
     tape node with an analytic backward, and updates running averages in
-    place; evaluation uses the running averages.
+    place with weight ``BATCHNORM_MOMENTUM``; evaluation uses the running
+    averages. Both floor the variance at ``NORM_EPS``.
     """
 
-    def __init__(self, num_features: int, momentum: float = 0.1, eps: float = 1e-5):
+    def __init__(self, num_features: int):
         self.num_features = num_features
-        self.momentum = momentum
-        self.eps = eps
         self.gamma = Parameter(num_features, 1.0)
         self.beta = Parameter(num_features, 0.0)
         self.running_mean = np.broadcast_to(0.0, num_features)
@@ -229,16 +230,15 @@ class BatchNorm(Module):
                 f"expected {self.num_features} features on the last axis, got shape {x.shape}"
             )
         if self.training:
-            out, mu, v = T.normalize(x, tuple(range(x.ndim - 1)), self.eps,
-                                     self.gamma, self.beta)
-            m = self.momentum
+            out, mu, v = T.normalize(x, tuple(range(x.ndim - 1)), self.gamma, self.beta)
+            m = BATCHNORM_MOMENTUM
             rm, rv = self.running_mean, self.running_var
             rm *= 1.0 - m
             rm += m * mu.reshape(-1)
             rv *= 1.0 - m
             rv += m * v.reshape(-1)
             return out
-        denom = np.sqrt(self.running_var + self.eps)
+        denom = np.sqrt(self.running_var + NORM_EPS)
         xhat = T.div(T.sub(x, self.running_mean), denom)
         return T.add(T.mul(xhat, self.gamma), self.beta)
 
@@ -246,12 +246,11 @@ class BatchNorm(Module):
 class InstanceNorm(Module):
     """Per-row zero-mean unit-variance over the last axis, learnable feature affine.
 
-    One tape node with an analytic backward.
+    One tape node with an analytic backward; the variance is floored at ``NORM_EPS``.
     """
 
-    def __init__(self, num_features: int, eps: float = 1e-5):
+    def __init__(self, num_features: int):
         self.num_features = num_features
-        self.eps = eps
         self.gamma = Parameter(num_features, 1.0)
         self.beta = Parameter(num_features, 0.0)
 
@@ -260,21 +259,22 @@ class InstanceNorm(Module):
             raise ValueError(
                 f"expected {self.num_features} features on the last axis, got shape {x.shape}"
             )
-        return T.normalize(x, -1, self.eps, self.gamma, self.beta)[0]
+        return T.normalize(x, -1, self.gamma, self.beta)[0]
 
 
 _ACTIVATIONS = {"gelu": T.gelu, "relu": T.relu}
 
 
 class FeedForward(Module):
-    """Two-layer MLP: linear, activation, dropout, linear."""
+    """Two-layer MLP, d to ``hidden`` (default ``2 * d``) to d: linear, activation, dropout, linear."""
 
-    def __init__(self, d_in: int, hidden: int, d_out: int, activation: str = "gelu",
+    def __init__(self, d: int, hidden: int | None = None, activation: str = "gelu",
                  dropout: float = 0.0):
         if activation not in _ACTIVATIONS:
             raise ValueError(f"unknown activation {activation!r}, expected one of {sorted(_ACTIVATIONS)}")
-        self.lin1 = Linear(d_in, hidden)
-        self.lin2 = Linear(hidden, d_out)
+        hidden = 2 * d if hidden is None else hidden
+        self.lin1 = Linear(d, hidden)
+        self.lin2 = Linear(hidden, d)
         self.drop = Dropout(dropout)
         self.activation = activation
 

@@ -52,6 +52,7 @@ __all__ = [
     "irfft_kernel",
 ]
 
+NORM_EPS = 1e-5  # the variance floor of every normalization layer
 _grad_enabled = True
 
 
@@ -451,8 +452,8 @@ def mean(a, axis=None, keepdims: bool = False) -> Tensor:
     return _from_op(out, "mean", (a,), bwd)
 
 
-def normalize(a, axis, eps: float, gamma, beta) -> tuple[Tensor, np.ndarray, np.ndarray]:
-    """``gamma * (a - mean) / sqrt(var + eps) + beta`` as one node.
+def normalize(a, axis, gamma, beta) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    """``gamma * (a - mean) / sqrt(var + NORM_EPS) + beta`` as one node.
 
     Mean and population variance are taken over ``axis`` (an int or a tuple,
     as in numpy); ``gamma`` and ``beta`` live on the last axis. Returns the
@@ -484,7 +485,7 @@ def normalize(a, axis, eps: float, gamma, beta) -> tuple[Tensor, np.ndarray, np.
     xhat = a.data - mu
     out = np.multiply(xhat, xhat)  # the squares, until the output overwrites them
     v = mean(out)
-    std = np.sqrt(v + eps)
+    std = np.sqrt(v + NORM_EPS)
     xhat /= std
     gd, bd = gamma.data, beta.data
     np.multiply(xhat, gd, out=out)
@@ -651,20 +652,19 @@ _HEAD_MIX_BLOCK = 512 * 1024
 _HEAD_MIX_GROUP = 2 * 1024 * 1024
 
 
-def attention(y, wq, wk, wv, wo, bias, n_heads: int, scale: float, keep=None,
-              drop_scale: float = 1.0) -> Tensor:
+def attention(y, wq, wk, wv, wo, bias, n_heads: int, keep=None, drop_scale: float = 1.0) -> Tensor:
     """Multi-head self-attention, ``sum_h A_h @ (y @ wv_h) @ wo_h + bias``, as one node.
 
     ``y`` is (rows, n, d); ``wq`` and ``wk`` are (d, h * d_k), ``wv`` (d, h *
     dv) and ``wo`` (h * dv, d_out); head h owns its slice of each weight's
-    heads axis. ``A_h`` is the softmax over keys of ``scale * q_h @ k_h^T``
-    (``q = y @ wq``, ``k = y @ wk``), shifted by the exact row max, times
-    ``keep * drop_scale`` when a boolean mask ``keep`` (rows, h, n, n) is
-    given: inverted dropout. The value path is reassociated as ``[A_1 @ y |
-    ... | A_h @ y] @ [wv_h @ wo_h]_h``, fewer multiply-adds whenever rows * n
-    exceeds d_out (with dv = d). Its mixed values are h times wider than
-    ``y``, so they are formed one block of rows at a time, at most
-    ``_HEAD_MIX_BLOCK`` bytes.
+    heads axis. ``A_h`` is the softmax over keys of ``q_h @ k_h^T`` times
+    ``1 / sqrt(d_k)``, with ``q = y @ wq``, ``k = y @ wk`` and d_k read off
+    ``wq``'s width, shifted by the exact row max, times ``keep * drop_scale``
+    when a boolean mask ``keep`` (rows, h, n, n) is given: inverted dropout.
+    The value path is reassociated as ``[A_1 @ y | ... | A_h @ y] @ [wv_h @
+    wo_h]_h``, fewer multiply-adds whenever rows * n exceeds d_out (with dv
+    = d). Its mixed values are h times wider than ``y``, so they are formed
+    one block of rows at a time, at most ``_HEAD_MIX_BLOCK`` bytes.
 
     As in FlashAttention, the node keeps only the softmax maps and the mask,
     in the value path's permuted layout (rows, n * h, n), where row i * h + j
@@ -699,6 +699,7 @@ def attention(y, wq, wk, wv, wo, bias, n_heads: int, scale: float, keep=None,
                          f"keep {None if keep is None else keep.shape}")
     rows, n, d = y.shape
     dk, dv, d_out = wq.shape[1] // h, wv.shape[1] // h, wo.shape[1]
+    scale = 1.0 / math.sqrt(dk)
     wqd, wkd, y_data = wq.data, wk.data, _keep(y)
     wv3 = wv.data.reshape(d, h, dv).transpose(1, 0, 2)    # (h, d, dv)
     wo3 = wo.data.reshape(h, dv, d_out)

@@ -34,7 +34,8 @@ class SpectralBlockConfig:
 
     ``filtered_axis_length`` may be left None and is then derived from the
     model (embedding width, or patch count for the per-patch-axis variant).
-    ``mlp_hidden`` defaults to ``2 * d_model``, whichever axis is filtered.
+    ``mlp_hidden`` defaults to ``2 * d_model`` (:class:`FeedForward` owns that
+    rule), whichever axis is filtered.
     """
 
     use_mlp: bool = True
@@ -105,8 +106,7 @@ class SpectralBlock(Module):
         self.filter = SpectralFilter(n_f)
         self.norm_mid = InstanceNorm(d_model)
         if cfg.use_mlp:
-            hidden = cfg.mlp_hidden if cfg.mlp_hidden is not None else 2 * d_model
-            self.mlp = FeedForward(d_model, hidden, d_model, activation, dropout)
+            self.mlp = FeedForward(d_model, cfg.mlp_hidden, activation, dropout)
 
     def filter_input(self, y: Tensor) -> Tensor:
         """Batch-normalized ``y`` with the filtered axis moved last."""

@@ -17,7 +17,9 @@ q k^T as one node that rebuilds q and k in backward), ``three_array_softmax``
 (numpy's row max, then a shifted, an exponentiated and a normalized array),
 the dropout as a ``mul`` by a float mask and ``z_keeping_head_mix`` (the
 value path reassociated as one node that keeps the mixed values, all heads
-at once, and the weight product). ``split_attend`` is
+at once, and the weight product). Both chains take their scores' scale as
+a keyword, which ``scaled`` binds to ``1 / sqrt(d_k)``: then they take
+``tensor.attention``'s arguments. ``split_attend`` is
 ``AttentionBlock._attend`` over that chain, with ``float_mask_dropout``
 drawing the mask.
 ``two_array_gelu``, ``float_mask_dropout``, ``recipe_free_normalize`` and
@@ -42,6 +44,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import json
 import math
 import struct
@@ -194,9 +197,12 @@ def unfused_attention_scores(y, wq, wk, n_heads: int, scale: float) -> Tensor:
     return T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), scale)
 
 
-def unfused_attention(y, wq, wk, wv, wo, bias, n_heads: int, scale: float, keep=None,
-                      drop_scale: float = 1.0) -> Tensor:
-    """``tensor.attention`` as the 17-node chain: scores, softmax, a float-mask ``mul``, value path."""
+def unfused_attention(y, wq, wk, wv, wo, bias, n_heads: int, keep=None, drop_scale: float = 1.0,
+                      *, scale: float) -> Tensor:
+    """``tensor.attention`` as the 17-node chain: scores, softmax, a float-mask ``mul``, value path.
+
+    The scores' ``scale`` is given, not derived from ``wq``; :func:`scaled` binds it.
+    """
     attn = three_array_softmax(unfused_attention_scores(y, wq, wk, n_heads, scale), axis=-1)
     if keep is not None:
         attn = T.mul(attn, keep * drop_scale)
@@ -237,9 +243,14 @@ def attention_scores(y, wq, wk, n_heads: int, scale: float) -> Tensor:
     return _from_op(out, "attention_scores", (y, wq, wk), bwd)
 
 
-def split_attention(y, wq, wk, wv, wo, bias, n_heads: int, scale: float, keep=None,
-                    drop_scale: float = 1.0) -> Tensor:
-    """``tensor.attention`` as the four-node chain it replaced, with the same bits."""
+def scaled(chain, d_k: int):
+    """``chain`` with its scores scaled by ``1 / sqrt(d_k)``, taking ``tensor.attention``'s arguments."""
+    return functools.partial(chain, scale=1.0 / np.sqrt(d_k))
+
+
+def split_attention(y, wq, wk, wv, wo, bias, n_heads: int, keep=None, drop_scale: float = 1.0,
+                    *, scale: float) -> Tensor:
+    """``tensor.attention`` as the four-node chain it replaced, with the same bits at the given ``scale``."""
     attn = three_array_softmax(attention_scores(y, wq, wk, n_heads, scale), axis=-1)
     if keep is not None:
         attn = T.mul(attn, keep * drop_scale)
@@ -248,7 +259,8 @@ def split_attention(y, wq, wk, wv, wo, bias, n_heads: int, scale: float, keep=No
 
 def split_attend(self, y: Tensor, rng: np.random.Generator | None) -> Tensor:
     """``AttentionBlock._attend`` over the split chain, its mask drawn by ``float_mask_dropout``."""
-    scores = attention_scores(y, self.wq, self.wk, self.n_heads, 1.0 / np.sqrt(self.d_k))
+    d_k = self.wq.shape[1] // self.n_heads
+    scores = attention_scores(y, self.wq, self.wk, self.n_heads, 1.0 / np.sqrt(d_k))
     attn = float_mask_dropout(self.attn_drop, three_array_softmax(scores, axis=-1), rng)
     return z_keeping_head_mix(attn, y, self.wv, self.out_proj.weight, self.out_proj.bias)
 
@@ -303,9 +315,9 @@ def float_mask_dropout(self, x: Tensor, rng: np.random.Generator | None = None) 
     return T.mul(x, mask)
 
 
-def recipe_free_normalize(a, axis, eps: float, gamma, beta):
+def recipe_free_normalize(a, axis, gamma, beta):
     """``normalize`` whose output carries no recipe: each consumer keeps the output array."""
-    out, mu, v = _normalize(a, axis, eps, gamma, beta)
+    out, mu, v = _normalize(a, axis, gamma, beta)
     out._rebuild = None
     return out, mu, v
 

@@ -174,7 +174,7 @@ def test_every_trainable_component_passes_gradient_check():
     lin = Linear(5, 3).init_state(rng)
     total += _fd_check_params(lin.named_parameters(), _projection_loss(lin, data.standard_normal((4, 5)), 1), "Linear")
 
-    ffn = FeedForward(6, 9, 6, dropout=0.0).init_state(rng)
+    ffn = FeedForward(6, 9, dropout=0.0).init_state(rng)
     total += _fd_check_params(ffn.named_parameters(), _projection_loss(ffn, data.standard_normal((3, 6)), 2), "FeedForward")
 
     bn = BatchNorm(7).init_state(rng)
@@ -198,7 +198,7 @@ def test_every_trainable_component_passes_gradient_check():
     head = ForecastHead(cfg.n_patches, cfg.d_model, cfg.horizon).init_state(rng)
     total += _fd_check_params(head.named_parameters(), _projection_loss(head, data.standard_normal((2, cfg.n_patches, cfg.d_model)), 7), "ForecastHead")
 
-    att = AttentionBlock(cfg.d_model, cfg.n_heads, cfg.d_k, cfg.resolved_ffn_hidden(), dropout=0.0).init_state(rng)
+    att = AttentionBlock(cfg.d_model, cfg.n_heads, cfg.d_k, cfg.ffn_hidden, dropout=0.0).init_state(rng)
     total += _fd_check_params(
         att.named_parameters(),
         _projection_loss(
@@ -283,7 +283,7 @@ def test_filterless_model_is_bit_identical_to_backbone():
     rng = np.random.default_rng(seed)
     embedding = PatchEmbedding(cfg).init_state(rng)
     blocks = [
-        AttentionBlock(cfg.d_model, cfg.n_heads, cfg.d_k, cfg.resolved_ffn_hidden(),
+        AttentionBlock(cfg.d_model, cfg.n_heads, cfg.d_k, cfg.ffn_hidden,
                        cfg.activation, cfg.dropout).init_state(rng)
         for _ in range(cfg.total_layers)
     ]

@@ -645,6 +645,56 @@ def test_explicit_openblas_threads_win_over_the_cap():
             == blas_threads(OPENBLAS_NUM_THREADS="2"))
 
 
+# one training step of a prefilter336-shaped model: its weight gradients reduce
+# over 112 rows of 21 patches, where OpenBLAS's bits depend on its thread count
+STEP_HASH = """
+import hashlib
+import numpy as np
+from spectral_forecaster import _openblas
+from spectral_forecaster.model import FilterFormer, ModelConfig
+from spectral_forecaster.numeric import backward
+from spectral_forecaster.training import mse_loss
+
+cfg = ModelConfig(lookback=336, horizon=96, patch_len=16, d_model=64, n_heads=4,
+                  total_layers=3, alpha=2, filter_placement="pre-embedding", dropout=0.0)
+model = FilterFormer(cfg, np.random.default_rng(0))
+rng = np.random.default_rng(1)
+backward(mse_loss(model(rng.standard_normal((112, 336))), rng.standard_normal((112, 96))))
+digest = hashlib.sha256()
+for _, p in model.named_parameters():
+    digest.update(p.grad.tobytes())
+get = _openblas("get")
+print(-1 if get is None else get(), digest.hexdigest())
+"""
+
+
+def step_gradient_hash(numpy_first: bool, **variables) -> tuple[int, str]:
+    """BLAS thread count and sha256 of every gradient of one step, in a fresh interpreter.
+
+    Only ``variables`` of the thread settings reach it; ``numpy_first``
+    imports numpy before the package. Skips where no OpenBLAS thread getter
+    is found beside numpy.
+    """
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (f"import sys; sys.path.insert(0, {str(src)!r})\n"
+            + ("import numpy\n" if numpy_first else "import spectral_forecaster\n") + STEP_HASH)
+    env = {k: v for k, v in os.environ.items() if k not in (
+        "SPECTRAL_FORECASTER_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, check=True, env={**env, **variables})
+    threads, digest = proc.stdout.split()
+    if int(threads) < 0:
+        pytest.skip("no OpenBLAS thread getter beside numpy")
+    return int(threads), digest
+
+
+def test_capped_step_gives_the_same_gradients_whatever_the_import_order():
+    package_first = step_gradient_hash(False, SPECTRAL_FORECASTER_THREADS="1")
+    numpy_first = step_gradient_hash(True, SPECTRAL_FORECASTER_THREADS="1")
+    assert package_first[0] == numpy_first[0] == 1
+    assert package_first[1] == numpy_first[1]
+
+
 @pytest.mark.parametrize("reader, code, family", [
     ("checkpoint", 3, "data error:"),
     ("synth-spec", 2, "config error:"),

@@ -98,11 +98,11 @@ class TestConfigSection:
         with pytest.raises(ConfigError, match="split.boundaries must be a list of 2 items"):
             config_section(SplitSpec, {"boundaries": [100]}, "split")
 
-    def test_field_key_from_metadata(self):
+    def test_field_read_under_its_own_name(self):
         raw = {"model": {"lookback": 16, "horizon": 4, "patch_len": 4, "d_model": 8,
                          "n_heads": 2},
                "synthetic": {}, "exclude_channels": [1, "a"]}
-        assert config_section(ExperimentConfig, raw, "").exclude == (1, "a")
+        assert config_section(ExperimentConfig, raw, "").exclude_channels == (1, "a")
         raw["exclude"] = raw.pop("exclude_channels")
         with pytest.raises(ConfigError, match=r"unknown keys \['exclude'\]"):
             config_section(ExperimentConfig, raw, "")
@@ -125,7 +125,7 @@ def yaml_paths(cls, prefix=()):
     """The key path of every field under ``cls``, nested sections included."""
     hints = typing.get_type_hints(cls)
     for f in dataclasses.fields(cls):
-        path = prefix + (f.metadata.get("key", f.name),)
+        path = prefix + (f.name,)
         yield path
         for tp in (hints[f.name], *typing.get_args(hints[f.name])):
             if dataclasses.is_dataclass(tp):

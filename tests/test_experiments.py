@@ -175,7 +175,7 @@ exclude_channels: [0, temp]
 """)
         cfg = load_experiment_config(p)
         assert (cfg.dataset, cfg.tag, cfg.out_dir) == ("12", "12", "3.5")
-        assert cfg.exclude == (0, "temp")  # an integer stays a channel index
+        assert cfg.exclude_channels == (0, "temp")  # an integer stays a channel index
 
 
 class TestRun:
@@ -376,7 +376,7 @@ class TestLoadSeries:
     def test_exclusion_applied(self, tmp_path):
         csv = tmp_path / "two.csv"
         csv.write_text("date,a,b\n" + "\n".join(f"{i},{i}.0,{i * 2}.5" for i in range(30)))
-        cfg = micro_config(tmp_path, synthetic=None, dataset=str(csv), exclude=("a",))
+        cfg = micro_config(tmp_path, synthetic=None, dataset=str(csv), exclude_channels=("a",))
         series = load_series(cfg)
         assert series.channel_names == ("b",)
 

@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spectral_forecaster.data import SplitSpec, SyntheticSpec
 from spectral_forecaster.errors import ConfigError, config_section
+from spectral_forecaster.experiments import ExperimentConfig
 from spectral_forecaster.model import checkpoint
 from spectral_forecaster.model import (
     AttentionBlock,
@@ -26,6 +28,7 @@ from spectral_forecaster.model import (
 from spectral_forecaster.numeric import Tensor, backward, no_grad
 from spectral_forecaster.numeric import tensor as T
 from spectral_forecaster.spectral import SpectralBlockConfig
+from spectral_forecaster.training import TrainConfig
 
 from conftest import naive_circular_convolution
 import reference as ref
@@ -75,9 +78,25 @@ class TestModelConfig:
         assert cfg.d_k == 5
 
     def test_dict_round_trip(self):
+        """Every config dataclass reads its own ``asdict`` back: each field is keyed by its name."""
         cfg = tiny_config(spectral=SpectralBlockConfig(use_mlp=False), stride=2)
         again = config_section(ModelConfig, dataclasses.asdict(cfg), "model")
         assert again == cfg
+        # every field off its default, so a field read under another key shows
+        configs = [
+            SpectralBlockConfig(use_mlp=False, mlp_hidden=5, filtered_axis_length=3,
+                                filter_axis="patch"),
+            TrainConfig(learning_rate=0.5, batch_size=3, max_epochs=4, patience=2, seed=9),
+            SplitSpec(train_frac=0.5, val_frac=0.25, test_frac=0.25, boundaries=(10, 20)),
+            SyntheticSpec(components=((1.0, 0.1, 0.0), (0.5, 0.2, 1.0), (0.25, 0.3, 2.0)),
+                          length=300, noise=0.5),
+            ExperimentConfig(model=cfg, train=TrainConfig(seed=3), split=SplitSpec(boundaries=(5, 9)),
+                             synthetic=SyntheticSpec(length=500), exclude_channels=(1, "a"),
+                             horizons=(4, 8), out_dir="out", tag="t"),
+            ExperimentConfig(model=cfg, dataset="series.csv"),
+        ]
+        for x in configs:
+            assert config_section(type(x), dataclasses.asdict(x), "") == x
 
     def test_unknown_keys_rejected(self):
         d = dataclasses.asdict(tiny_config())
@@ -216,23 +235,27 @@ class TestAttentionBlock:
         with pytest.raises(ValueError):
             block(Tensor(np.zeros((2, 3, 9))))
 
-    # d_model, heads, d_k, input shape: one head, a d_k that is not d/h,
-    # the single-patch path of attention_block_forward, and a single row
+    # d_model, heads, d_k, input shape: one head, two d_k that are not d/h
+    # (the node reads d_k, and so its scale, off wq), the single-patch path of
+    # attention_block_forward, and a single row
     @pytest.mark.parametrize("d,heads,d_k,shape", [
         (6, 1, 6, (3, 4, 6)),
         (6, 2, 5, (3, 4, 6)),
         (8, 2, 4, (1, 8)),
         (8, 4, 2, (1, 5, 8)),
+        (8, 2, 3, (3, 4, 8)),
     ])
     def test_value_path_matches_unfused_chain(self, monkeypatch, d, heads, d_k, shape):
         # training mode with dropout on the attention weights: the block over the
-        # attention node and over the 18-node unfused chain must draw the same
-        # masks and give the same gradients
+        # attention node, over the four-node split chain and over the 18-node
+        # unfused chain, both scaled by 1 / sqrt(d_k), must draw the same masks
+        # and give the split chain's bits and the unfused chain's to rounding
         rng = np.random.default_rng(d + heads + d_k)
         y = rng.standard_normal(shape)
         proj = rng.standard_normal(shape)
         results = []
-        for attention in (T.attention, ref.unfused_attention):
+        for attention in (T.attention, ref.scaled(ref.split_attention, d_k),
+                          ref.scaled(ref.unfused_attention, d_k)):
             monkeypatch.setattr(T, "attention", attention)
             block = AttentionBlock(d, heads, d_k, 2 * d, dropout=0.3).init_state(np.random.default_rng(0))
             x = Tensor(y.copy(), requires_grad=True)
@@ -240,9 +263,10 @@ class TestAttentionBlock:
             backward(ref.sum(T.mul(out, proj)))
             grads = [p.grad for _, p in block.named_parameters()]
             results.append([out.data, x.grad] + grads)
-        assert len(results[0]) == len(results[1]) == 15  # output, input and 13 parameters
+        assert [len(r) for r in results] == [15, 15, 15]  # output, input and 13 parameters
         # atol covers out_proj.bias, whose gradient vanishes under norm1 but for rounding
-        for new, old in zip(*results):
+        for new, split, old in zip(*results):
+            assert new.tobytes() == split.tobytes()
             np.testing.assert_allclose(new, old, rtol=1e-12, atol=1e-12)
 
 
@@ -284,7 +308,7 @@ class TestFilterFormer:
         rng = np.random.default_rng(seed)
         embedding = PatchEmbedding(cfg).init_state(rng)
         blocks = [
-            AttentionBlock(cfg.d_model, cfg.n_heads, cfg.d_k, cfg.resolved_ffn_hidden(),
+            AttentionBlock(cfg.d_model, cfg.n_heads, cfg.d_k, cfg.ffn_hidden,
                            cfg.activation, cfg.dropout).init_state(rng)
             for _ in range(cfg.total_layers)
         ]
@@ -455,7 +479,7 @@ class TestFilterProbe:
         patches = ref.patchify(xn, cfg.patch_len, cfg.stride)
         y = patches @ model.embedding.proj.data + model.embedding.pos.data
         norm = model.blocks[0].norm_in
-        y = (y - norm.running_mean) / np.sqrt(norm.running_var + norm.eps)
+        y = (y - norm.running_mean) / np.sqrt(norm.running_var + T.NORM_EPS)
         y = y * norm.gamma.data + norm.beta.data
         return y if case == "embedding-axis" else np.swapaxes(y, -1, -2)
 
@@ -541,7 +565,7 @@ class TestFusedLayers:
         from spectral_forecaster.nn import BatchNorm
 
         rng = np.random.default_rng(31)
-        norm = BatchNorm(4, momentum=0.3).init_state(rng)
+        norm = BatchNorm(4).init_state(rng)
         rm, rv = np.zeros(4), np.ones(4)
         for _ in range(3):
             x = rng.standard_normal((3, 5, 4)) * 2.0 + 1.0
@@ -549,8 +573,8 @@ class TestFusedLayers:
             # population variance of the rows flattened to (-1, features)
             flat = x.reshape(-1, 4)
             centered = flat - flat.mean(axis=0, keepdims=True)
-            rm = 0.7 * rm + 0.3 * flat.mean(axis=0)
-            rv = 0.7 * rv + 0.3 * (centered * centered).mean(axis=0)
+            rm = 0.9 * rm + 0.1 * flat.mean(axis=0)
+            rv = 0.9 * rv + 0.1 * (centered * centered).mean(axis=0)
             norm(ref.swapaxes(Tensor(np.swapaxes(x, 0, 1)), 0, 1))  # x, not contiguous
             np.testing.assert_allclose(norm.running_mean, rm, rtol=0, atol=1e-12)
             np.testing.assert_allclose(norm.running_var, rv, rtol=0, atol=1e-12)

@@ -59,10 +59,11 @@ class TestForward:
             T.matmul(Tensor(np.ones(3)), Tensor(np.ones((3, 2))))
 
     def test_softmax_rows_sum_to_one(self):
-        # the attention node's kept maps, under scores of about +-30
+        # the attention node's kept maps, under scores of about +-30: the query
+        # weights are 6 times larger, as the node scales by 1 / sqrt(4)
         rng = np.random.default_rng(2)
         y, wq, wk = (rng.standard_normal(s) for s in [(5, 7, 4), (4, 8), (4, 8)])
-        out = T.attention(Parameter(y), wq, wk, np.eye(4, 8), np.ones((8, 4)), np.zeros(4), 2, 3.0)
+        out = T.attention(Parameter(y), 6.0 * wq, wk, np.eye(4, 8), np.ones((8, 4)), np.zeros(4), 2)
         maps = [a for a in TestAttention.kept(out.node.backward_fn).values()
                 if a.shape == (5, 14, 7)]
         assert len(maps) == 1 and np.ptp(maps[0]) > 0.99  # some rows are one-hot
@@ -201,7 +202,7 @@ class TestGradientsAgainstFiniteDifferences:
         y, wq, wk = (rng.standard_normal(s) for s in [(3, 6, 4), (4, 4), (4, 4)])
         w = rng.standard_normal((3, 6, 4))
         gradcheck(lambda a, q, k: ref.sum(T.mul(T.attention(a, q, k, np.eye(4), np.eye(4), np.zeros(4),
-                                                            1, 1.0), w)), y, wq, wk)
+                                                            1), w)), y, wq, wk)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 12, 16, 21])
     def test_rfft(self, n):
@@ -319,10 +320,14 @@ class TestAttention:
         return rng.random((rows, h, n, n)) >= p
 
     @staticmethod
-    def run(op, arrays, h, keep, proj, view=lambda y: y, scale=0.5):
-        """``op``'s output and every operand's gradient under ``proj``, on fresh Parameters."""
+    def run(op, arrays, h, keep, proj, view=lambda y: y):
+        """``op``'s output and every operand's gradient under ``proj``, on fresh Parameters.
+
+        ``op`` takes ``T.attention``'s arguments, so a reference chain comes
+        with its scale bound (``ref.scaled``).
+        """
         params = [Parameter(a.copy()) for a in arrays]
-        out = op(view(params[0]), *params[1:], h, scale, keep, 1.0 / 0.7)
+        out = op(view(params[0]), *params[1:], h, keep, 1.0 / 0.7)
         backward(ref.sum(T.mul(out, proj)))
         return [out.data] + [p.grad for p in params]
 
@@ -343,9 +348,9 @@ class TestAttention:
         rng = np.random.default_rng(204)
         arrays = self.operands(rng, 3, 5, 8, 2, 4, 8, 8)
         keep = self.mask(rng, 3, 5, 2) if masked else None
-        recorded = T.attention(*(Parameter(a) for a in arrays), 2, 0.5, keep, 1.0 / 0.7)
+        recorded = T.attention(*(Parameter(a) for a in arrays), 2, keep, 1.0 / 0.7)
         with no_grad():
-            out = T.attention(*(Parameter(a) for a in arrays), 2, 0.5, keep, 1.0 / 0.7)
+            out = T.attention(*(Parameter(a) for a in arrays), 2, keep, 1.0 / 0.7)
         assert out.node is None and recorded.node is not None
         assert out.data.tobytes() == recorded.data.tobytes()
 
@@ -393,7 +398,7 @@ class TestHeadMix:
         rows, h, n, _, _, d_out = self.SHAPES[name]
         proj = rng.standard_normal((rows, n, d_out))
         new = TestAttention.run(T.attention, arrays, h, keep, proj)
-        old = TestAttention.run(ref.unfused_attention, arrays, h, keep, proj)
+        old = TestAttention.run(ref.scaled(ref.unfused_attention, 2), arrays, h, keep, proj)
         for a, b in zip(new, old):
             assert a.shape == b.shape
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
@@ -405,15 +410,15 @@ class TestHeadMix:
         arrays, keep = self.operands(rng, self.SHAPES[name], masked)
         rows, h, n, _, _, d_out = self.SHAPES[name]
         proj = rng.standard_normal((rows, n, d_out))
-        gradcheck(lambda *ops: ref.sum(T.mul(T.attention(*ops, h, 0.7, keep, 1.0 / 0.7), proj)),
+        gradcheck(lambda *ops: ref.sum(T.mul(T.attention(*ops, h, keep, 1.0 / 0.7), proj)),
                   *arrays)
 
     def test_one_node_replaces_seven(self):
         """One node for the 7-node value chain, the 9-node scores chain and the softmax."""
         arrays, _ = self.operands(np.random.default_rng(160), self.SHAPES["base"], False)
         params = [Parameter(a) for a in arrays]
-        assert ref.tape_census(T.attention(*params, 2, 0.5)) == {"attention": 1}
-        assert sum(ref.tape_census(ref.unfused_attention(*params, 2, 0.5)).values()) == 17
+        assert ref.tape_census(T.attention(*params, 2)) == {"attention": 1}
+        assert sum(ref.tape_census(ref.scaled(ref.unfused_attention, 2)(*params, 2)).values()) == 17
 
     def test_shape_mismatch_rejected(self):
         arrays, _ = self.operands(np.random.default_rng(161), self.SHAPES["base"], False)
@@ -422,7 +427,7 @@ class TestHeadMix:
             args = list(arrays)
             args[i] = bad
             with pytest.raises(ValueError, match="attention shapes"):
-                T.attention(*args, 2, 0.5)
+                T.attention(*args, 2)
 
 
 class TestAttentionScores:
@@ -462,8 +467,8 @@ class TestAttentionScores:
         arrays, view = self.operands(rng, self.SHAPES[name], swapped)
         keep = TestAttention.mask(rng, rows, n, h)
         proj = rng.standard_normal((rows, n, d))
-        new, split, old = (TestAttention.run(op, arrays, h, keep, proj, view, 1.0 / np.sqrt(dk))
-                           for op in (T.attention, ref.split_attention, ref.unfused_attention))
+        new, split, old = (TestAttention.run(op, arrays, h, keep, proj, view) for op in (
+            T.attention, ref.scaled(ref.split_attention, dk), ref.scaled(ref.unfused_attention, dk)))
         for a, b, c in zip(new, split, old):
             assert a.tobytes() == b.tobytes()
             np.testing.assert_allclose(a, c, rtol=1e-12, atol=1e-12 * np.abs(c).max())
@@ -476,7 +481,7 @@ class TestAttentionScores:
         arrays, view = self.operands(rng, self.SHAPES[name], swapped)
         keep = TestAttention.mask(rng, rows, n, h) if swapped else None
         proj = rng.standard_normal((rows, n, d))
-        gradcheck(lambda y, *ws: ref.sum(T.mul(T.attention(view(y), *ws, h, 0.7, keep, 1.0 / 0.7),
+        gradcheck(lambda y, *ws: ref.sum(T.mul(T.attention(view(y), *ws, h, keep, 1.0 / 0.7),
                                                proj)), *arrays)
 
     def test_one_node_replaces_nine(self):
@@ -485,10 +490,10 @@ class TestAttentionScores:
         rng = np.random.default_rng(200)
         arrays, _ = self.operands(rng, self.SHAPES["explicit-d_k"], False)
         params, keep = [Parameter(a) for a in arrays], TestAttention.mask(rng, rows, n, h)
-        assert ref.tape_census(T.attention(*params, h, 0.5, keep, 2.0)) == {"attention": 1}
-        assert ref.tape_census(ref.split_attention(*params, h, 0.5, keep, 2.0)) == {
+        assert ref.tape_census(T.attention(*params, h, keep, 2.0)) == {"attention": 1}
+        assert ref.tape_census(ref.scaled(ref.split_attention, dk)(*params, h, keep, 2.0)) == {
             "attention_scores": 1, "softmax": 1, "mul": 1, "head_mix": 1}
-        unfused = ref.tape_census(ref.unfused_attention(*params, h, 0.5, keep, 2.0))
+        unfused = ref.tape_census(ref.scaled(ref.unfused_attention, dk)(*params, h, keep, 2.0))
         assert sum(unfused.values()) == 18
 
     def test_shape_mismatch_rejected(self):
@@ -500,11 +505,11 @@ class TestAttentionScores:
                      (y, wq, wk[:, 1:], *rest, 2), (y, wq[:, 1:], wk[:, 1:], *rest, 2),
                      (y, wq, wk, *rest, 0), (y, wq[None], wk[None], *rest, 2)]:
             with pytest.raises(ValueError, match="attention shapes"):
-                T.attention(*args, 0.5)
+                T.attention(*args)
         for bad in (keep[:, :1], keep[..., :1], keep[0]):
             with pytest.raises(ValueError, match="attention shapes"):
-                T.attention(y, wq, wk, *rest, h, 0.5, bad)
-        T.attention(y, wq, wk, *rest, h, 0.5, keep)  # the mask's own shape passes
+                T.attention(y, wq, wk, *rest, h, bad)
+        T.attention(y, wq, wk, *rest, h, keep)  # the mask's own shape passes
 
 
 class TestSharedWeightMatmul:
@@ -582,7 +587,7 @@ class TestNormalize:
         def fn(a, gamma, beta):
             act = self.operand(a, swapped)
             axis = -1 if per_row else tuple(range(act.ndim - 1))
-            out, _, _ = T.normalize(act, axis, 1e-5, gamma, beta)
+            out, _, _ = T.normalize(act, axis, gamma, beta)
             return T.add(ref.sum(T.mul(out, proj)), T.mul(ref.sum(T.mul(out, out)), 0.1))
 
         gradcheck(fn, x, 1.0 + 0.3 * rng.standard_normal(width), rng.standard_normal(width))
@@ -602,7 +607,7 @@ class TestNormalize:
             act = self.operand(a, swapped)
             axis = -1 if per_row else tuple(range(act.ndim - 1))
             if fused:
-                out = T.normalize(act, axis, 1e-5, g, b)[0]
+                out = T.normalize(act, axis, g, b)[0]
             else:
                 out = _old_normalize(act, per_row, 1e-5, g, b)
             backward(ref.sum(T.mul(out, proj)))
@@ -612,18 +617,18 @@ class TestNormalize:
 
     def test_returns_statistics_with_kept_dims(self):
         x = np.random.default_rng(110).standard_normal((3, 5, 4))
-        _, mu, v = T.normalize(Tensor(x), (0, 1), 1e-5, np.ones(4), np.zeros(4))
+        _, mu, v = T.normalize(Tensor(x), (0, 1), np.ones(4), np.zeros(4))
         assert mu.shape == v.shape == (1, 1, 4)
         np.testing.assert_allclose(mu.reshape(-1), x.reshape(-1, 4).mean(axis=0), atol=1e-15)
         np.testing.assert_allclose(v.reshape(-1), x.reshape(-1, 4).var(axis=0), atol=1e-15)
 
     def test_affine_must_match_last_axis(self):
         with pytest.raises(ValueError):
-            T.normalize(Tensor(np.ones((2, 3))), -1, 1e-5, np.ones(2), np.zeros(3))
+            T.normalize(Tensor(np.ones((2, 3))), -1, np.ones(2), np.zeros(3))
 
     def test_one_node(self):
         x = Parameter(np.random.default_rng(111).standard_normal((4, 3)))
-        out = T.normalize(x, -1, 1e-5, Parameter(np.ones(3)), Parameter(np.zeros(3)))[0]
+        out = T.normalize(x, -1, Parameter(np.ones(3)), Parameter(np.zeros(3)))[0]
         assert out.node.op == "normalize"
         assert all(p.node is None for p in out.node.parents)
 
@@ -853,7 +858,7 @@ class TestRetainedState:
         rows, h, n, _, _, d_out = shape
         proj = rng.standard_normal((rows, n, d_out))
         new = TestAttention.run(T.attention, arrays, h, keep, proj)
-        old = TestAttention.run(ref.split_attention, arrays, h, keep, proj)
+        old = TestAttention.run(ref.scaled(ref.split_attention, 2), arrays, h, keep, proj)
         for a, b in zip(new, old):
             assert a.tobytes() == b.tobytes()
 
@@ -886,7 +891,7 @@ class TestRetainedState:
         keep = TestAttention.mask(rng, rows, n, h)
         softmax = ref.three_array_softmax(ref.attention_scores(*arrays[:3], h, 0.5)).data
         for mask in (keep, None):
-            out = T.attention(*(Parameter(a) for a in arrays), h, 0.5, mask, 1.0 / 0.7)
+            out = T.attention(*(Parameter(a) for a in arrays), h, mask, 1.0 / 0.7)
             bwd = out.node.backward_fn
             cells = dict(zip(bwd.__code__.co_freevars, (c.cell_contents for c in bwd.__closure__)))
             assert cells["p"].tobytes() == softmax.transpose(0, 2, 1, 3).tobytes()
@@ -907,15 +912,15 @@ class TestRetainedState:
         keep = TestAttention.mask(rng, rows, n, h, p)
         proj = rng.standard_normal((rows, n, d))
 
-        def dropout_node_chain(y, wq, wk, wv, wo, bias, h, scale, keep, drop_scale):
-            attn = ref.three_array_softmax(ref.attention_scores(y, wq, wk, h, scale))
+        def dropout_node_chain(y, wq, wk, wv, wo, bias, h, keep, drop_scale):
+            attn = ref.three_array_softmax(ref.attention_scores(y, wq, wk, h, 1.0 / np.sqrt(3)))
             return ref.z_keeping_head_mix(T.dropout(attn, keep, drop_scale), y, wv, wo, bias)
 
         new = TestAttention.run(T.attention, arrays, h, keep, proj)
         old = TestAttention.run(dropout_node_chain, arrays, h, keep, proj)
         for a, b in zip(new, old):
             assert a.tobytes() == b.tobytes()
-        out = T.attention(*(Parameter(a) for a in arrays), h, 0.5, keep, 1.0 / (1.0 - p))
+        out = T.attention(*(Parameter(a) for a in arrays), h, keep, 1.0 / (1.0 - p))
         maps = [a for a in TestAttention.kept(out.node.backward_fn).values()
                 if a.shape == (rows, n * h, n)]
         assert sorted(a.dtype.name for a in maps) == ["bool", "float64"]  # no dropped maps
@@ -975,7 +980,7 @@ class TestRetainedState:
         rows, n, d, h, dk = 3, 5, 6, 2, 4
         rng = np.random.default_rng(203)
         params = [Parameter(a) for a in TestAttention.operands(rng, rows, n, d, h, dk, d, d)]
-        out = T.attention(*params, h, 0.5, TestAttention.mask(rng, rows, n, h), 2.0)
+        out = T.attention(*params, h, TestAttention.mask(rng, rows, n, h), 2.0)
         kept = TestAttention.kept(out.node.backward_fn).values()
         held = {id(a): a for a in (a if a.base is None else a.base for a in kept)}
         assert all(a.size != rows * n * h * dk for a in held.values())
@@ -1002,7 +1007,7 @@ class TestRetainedState:
         arrays = self.head_mix_operands(rng, rows, h, n, d)
         proj = rng.standard_normal((rows, n, d))
         new = TestAttention.run(T.attention, arrays, h, None, proj)
-        old = TestAttention.run(ref.split_attention, arrays, h, None, proj)
+        old = TestAttention.run(ref.scaled(ref.split_attention, d // h), arrays, h, None, proj)
         for a, b in zip(new, old):
             assert a.tobytes() == b.tobytes()
 
@@ -1021,7 +1026,7 @@ class TestRetainedState:
         proj = rng.standard_normal((rows, n, d))
         for keep in (None, TestAttention.mask(rng, rows, n, h, 0.1)):
             new = TestAttention.run(T.attention, arrays, h, keep, proj)
-            old = TestAttention.run(ref.split_attention, arrays, h, keep, proj)
+            old = TestAttention.run(ref.scaled(ref.split_attention, d // h), arrays, h, keep, proj)
             for a, b in zip(new, old):
                 assert a.tobytes() == b.tobytes()
 
@@ -1033,7 +1038,7 @@ class TestRetainedState:
         for masked in (False, True):
             arrays, keep = TestHeadMix.operands(rng, TestHeadMix.SHAPES[name], masked)
             params = [Parameter(a) for a in arrays]
-            out = T.attention(*params, h, 0.5, keep, 2.0)
+            out = T.attention(*params, h, keep, 2.0)
             maps = [a for a in TestAttention.kept(out.node.backward_fn).values()
                     if a.dtype == np.float64 and a.shape == (rows, n * h, n)]
             before = maps[0].copy()
@@ -1096,7 +1101,7 @@ class TestRetainedState:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            out = T.attention(*params, h, 0.5)
+            out = T.attention(*params, h)
             forward_peak = tracemalloc.get_traced_memory()[1] - base - out.data.nbytes
             markers = ["mix_t = ", "if keep is not None:"]
             peaks, grads = self.phase_peaks(out.node.backward_fn, g, markers)
@@ -1117,7 +1122,7 @@ class TestRetainedState:
         rng = np.random.default_rng(185)
         x = Parameter(rng.standard_normal((64, 32, 32)))
         gamma, beta = Parameter(rng.standard_normal(32)), Parameter(rng.standard_normal(32))
-        out, _, _ = T.normalize(x, (0, 1), 1e-5, gamma, beta)
+        out, _, _ = T.normalize(x, (0, 1), gamma, beta)
         g = rng.standard_normal(x.shape)
         tracemalloc.start()
         try:
