@@ -9,7 +9,9 @@
 # leaves behind would show there too. Every command that trains or counts at
 # the first horizon joins the diff, and a tiny config with dropout 0.1 covers
 # the dropout path, whose masks and rebuilt activations the --tiny preset never
-# records. A new command that writes artifacts belongs in this list.
+# records. `synth` with noise covers the noise substream, and `export-spectra
+# --checkpoint` the checkpoint load. A new command that writes artifacts
+# belongs in this list.
 #
 # usage: .github/rerun_diff.sh OUT_DIR   (from the repository root)
 set -euo pipefail
@@ -27,5 +29,9 @@ for seed in 1 2; do
   python -m spectral_forecaster.cli export-spectra --tiny --out "$out/spectra"
   python -m spectral_forecaster.cli param-count --tiny > "$out/param_count.json"
   python -m spectral_forecaster.cli run --config tests/fixtures/tiny_dropout.yaml --out "$out/dropout"
+  printf '{"length": 400, "noise": 0.3}\n' > "$out/noise_spec.json"
+  python -m spectral_forecaster.cli synth --spec "$out/noise_spec.json" --seed 3 --out "$out/synth_noise.csv"
+  python -m spectral_forecaster.cli export-spectra --tiny --checkpoint "$out/run/tiny_h8.ckpt" \
+    --out "$out/spectra_ckpt"
 done
 diff -r "$out_dir/rerun-1" "$out_dir/rerun-2"

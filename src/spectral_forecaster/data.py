@@ -204,7 +204,7 @@ class SplitSpec:
                 raise ConfigError(f"boundaries must be increasing positive ints, got {self.boundaries}")
             return
         fracs = (self.train_frac, self.val_frac, self.test_frac)
-        if any(f <= 0 for f in fracs):
+        if any(not f > 0 for f in fracs):  # also rejects NaN
             raise ConfigError(f"split fractions must be positive, got {fracs}")
         if abs(sum(fracs) - 1.0) > 1e-9:
             raise ConfigError(f"split fractions must sum to 1, got {fracs}")

@@ -38,15 +38,16 @@ from .training import Metrics, TrainConfig, evaluate, fit
 class ExperimentConfig:
     """One run: data source, model, optimizer, split, and output destination.
 
-    Exactly one of `dataset` (CSV path) and `synthetic` must be set. The
-    model is retrained once per entry in `horizons`, which defaults to the
-    model's own horizon; `model.horizon` is set to the first, the horizon
-    every single-model command uses.
+    Exactly one of `dataset` (CSV path) and `synthetic` must be set. A None
+    `split` becomes the dataset's standard protocol (`SplitSpec.for_name`).
+    The model is retrained once per entry in `horizons`, which defaults to
+    the model's own horizon; `model.horizon` is set to the first, the
+    horizon every single-model command uses.
     """
 
     model: ModelConfig
     train: TrainConfig = TrainConfig()
-    split: SplitSpec = SplitSpec()
+    split: SplitSpec | None = None
     dataset: str | None = None
     synthetic: SyntheticSpec | None = None
     exclude_channels: tuple[int | str, ...] = ()
@@ -57,6 +58,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if (self.dataset is None) == (self.synthetic is None):
             raise ConfigError("exactly one of dataset and synthetic must be set")
+        if self.split is None:
+            object.__setattr__(self, "split", SplitSpec.for_name(self.dataset or ""))
         if not self.horizons:
             object.__setattr__(self, "horizons", (self.model.horizon,))
         horizons = tuple(config_int(f"horizons.{i}", h) for i, h in enumerate(self.horizons))
@@ -131,8 +134,6 @@ def load_experiment_config(path) -> ExperimentConfig:
             if not (isinstance(horizons, list) and horizons):
                 raise ConfigError("set model.horizon or a horizons list")
             model["horizon"] = config_int("horizons.0", horizons[0])
-        if raw.get("split") is None:  # absent or null: the dataset's standard protocol
-            raw["split"] = dataclasses.asdict(SplitSpec.for_name(raw.get("dataset") or ""))
         return config_section(ExperimentConfig, raw, "")
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None

@@ -140,7 +140,6 @@ class AttentionBlock(Module):
 
     def __init__(self, d_model: int, n_heads: int, d_k: int, ffn_hidden: int | None,
                  activation: str = "gelu", dropout: float = 0.0):
-        self.d_model = d_model
         self.n_heads = n_heads
         self.wq = Parameter((d_model, n_heads * d_k), xavier_uniform)
         self.wk = Parameter((d_model, n_heads * d_k), xavier_uniform)
@@ -158,12 +157,8 @@ class AttentionBlock(Module):
                            self.n_heads, keep, self.attn_drop.scale)
 
     def forward(self, y: Tensor, rng: np.random.Generator | None = None) -> Tensor:
-        if y.ndim != 3 or y.shape[-1] != self.d_model:
-            raise ValueError(
-                f"expected (rows, patches, {self.d_model}) input, got shape {y.shape}"
-            )
-        # the attention's intermediates are _attend's locals, so they are
-        # freed before the MLP runs
+        # T.attention checks y's shape; its intermediates are _attend's
+        # locals, so they are freed before the MLP runs
         y1 = self.norm1(T.add(y, self._attend(y, rng)))
         return self.norm2(T.add(y1, self.mlp(y1, rng)))
 

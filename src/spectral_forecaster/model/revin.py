@@ -3,7 +3,8 @@
 Each row (one channel of one sample) is normalized to zero mean and unit
 variance over its lookback window; the captured statistics are replayed onto
 the forecast. Statistics are plain numpy, deliberately outside the gradient
-tape. Population variance, eps-floored.
+tape. Population variance, floored at ``NORM_EPS`` as in every normalization
+layer.
 """
 
 from __future__ import annotations
@@ -14,10 +15,8 @@ import numpy as np
 
 from ..errors import NumericError
 from ..numeric import tensor as T
-from ..numeric.tensor import Parameter, Tensor
+from ..numeric.tensor import NORM_EPS, Parameter, Tensor
 from ..nn import Module
-
-REVIN_EPS = 1e-5
 
 
 class RevIN(Module):
@@ -46,7 +45,7 @@ class RevIN(Module):
             raise NumericError("rows too large for revin statistics in float64")
         if np.any(var == 0.0):
             warnings.warn("zero-variance channel normalized with eps-floored std", stacklevel=2)
-        std = np.sqrt(var + REVIN_EPS)
+        std = np.sqrt(var + NORM_EPS)
         out = Tensor((x - mean) / std)
         if self.affine:
             out = T.add(T.mul(out, self.gamma), self.beta)

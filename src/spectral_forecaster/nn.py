@@ -12,6 +12,9 @@ init, so a freshly built module is its layout alone and holds no state.
 order, which the optimizer, the best-epoch snapshot and the checkpoint format
 all share, and draws every random init straight into its view, in layout
 order.
+A module keeps no copy of a size its parameters hold, and the op that reads
+a tensor checks its shape; a layer checks one itself only where its ops
+would broadcast instead (``BatchNorm``'s evaluation path).
 Forward passes that involve dropout take an explicit ``rng`` so training
 runs are reproducible from a single seed.
 """
@@ -217,17 +220,17 @@ class BatchNorm(Module):
     averages. Both floor the variance at ``NORM_EPS``.
     """
 
-    def __init__(self, num_features: int):
-        self.num_features = num_features
-        self.gamma = Parameter(num_features, 1.0)
-        self.beta = Parameter(num_features, 0.0)
-        self.running_mean = np.broadcast_to(0.0, num_features)
-        self.running_var = np.broadcast_to(1.0, num_features)
+    def __init__(self, width: int):
+        self.gamma = Parameter(width, 1.0)
+        self.beta = Parameter(width, 0.0)
+        self.running_mean = np.broadcast_to(0.0, width)
+        self.running_var = np.broadcast_to(1.0, width)
 
     def forward(self, x: Tensor) -> Tensor:
-        if x.shape[-1] != self.num_features:
+        # the evaluation path's elementwise ops would broadcast a width-1 input
+        if x.shape[-1:] != self.gamma.shape:
             raise ValueError(
-                f"expected {self.num_features} features on the last axis, got shape {x.shape}"
+                f"expected {self.gamma.size} features on the last axis, got shape {x.shape}"
             )
         if self.training:
             out, mu, v = T.normalize(x, tuple(range(x.ndim - 1)), self.gamma, self.beta)
@@ -249,16 +252,11 @@ class InstanceNorm(Module):
     One tape node with an analytic backward; the variance is floored at ``NORM_EPS``.
     """
 
-    def __init__(self, num_features: int):
-        self.num_features = num_features
-        self.gamma = Parameter(num_features, 1.0)
-        self.beta = Parameter(num_features, 0.0)
+    def __init__(self, width: int):
+        self.gamma = Parameter(width, 1.0)
+        self.beta = Parameter(width, 0.0)
 
     def forward(self, x: Tensor) -> Tensor:
-        if x.shape[-1] != self.num_features:
-            raise ValueError(
-                f"expected {self.num_features} features on the last axis, got shape {x.shape}"
-            )
         return T.normalize(x, -1, self.gamma, self.beta)[0]
 
 

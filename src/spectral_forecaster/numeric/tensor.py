@@ -1,20 +1,21 @@
 """Reverse-mode automatic differentiation over float64 numpy storage.
 
 A :class:`Tensor` wraps an ndarray together with an optional :class:`TapeNode`
-recording the op that produced it. A node names its parents by data-free
-handles, and its backward rule keeps only the shapes and arrays it reads, so
-an intermediate no rule reads is freed as soon as the forward drops it. An
-output its own node can rebuild carries that recipe, and a rule that reads
-it keeps the recipe, so each activation is held once: a ``normalize``
-output is rebuilt from the ``xhat`` that node keeps, and a ``reshape``
-passes its input's recipe on. Multi-head attention is one node,
-:func:`attention`, which keeps only its softmax maps and dropout mask and
-recomputes the rest in backward.
+recording the op that produced it. A node names a recorded parent by that
+parent's node, which holds no array, and its backward rule keeps only the
+shapes and arrays it reads, so an intermediate no rule reads is freed as
+soon as the forward drops it. An output its own node can rebuild carries
+that recipe, and a rule that reads it keeps the recipe, so each activation
+is held once: a ``normalize`` output is rebuilt from the ``xhat`` that node
+keeps, and a ``reshape`` passes its input's recipe on. Multi-head attention
+is one node, :func:`attention`, which keeps only its softmax maps and
+dropout mask and recomputes the rest in backward.
 ``backward`` walks the recorded graph once in reverse topological order,
 accumulates gradients into ``requires_grad`` leaves, and frees each node as
-soon as it is processed; calling it twice on the same loss is an error. Ops
-are module-level functions. Everything stays in float64; spectra appear only
-inside :func:`spectral_gate`, so the whole graph is real-valued.
+soon as its rule has run, by unsetting the rule and the parents; calling it
+twice on the same loss is an error. Ops are module-level functions.
+Everything stays in float64; spectra appear only inside
+:func:`spectral_gate`, so the whole graph is real-valued.
 """
 
 from __future__ import annotations
@@ -69,29 +70,27 @@ def no_grad():
 
 
 class TapeNode:
-    """One recorded op: its parents and the rule mapping output grad to parent grads.
+    """One recorded op, and the data-free handle every consumer of its output holds.
 
     ``parents`` holds each leaf operand itself and, for a recorded operand,
-    its :class:`_Ref`; ``backward_fn`` closes over shapes and the arrays it
-    reads, never over a Tensor.
+    its node; ``backward_fn`` closes over shapes and the arrays it reads,
+    never over a Tensor. ``backward`` frees the node by unsetting both, so
+    :attr:`node` reads None from then on, while the node stays a parent that
+    takes gradients (``requires_grad``) and no longer passes them on.
     """
 
     __slots__ = ("op", "parents", "backward_fn")
+    requires_grad = True
 
     def __init__(self, op, parents, backward_fn):
         self.op = op
         self.parents = parents
         self.backward_fn = backward_fn
 
-
-class _Ref:
-    """Data-free handle of a recorded output: its node, shared by every consumer."""
-
-    __slots__ = ("node", "requires_grad")
-
-    def __init__(self, node: TapeNode):
-        self.node = node
-        self.requires_grad = True
+    @property
+    def node(self) -> "TapeNode | None":
+        """This node, until backward frees it."""
+        return None if self.backward_fn is None else self
 
 
 class Tensor:
@@ -171,15 +170,11 @@ def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _tracked(t: Tensor) -> bool:
-    return t.requires_grad or t.node is not None
-
-
 def _recording(parents) -> bool:
     """Whether an op on ``parents`` records a node; ops skip backward-only work otherwise."""
     if _grad_enabled:
         for p in parents:  # a plain loop: this runs for every op, and any() costs more
-            if _tracked(p):
+            if p.requires_grad:
                 return True
     return False
 
@@ -188,7 +183,7 @@ def _from_op(data: np.ndarray, op: str, parents: tuple, backward_fn) -> Tensor:
     if _recording(parents):
         out = _make(data, requires_grad=True)
         handles = tuple([p if p._ref is None else p._ref for p in parents])
-        out._ref = _Ref(TapeNode(op, handles, backward_fn))
+        out._ref = TapeNode(op, handles, backward_fn)
         return out
     return _make(data)
 
@@ -230,7 +225,7 @@ def backward(loss: Tensor) -> None:
     loss._backward_done = True
 
     root = loss if loss._ref is None else loss._ref
-    topo: list = []  # the root, handles and leaves, parents before children
+    topo: list = []  # the root, nodes and leaves, parents before children
     seen: set[int] = set()
     stack: list = [(root, False)]
     while stack:
@@ -244,10 +239,10 @@ def backward(loss: Tensor) -> None:
         stack.append((t, True))
         if t.node is not None:
             for p in t.node.parents:
-                if id(p) not in seen and _tracked(p):
+                if id(p) not in seen and p.requires_grad:
                     stack.append((p, False))
 
-    # popping drops each entry, and unlinking its node frees the arrays the
+    # popping drops each entry, and freeing its node drops the arrays the
     # rule kept, as soon as it has run
     grads: dict[int, np.ndarray] = {id(root): np.ones((), dtype=np.float64)}
     owned: set[int] = set()  # keys whose entry is a sum this call made, safe to add into
@@ -256,16 +251,16 @@ def backward(loss: Tensor) -> None:
         g = grads.pop(id(t), None)
         if g is None:
             continue
-        node = t.node
-        if node is None:
-            # a handle whose node an earlier backward freed takes no gradient
+        if t.node is None:
+            # a leaf takes its gradient; a node an earlier backward freed takes none
             if t.requires_grad and isinstance(t, Tensor):
                 # rules may hand the same array to several parents, so never add in place
                 t.grad = g if t.grad is None else t.grad + g
             continue
-        t.node = None
-        for p, pg in zip(node.parents, node.backward_fn(g)):
-            if pg is None or not _tracked(p):
+        parents, rule = t.parents, t.backward_fn
+        t.parents = t.backward_fn = None
+        for p, pg in zip(parents, rule(g)):
+            if pg is None or not p.requires_grad:
                 continue
             key = id(p)
             if key in owned:
@@ -275,12 +270,12 @@ def backward(loss: Tensor) -> None:
                 owned.add(key)
             else:
                 grads[key] = pg
-        pg = None  # the last parent gradient is freed before the next rule runs
+        parents = rule = p = pg = None  # freed before the next rule or leaf sum runs
 
 
 def add(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    sa, sb, ta, tb = a.shape, b.shape, _tracked(a), _tracked(b)
+    sa, sb, ta, tb = a.shape, b.shape, a.requires_grad, b.requires_grad
 
     def bwd(g):
         return (_unbroadcast(g, sa) if ta else None), (_unbroadcast(g, sb) if tb else None)
@@ -290,7 +285,7 @@ def add(a, b) -> Tensor:
 
 def sub(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    sa, sb, ta, tb = a.shape, b.shape, _tracked(a), _tracked(b)
+    sa, sb, ta, tb = a.shape, b.shape, a.requires_grad, b.requires_grad
 
     def bwd(g):
         return ((_unbroadcast(g, sa) if ta else None),
@@ -301,7 +296,7 @@ def sub(a, b) -> Tensor:
 
 def mul(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    sa, sb, ta, tb = a.shape, b.shape, _tracked(a), _tracked(b)
+    sa, sb, ta, tb = a.shape, b.shape, a.requires_grad, b.requires_grad
     # each operand's data is kept only for the other operand's gradient
     ad = a.data if tb else None
     bd = b.data if ta else None
@@ -315,7 +310,7 @@ def mul(a, b) -> Tensor:
 
 def div(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    sa, sb, ta, tb = a.shape, b.shape, _tracked(a), _tracked(b)
+    sa, sb, ta, tb = a.shape, b.shape, a.requires_grad, b.requires_grad
     ad = a.data if tb else None
     bd = b.data
 
@@ -338,7 +333,7 @@ def matmul(a, b, bias=None) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError(f"matmul needs at least 2-D operands, got {a.shape} @ {b.shape}")
-    sa, sb, ta, tb = a.shape, b.shape, _tracked(a), _tracked(b)
+    sa, sb, ta, tb = a.shape, b.shape, a.requires_grad, b.requires_grad
     # each operand's data is kept only for the other operand's gradient
     bd = b.data if ta else None
     ad = _keep(a) if tb else None
@@ -844,7 +839,7 @@ def spectral_gate(y, w) -> Tensor:
     yr, yi = rfft_kernel(y.data)
     wr, wi = rfft_kernel(w.data)
     out = irfft_kernel(yr * wr - yi * wi, yr * wi + yi * wr, n)
-    ty, tw = _tracked(y), _tracked(w)
+    ty, tw = y.requires_grad, w.requires_grad
     if not tw:
         yr = yi = None  # read only for the filter's gradient
 

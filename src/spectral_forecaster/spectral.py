@@ -67,13 +67,12 @@ def _near_impulse(rng: np.random.Generator, view: np.ndarray) -> None:
 
 
 class SpectralFilter(Module):
-    """Trainable length-``n_f`` real filter applied by spectral gating."""
+    """Trainable real filter of ``length`` taps, ``w``, applied by spectral gating."""
 
-    def __init__(self, n_f: int):
-        if n_f < 1:
-            raise ValueError(f"filter length must be >= 1, got {n_f}")
-        self.n_f = n_f
-        self.w = Parameter(n_f, _near_impulse)
+    def __init__(self, length: int):
+        if length < 1:
+            raise ValueError(f"filter length must be >= 1, got {length}")
+        self.w = Parameter(length, _near_impulse)
 
     def apply(self, y: Tensor) -> Tensor:
         """Filter ``y`` along its last axis; equals circular convolution with ``w``."""
@@ -81,7 +80,7 @@ class SpectralFilter(Module):
 
 
 def amplitude_spectrum(f: SpectralFilter) -> np.ndarray:
-    """Per-bin transfer magnitudes |P_k|, length ``n_f // 2 + 1``."""
+    """Per-bin transfer magnitudes |P_k|, length ``f.w.size // 2 + 1``."""
     re, im = T.rfft_kernel(f.w.data)
     return np.hypot(re, im)
 
@@ -94,26 +93,21 @@ class SpectralBlock(Module):
 
     def __init__(self, d_model: int, n_patches: int, cfg: SpectralBlockConfig,
                  activation: str = "gelu", dropout: float = 0.0):
-        n_f = d_model if cfg.filter_axis == "embedding" else n_patches
-        if cfg.filtered_axis_length is not None and cfg.filtered_axis_length != n_f:
+        length = d_model if cfg.filter_axis == "embedding" else n_patches
+        if cfg.filtered_axis_length is not None and cfg.filtered_axis_length != length:
             raise ValueError(
                 f"config filters axis of length {cfg.filtered_axis_length}, "
-                f"but the {cfg.filter_axis} axis here has length {n_f}"
+                f"but the {cfg.filter_axis} axis here has length {length}"
             )
         self.cfg = cfg
-        self.d_model = d_model
         self.norm_in = BatchNorm(d_model)
-        self.filter = SpectralFilter(n_f)
+        self.filter = SpectralFilter(length)
         self.norm_mid = InstanceNorm(d_model)
         if cfg.use_mlp:
             self.mlp = FeedForward(d_model, cfg.mlp_hidden, activation, dropout)
 
     def filter_input(self, y: Tensor) -> Tensor:
-        """Batch-normalized ``y`` with the filtered axis moved last."""
-        if y.shape[-1] != self.d_model:
-            raise ValueError(
-                f"block built for embedding width {self.d_model}, got shape {y.shape}"
-            )
+        """Batch-normalized ``y`` with the filtered axis moved last; ``norm_in`` checks the width."""
         y = self.norm_in(y)
         return y if self.cfg.filter_axis == "embedding" else T.transpose(y, (0, 2, 1))
 

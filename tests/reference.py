@@ -491,8 +491,8 @@ def apply_filter(f: SpectralFilter, y):
     """
     as_tensor = isinstance(y, Tensor)
     yt = y if as_tensor else Tensor(np.asarray(y, dtype=np.float64))
-    if yt.shape[-1] != f.n_f:
-        raise ValueError(f"filter of length {f.n_f} cannot gate axis of length {yt.shape[-1]}")
+    if yt.shape[-1] != f.w.size:
+        raise ValueError(f"filter of length {f.w.size} cannot gate axis of length {yt.shape[-1]}")
     out = f.apply(yt)
     return out if as_tensor else out.data
 

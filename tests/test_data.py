@@ -186,6 +186,13 @@ class TestSplitSpec:
         with pytest.raises(ConfigError):
             SplitSpec(0.7, -0.1, 0.4)
 
+    @pytest.mark.parametrize("fracs", [(float("nan"), 0.1, 0.2), (0.7, float("nan"), 0.2),
+                                       (0.7, 0.1, float("nan"))])
+    def test_nan_fraction_rejected(self, fracs):
+        # not at cut_points, where int(nan) would raise a ValueError
+        with pytest.raises(ConfigError, match="positive"):
+            SplitSpec(*fracs)
+
     def test_protocol_by_name(self):
         assert SplitSpec.for_name("ETTh1.csv") == SplitSpec.ett()
         assert SplitSpec.for_name("/data/ETTm2.csv").train_frac == 0.6

@@ -106,19 +106,29 @@ out_dir: runs/demo
     def test_split_protocol_follows_dataset_name(self, tmp_path):
         csv = tmp_path / "ETTh1.csv"
         csv.write_text("date,a\n")
-        p = self.write(tmp_path, f"""
+        for split_line in ("", "split: null"):
+            p = self.write(tmp_path, f"""
 dataset: {csv}
+{split_line}
 model: {{lookback: 16, horizon: 4, patch_len: 4, d_model: 8, n_heads: 2}}
 """)
-        assert load_experiment_config(p).split == SplitSpec.ett()
+            assert load_experiment_config(p).split == SplitSpec.ett()
+        # the API gives the YAML file's split: the config owns the protocol
+        model = ModelConfig(lookback=16, horizon=4, patch_len=4, d_model=8, n_heads=2)
+        assert ExperimentConfig(model=model, dataset=str(csv)).split == SplitSpec.ett()
+        assert ExperimentConfig(model=model, dataset="weather.csv").split == SplitSpec()
+        assert ExperimentConfig(model=model, synthetic=SyntheticSpec()).split == SplitSpec()
 
     def test_explicit_split_wins(self, tmp_path):
         p = self.write(tmp_path, """
-synthetic: {length: 300}
+dataset: data/ETTh1.csv
 split: {train_frac: 0.5, val_frac: 0.25, test_frac: 0.25}
 model: {lookback: 16, horizon: 4, patch_len: 4, d_model: 8, n_heads: 2}
 """)
         assert load_experiment_config(p).split.train_frac == 0.5
+        model = ModelConfig(lookback=16, horizon=4, patch_len=4, d_model=8, n_heads=2)
+        cfg = ExperimentConfig(model=model, dataset="data/ETTh1.csv", split=SplitSpec())
+        assert cfg.split == SplitSpec()
 
     def test_unknown_keys_rejected(self, tmp_path):
         p = self.write(tmp_path, """

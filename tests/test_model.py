@@ -339,7 +339,7 @@ class TestFilterFormer:
         model = FilterFormer(cfg, np.random.default_rng(0))
         filters = model.spectral_filters()
         assert len(filters) == 1
-        assert filters[0].n_f == cfg.lookback
+        assert filters[0].w.size == cfg.lookback
         # embedded stack is attention-only in this placement
         assert all(isinstance(b, AttentionBlock) for b in model.blocks)
         out = model(np.random.default_rng(1).standard_normal((2, 16)))
@@ -489,13 +489,13 @@ class TestFilterProbe:
         first = model.spectral_filters()[0]
         fin, fout = model.filter_probe(x)
         expected_last = {"embedding-axis": 8, "patch-axis": 15, "pre-embedding": 16}[case]
-        assert fin.shape[-1] == fout.shape[-1] == first.n_f == expected_last
+        assert fin.shape[-1] == fout.shape[-1] == first.w.size == expected_last
         assert fin.shape == fout.shape
         np.testing.assert_allclose(fin, self.expected_input(model, case, x), rtol=0, atol=1e-12)
         if case == "pre-embedding":
             assert np.array_equal(fin, RevIN().normalize(x)[0].data)
-        rows_in = fin.reshape(-1, first.n_f)
-        rows_out = fout.reshape(-1, first.n_f)
+        rows_in = fin.reshape(-1, first.w.size)
+        rows_out = fout.reshape(-1, first.w.size)
         for row_in, row_out in zip(rows_in, rows_out):
             np.testing.assert_allclose(
                 row_out, naive_circular_convolution(first.w.data, row_in), rtol=0, atol=1e-12,

@@ -1187,6 +1187,30 @@ class TestRetainedState:
         np.testing.assert_array_equal(x.grad, 6.0 * x.data)
         assert handle.node is None and a.node is None
 
+    def test_backward_frees_every_node_it_walks(self):
+        """Each node loses its rule and its parents, so a constant the tape wrapped is freed while the loss is held."""
+        from spectral_forecaster.training import mse_loss
+
+        rng = np.random.default_rng(31)
+        x, w = Parameter(rng.standard_normal((4, 3))), Parameter(rng.standard_normal((3, 2)))
+        h = T.gelu(T.matmul(x, w, bias=Parameter(np.zeros(2))))
+        # the list target is wrapped in a Tensor that only the sub node holds
+        loss = mse_loss(T.add(T.mul(h, h), T.mean(h)), [[0.5, -1.0]] * 4)
+        nodes, todo = [], [loss.node]
+        while todo:
+            n = todo.pop()
+            if n is not None and n not in nodes:
+                nodes.append(n)
+                todo.extend(p.node for p in n.parents)
+        assert len(nodes) == 8
+        wrapped = [p.data for n in nodes for p in n.parents
+                   if isinstance(p, Tensor) and not p.requires_grad]
+        assert [a.tolist() for a in wrapped] == [[[0.5, -1.0]] * 4]
+        target = weakref.ref(wrapped.pop())
+        backward(loss)
+        assert all(n.backward_fn is None and n.parents is None for n in nodes)
+        assert loss.node is None and target() is None
+
     def test_second_graph_over_a_freed_intermediate(self):
         x = Parameter(np.array([1.0, 2.0]))
         y = T.mul(x, 3.0)

@@ -443,6 +443,11 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             TrainConfig(batch_size=0)
 
+    def test_nan_learning_rate_rejected(self):
+        # the YAML reader rejects NaN; the API must too, not end in a non-finite gradient
+        with pytest.raises(ConfigError, match="learning_rate"):
+            TrainConfig(learning_rate=float("nan"))
+
 
 def learnable_windows(seed=0, n=80, lookback=8, horizon=4):
     """Targets are an exact linear map of inputs, so a Linear model can reach ~0."""
