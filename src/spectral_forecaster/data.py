@@ -172,10 +172,13 @@ def exclude_channels(rs: RawSeries, channels) -> RawSeries:
                 )
             drop.add(int(ch))
         else:
-            try:
-                drop.add(rs.channel_names.index(ch))
-            except ValueError:
-                raise ValueError(f"unknown channel {ch!r}") from None
+            hits = [i for i, name in enumerate(rs.channel_names) if name == ch]
+            if not hits:
+                raise ValueError(f"unknown channel {ch!r}")
+            if len(hits) > 1:
+                raise ValueError(f"channel name {ch!r} matches {len(hits)} channels; "
+                                 "exclude them by index")
+            drop.add(hits[0])
     if len(drop) == rs.n_channels:
         raise ValueError("cannot exclude every channel")
     keep = [i for i in range(rs.n_channels) if i not in drop]

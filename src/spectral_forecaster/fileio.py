@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import errno
 import os
+import stat
 
 import numpy as np
 
@@ -16,9 +18,14 @@ def atomic_write(path, mode: str = "w", newline: str | None = None):
     The temp file lives in the same directory, so ``os.replace`` is one atomic
     rename: a reader sees the old file or the complete new one, never a
     truncated one. If the body raises, the temp file is removed and ``path``
-    is left as it was.
+    is left as it was. An existing ``path`` that is not a regular file (a
+    FIFO, a device, a socket, a directory) is refused before the temp file
+    is made.
     """
     path = os.fspath(path)
+    with contextlib.suppress(FileNotFoundError):
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            raise OSError(errno.EEXIST, "exists and is not a regular file", path)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, mode, newline=newline) as fh:

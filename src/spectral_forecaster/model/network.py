@@ -82,6 +82,13 @@ class ModelConfig:
             raise ConfigError(
                 f"patch_len={self.patch_len} exceeds lookback={self.lookback}"
             )
+        uncovered = (self.lookback - self.patch_len) % self.stride
+        if uncovered:
+            raise ConfigError(
+                f"lookback={self.lookback}, patch_len={self.patch_len} and stride={self.stride} "
+                f"leave the newest {uncovered} lookback steps outside every patch; "
+                "lookback - patch_len must be a multiple of stride"
+            )
         if self.filter_placement not in PLACEMENTS:
             raise ConfigError(
                 f"filter_placement must be one of {PLACEMENTS}, got {self.filter_placement!r}"

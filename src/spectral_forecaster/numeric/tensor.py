@@ -12,8 +12,9 @@ is one node, :func:`attention`, which keeps only its softmax maps and
 dropout mask and recomputes the rest in backward.
 ``backward`` walks the recorded graph once in reverse topological order,
 accumulates gradients into ``requires_grad`` leaves, and frees each node as
-soon as its rule has run, by unsetting the rule and the parents; calling it
-twice on the same loss is an error. Ops are module-level functions.
+soon as its rule has run, by unsetting the rule and the parents. A graph
+that reaches a freed node, as a second call on the same loss does, is refused
+before any rule runs. Ops are module-level functions.
 Everything stays in float64; spectra appear only inside
 :func:`spectral_gate`, so the whole graph is real-valued.
 """
@@ -75,8 +76,8 @@ class TapeNode:
     ``parents`` holds each leaf operand itself and, for a recorded operand,
     its node; ``backward_fn`` closes over shapes and the arrays it reads,
     never over a Tensor. ``backward`` frees the node by unsetting both, so
-    :attr:`node` reads None from then on, while the node stays a parent that
-    takes gradients (``requires_grad``) and no longer passes them on.
+    :attr:`node` reads None from then on, and a later backward whose graph
+    reaches the node is refused.
     """
 
     __slots__ = ("op", "parents", "backward_fn")
@@ -213,16 +214,16 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into every requires_grad leaf, then free the tape.
 
-    Each gradient is summed into the first array this call made for it and
-    reaches its leaf at the leaf's own turn: a leaf's gradient is the fresh
-    array a rule returned or that sum, and a second backward without a reset
-    gives ``old + (g1 + g2)``.
+    A graph that reaches a node an earlier backward freed is refused with a
+    ``ValueError`` before any rule runs, so no gradient is written and no
+    node is freed. Each leaf's gradient is the fresh array a rule returned or
+    the sum of its contributions, taken at the leaf's own turn, and a second
+    backward without a reset gives ``old + (g1 + g2)``.
     """
     if loss.shape != ():
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
     if loss._backward_done:
         raise ValueError("backward was already called on this loss; build a fresh graph")
-    loss._backward_done = True
 
     root = loss if loss._ref is None else loss._ref
     topo: list = []  # the root, nodes and leaves, parents before children
@@ -237,39 +238,33 @@ def backward(loss: Tensor) -> None:
             continue
         seen.add(id(t))
         stack.append((t, True))
-        if t.node is not None:
-            for p in t.node.parents:
+        if isinstance(t, TapeNode):
+            if t.backward_fn is None:
+                raise ValueError(f"backward reached a {t.op!r} node an earlier backward "
+                                 "freed; build a fresh graph")
+            for p in t.parents:
                 if id(p) not in seen and p.requires_grad:
                     stack.append((p, False))
+    loss._backward_done = True
 
     # popping drops each entry, and freeing its node drops the arrays the
     # rule kept, as soon as it has run
-    grads: dict[int, np.ndarray] = {id(root): np.ones((), dtype=np.float64)}
-    owned: set[int] = set()  # keys whose entry is a sum this call made, safe to add into
+    grads: dict[int, np.ndarray] = {id(root): np.ones(())} if root.requires_grad else {}
     while topo:
         t = topo.pop()
         g = grads.pop(id(t), None)
         if g is None:
             continue
-        if t.node is None:
-            # a leaf takes its gradient; a node an earlier backward freed takes none
-            if t.requires_grad and isinstance(t, Tensor):
-                # rules may hand the same array to several parents, so never add in place
-                t.grad = g if t.grad is None else t.grad + g
+        if isinstance(t, Tensor):
+            # rules may hand the same array to several parents, so never add in place
+            t.grad = g if t.grad is None else t.grad + g
             continue
         parents, rule = t.parents, t.backward_fn
         t.parents = t.backward_fn = None
         for p, pg in zip(parents, rule(g)):
-            if pg is None or not p.requires_grad:
-                continue
-            key = id(p)
-            if key in owned:
-                grads[key] += pg
-            elif key in grads:
-                grads[key] = grads[key] + pg
-                owned.add(key)
-            else:
-                grads[key] = pg
+            if pg is not None and p.requires_grad:
+                key = id(p)
+                grads[key] = grads[key] + pg if key in grads else pg
         parents = rule = p = pg = None  # freed before the next rule or leaf sum runs
 
 

@@ -327,12 +327,13 @@ def test_patch_count_formula_on_random_shapes():
 def _random_config(rng) -> ModelConfig:
     d_model = int(rng.integers(2, 6)) * 4
     patch_len = int(rng.integers(2, 9))
+    stride = int(rng.integers(1, patch_len + 1))
     total = int(rng.integers(1, 5))
     return ModelConfig(
-        lookback=patch_len + int(rng.integers(0, 40)),
+        lookback=patch_len + stride * int(rng.integers(0, 40 // stride)),  # every step patched
         horizon=int(rng.integers(1, 30)),
         patch_len=patch_len,
-        stride=int(rng.integers(1, patch_len + 1)),
+        stride=stride,
         d_model=d_model,
         n_heads=int(rng.choice([1, 2, 4])),
         total_layers=total,

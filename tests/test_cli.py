@@ -128,6 +128,19 @@ class TestRunCommand:
         assert code == 2
         assert "invalid value" in capsys.readouterr().err
 
+    def test_excluding_a_repeated_channel_name_exits_2(self, tmp_path, capsys):
+        # used to exclude the first "a" and train on the second
+        data = tmp_path / "twice.csv"
+        data.write_text("date,a,a\n" + "".join(f"{t},{np.sin(t):.6f},{np.cos(t):.6f}\n"
+                                                for t in range(300)))
+        p = tmp_path / "exp.yaml"
+        p.write_text(MICRO_YAML.format(out=tmp_path / "out").replace(
+            "synthetic: {length: 300}", f"dataset: {data}"))
+        assert cli.main(["run", "--config", str(p), "--exclude-channels", "a"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid value:") and "'a' matches 2" in err and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_no_subcommand_prints_help(self, capsys):
         assert cli.main([]) == 2
         assert "run" in capsys.readouterr().out

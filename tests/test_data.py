@@ -169,6 +169,13 @@ class TestExcludeChannels:
         with pytest.raises(ValueError, match="out of range"):
             exclude_channels(self.series(), [7])
 
+    def test_name_matching_two_channels_rejected(self):
+        # used to drop the first match and keep the second
+        rs = RawSeries(("a", "a", "b"), np.arange(9.0).reshape(3, 3))
+        with pytest.raises(ValueError, match="'a' matches 2 channels"):
+            exclude_channels(rs, ["a"])
+        assert exclude_channels(rs, [0, "b"]).channel_names == ("a",)
+
     def test_channel_840_of_862(self):
         rs = RawSeries(
             tuple(str(i) for i in range(862)),

@@ -5,6 +5,7 @@ line ends, and each float as its shortest round-trip ``repr``.
 """
 
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -180,3 +181,31 @@ def test_failed_open_or_rename_names_the_target_not_the_temp_file(tmp_path, case
     assert info.value.filename == str(path) and info.value.filename2 is None
     assert ".tmp" not in str(info.value)
     assert not [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
+
+
+needs_mkfifo = pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+
+
+@needs_mkfifo
+def test_a_target_that_is_not_a_regular_file_is_refused_untouched(tmp_path):
+    fifo = tmp_path / "ff"
+    os.mkfifo(fifo)
+    with pytest.raises(OSError, match="not a regular file") as info:
+        with atomic_write(fifo) as fh:
+            fh.write("x\n")
+    assert info.value.filename == str(fifo)
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert os.listdir(tmp_path) == ["ff"]
+
+
+@needs_mkfifo
+def test_synth_onto_a_fifo_exits_3_with_one_line(tmp_path, capsys):
+    # used to print "wrote 2000 steps", exit 0 and leave a regular file
+    fifo = tmp_path / "ff"
+    os.mkfifo(fifo)
+    assert cli.main(["synth", "--out", str(fifo)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("data error:") and captured.err.count("\n") == 1
+    assert str(fifo) in captured.err and "wrote" not in captured.out
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert os.listdir(tmp_path) == ["ff"]

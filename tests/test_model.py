@@ -73,6 +73,19 @@ class TestModelConfig:
         with pytest.raises(ConfigError):
             tiny_config(total_layers=0)
 
+    @pytest.mark.parametrize("lookback, patch_len, stride, uncovered",
+                             [(96, 16, 12, 8), (100, 16, None, 4), (17, 4, 2, 1)])
+    def test_lookback_steps_outside_every_patch_rejected(self, lookback, patch_len, stride,
+                                                         uncovered):
+        # such a patching used to train on the leading steps alone, without a word
+        with pytest.raises(ConfigError) as info:
+            tiny_config(lookback=lookback, patch_len=patch_len, stride=stride)
+        message = str(info.value)
+        for part in (f"lookback={lookback}", f"patch_len={patch_len}",
+                     f"stride={stride or patch_len}", f"newest {uncovered} lookback steps"):
+            assert part in message
+        assert tiny_config(lookback=96, patch_len=16, stride=8).n_patches == 11
+
     def test_explicit_d_k_allows_any_width(self):
         cfg = tiny_config(d_model=9, n_heads=2, d_k=5)
         assert cfg.d_k == 5
@@ -788,26 +801,45 @@ class TestCheckpoint:
         with pytest.raises(DataError):
             load_checkpoint(path)
 
-    def test_missing_entry_rejected(self, tmp_path):
+    def saved_with_header(self, path, edit):
+        """Save the trained-looking model at ``path``, then rewrite its header through ``edit``."""
         import json
         import struct
 
-        from spectral_forecaster.errors import DataError
-        from spectral_forecaster.model import load_checkpoint, save_checkpoint
+        from spectral_forecaster.model import save_checkpoint
         from spectral_forecaster.model.checkpoint import MAGIC
 
-        model = self.trained_looking_model()
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(model, path)
+        save_checkpoint(self.trained_looking_model(), path)
         blob = path.read_bytes()
         hlen = struct.unpack(">I", blob[len(MAGIC):len(MAGIC) + 4])[0]
         start = len(MAGIC) + 4
         header = json.loads(blob[start:start + hlen])
-        header["entries"] = header["entries"][:-1]
+        edit(header)
         new_header = json.dumps(header, sort_keys=True).encode()
         path.write_bytes(MAGIC + struct.pack(">I", len(new_header)) + new_header
                          + blob[start + hlen:])
+        return path
+
+    def test_missing_entry_rejected(self, tmp_path):
+        from spectral_forecaster.errors import DataError
+        from spectral_forecaster.model import load_checkpoint
+
+        def drop_last_entry(header):
+            header["entries"] = header["entries"][:-1]
+
         with pytest.raises(DataError):
+            load_checkpoint(self.saved_with_header(tmp_path / "model.ckpt", drop_last_entry))
+
+    def test_header_config_with_unpatched_lookback_steps_rejected(self, tmp_path):
+        from spectral_forecaster.errors import DataError
+        from spectral_forecaster.model import load_checkpoint
+
+        def lengthen_lookback(header):
+            # lookback 16 -> 18 keeps 4 patches of 4, so every entry still matches
+            header["config"]["lookback"] = 18
+
+        path = self.saved_with_header(tmp_path / "model.ckpt", lengthen_lookback)
+        with pytest.raises(DataError, match="newest 2 lookback steps outside every patch"):
             load_checkpoint(path)
 
 
@@ -952,13 +984,14 @@ class TestParameterCounting:
         d_model = int(rng.integers(2, 6)) * 4
         n_heads = int(rng.choice([1, 2, 4]))
         patch_len = int(rng.integers(2, 9))
-        lookback = patch_len + int(rng.integers(0, 40))
+        stride = int(rng.integers(1, patch_len + 1))
+        lookback = patch_len + stride * int(rng.integers(0, 40 // stride))  # every step patched
         total = int(rng.integers(1, 5))
         return ModelConfig(
             lookback=lookback,
             horizon=int(rng.integers(1, 30)),
             patch_len=patch_len,
-            stride=int(rng.integers(1, patch_len + 1)),
+            stride=stride,
             d_model=d_model,
             n_heads=n_heads,
             total_layers=total,

@@ -1215,6 +1215,22 @@ class TestRetainedState:
         x = Parameter(np.array([1.0, 2.0]))
         y = T.mul(x, 3.0)
         backward(ref.sum(y))
-        loss = ref.sum(T.mul(y, x))  # y's node is gone: it now counts as a constant
-        backward(loss)
-        np.testing.assert_array_equal(x.grad, [3.0 + 3.0, 3.0 + 6.0])
+        loss = ref.sum(T.mul(y, x))  # y's node is gone, so its gradient cannot reach x
+        with pytest.raises(ValueError, match="'mul' node an earlier backward freed"):
+            backward(loss)
+        np.testing.assert_array_equal(x.grad, [3.0, 3.0])
+
+    def test_shared_trunk_is_refused_before_any_rule_runs(self):
+        w = Parameter([2.0])
+        h = T.mul(w, 3.0)
+        backward(T.mean(h))
+        w.grad = None
+        h2 = T.mul(h, h)
+        loss = T.mean(h2)
+        with pytest.raises(ValueError, match="'mul' node"):
+            backward(loss)  # would owe w.grad == 36 had h's node survived
+        assert w.grad is None
+        assert loss.node.backward_fn is not None and h2.node.backward_fn is not None
+        assert loss.node.parents[0] is h2.node and h2.node.parents == (h._ref, h._ref)
+        with pytest.raises(ValueError, match="'mul' node"):
+            backward(loss)  # a refused loss stays refused for the same reason
