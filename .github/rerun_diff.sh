@@ -9,9 +9,11 @@
 # leaves behind would show there too. Every command that trains or counts at
 # the first horizon joins the diff, and a tiny config with dropout 0.1 covers
 # the dropout path, whose masks and rebuilt activations the --tiny preset never
-# records. `synth` with noise covers the noise substream, and `export-spectra
-# --checkpoint` the checkpoint load. A new command that writes artifacts
-# belongs in this list.
+# records, and a tiny pre-embedding config the input filter and its probe.
+# `synth` with noise covers the noise substream, and `export-spectra
+# --checkpoint` the checkpoint load, of a file written now and of the earlier
+# version's fixture, whose header names retired options. A new command that
+# writes artifacts belongs in this list.
 #
 # usage: .github/rerun_diff.sh OUT_DIR   (from the repository root)
 set -euo pipefail
@@ -29,9 +31,13 @@ for seed in 1 2; do
   python -m spectral_forecaster.cli export-spectra --tiny --out "$out/spectra"
   python -m spectral_forecaster.cli param-count --tiny > "$out/param_count.json"
   python -m spectral_forecaster.cli run --config tests/fixtures/tiny_dropout.yaml --out "$out/dropout"
+  python -m spectral_forecaster.cli run --config tests/fixtures/tiny_pre_embedding.yaml \
+    --out "$out/pre_embedding"
   printf '{"length": 400, "noise": 0.3}\n' > "$out/noise_spec.json"
   python -m spectral_forecaster.cli synth --spec "$out/noise_spec.json" --seed 3 --out "$out/synth_noise.csv"
   python -m spectral_forecaster.cli export-spectra --tiny --checkpoint "$out/run/tiny_h8.ckpt" \
     --out "$out/spectra_ckpt"
+  python -m spectral_forecaster.cli export-spectra --tiny --checkpoint tests/fixtures/tiny_h8.ckpt \
+    --out "$out/spectra_fixture"
 done
 diff -r "$out_dir/rerun-1" "$out_dir/rerun-2"

@@ -235,8 +235,14 @@ def main(argv=None) -> int:
         print(f"invalid value: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
-        # sizes come from the config, so a refused allocation is a config problem
-        print(f"out of memory: {exc}", file=sys.stderr)
+        # sizes come from the config, so a refused allocation is a config problem;
+        # Python's own allocator raises it without text, so the line names the run
+        where = args.command
+        if getattr(args, "tiny", False):
+            where += " --tiny"
+        elif getattr(args, "config", None):
+            where += f" --config {args.config}"
+        print(f"out of memory: {str(exc) or where}", file=sys.stderr)
         return 2
     except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)

@@ -30,7 +30,7 @@ from .errors import ConfigError, config_int, config_section
 from .fileio import atomic_write, write_csv
 from .model import FilterFormer, ModelConfig, count_parameters, save_checkpoint
 from .numeric.tensor import rfft_kernel
-from .spectral import amplitude_spectrum
+from .spectral import SpectralBlockConfig, amplitude_spectrum
 from .training import Metrics, TrainConfig, evaluate, fit
 
 
@@ -265,7 +265,11 @@ def ablate_alpha(config: ExperimentConfig, alphas) -> tuple[list, str]:
     values = [config_int(f"alphas.{i}", a) for i, a in enumerate(alphas)]
     if not values:
         raise ConfigError("alpha list is empty")
-    settings = [(a, dataclasses.replace(config.model, alpha=a)) for a in values]
+    base = config.model
+    # the alpha=0 row builds no spectral block, so it takes no spectral section
+    settings = [(a, dataclasses.replace(base, alpha=a,
+                                        spectral=base.spectral if a else SpectralBlockConfig()))
+                for a in values]
     return _sweep(config, "alpha", settings)
 
 
@@ -273,7 +277,9 @@ def ablate_filter_placement(config: ExperimentConfig) -> tuple[list, str]:
     """Train both filter placements plus the filterless baseline, same seed.
 
     All three rows hold the same ``total_layers - alpha`` attention blocks;
-    they differ only in the filters and where those sit.
+    they differ only in the filters and where those sit. Only the
+    post-embedding row builds spectral blocks, so only it keeps the base
+    model's ``spectral`` section.
     """
     base = config.model
     if base.alpha < 1:
@@ -285,8 +291,10 @@ def ablate_filter_placement(config: ExperimentConfig) -> tuple[list, str]:
         )
     settings = [
         ("post-embedding", dataclasses.replace(base, filter_placement="post-embedding")),
-        ("pre-embedding", dataclasses.replace(base, filter_placement="pre-embedding")),
+        ("pre-embedding", dataclasses.replace(base, filter_placement="pre-embedding",
+                                              spectral=SpectralBlockConfig())),
         ("none", dataclasses.replace(base, alpha=0, total_layers=base.total_layers - base.alpha,
+                                     spectral=SpectralBlockConfig(),
                                      filter_placement="post-embedding")),
     ]
     return _sweep(config, "placement", settings)

@@ -3,7 +3,8 @@
 Layout: magic bytes, a big-endian uint32 header length, the UTF-8 JSON
 header, then the model's state arena (parameters, then buffers) as one
 block. The header carries the model config and a manifest of (name, shape,
-offset) entries in the model's deterministic traversal order; a file loads
+offset) entries in the model's deterministic traversal order (earlier files'
+configs also name the ``RETIRED`` options, dropped on load); a file loads
 only if its manifest is exactly the one its config's model lays out, and its
 payload exactly that layout's bytes. Reload is bit-exact: float64 -> bytes ->
 float64 is lossless.
@@ -26,6 +27,11 @@ from ..nn import first_non_finite, packed_offsets
 from .network import FilterFormer, ModelConfig
 
 MAGIC = b"SFCKPT1\n"
+# options earlier files name in their header config, each at the one value
+# that loads; files written now leave them out, and earlier code reads the
+# absence as that same default
+RETIRED = {"activation": "gelu", "spectral.filter_axis": "embedding",
+           "spectral.filtered_axis_length": None}
 
 
 def _manifest(model: FilterFormer) -> list[dict]:
@@ -40,6 +46,18 @@ def _entry_texts(entries) -> list[str]:
     # JSON text compares exactly: true is not 1, 2.0 is not 2, key order is moot
     entries = entries if isinstance(entries, list) else [entries]
     return [json.dumps(e, sort_keys=True) for e in entries]
+
+
+def _drop_retired(config, path):
+    """Drop the ``RETIRED`` keys from a header's ``config``; one at another value is a DataError."""
+    for dotted, old in RETIRED.items():
+        outer, _, key = dotted.rpartition(".")
+        section = config.get(outer) if outer and isinstance(config, dict) else config
+        if isinstance(section, dict) and key in section:
+            value = section.pop(key)
+            if value != old:
+                raise DataError(f"{path}: checkpoint header sets the retired option "
+                                f"config.{dotted} to {value!r}; only {old!r} loads")
 
 
 def save_checkpoint(model: FilterFormer, path) -> None:
@@ -83,6 +101,7 @@ def load_checkpoint(path) -> FilterFormer:
             found = _entry_texts(header.get("entries"))
         except (ValueError, RecursionError) as exc:
             raise DataError(f"{path}: corrupt checkpoint header: {exc}") from exc
+        _drop_retired(header.get("config"), path)
         try:
             cfg = config_section(ModelConfig, header.get("config"), "config")
             model = FilterFormer(cfg)

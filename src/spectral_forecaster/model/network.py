@@ -21,7 +21,7 @@ from ..errors import ConfigError
 from ..numeric import tensor as T
 from ..numeric.tensor import Parameter, Tensor, no_grad
 from ..spectral import SpectralBlock, SpectralBlockConfig, SpectralFilter
-from ..nn import _ACTIVATIONS, BatchNorm, Dropout, FeedForward, Linear, Module, xavier_uniform
+from ..nn import BatchNorm, Dropout, FeedForward, Linear, Module, xavier_uniform
 from .revin import RevIN
 
 PLACEMENTS = ("post-embedding", "pre-embedding")
@@ -41,7 +41,8 @@ class ModelConfig:
     first. With ``filter_placement="pre-embedding"`` the ``alpha`` filters
     act on the input instead, and they still count against
     ``total_layers``: the embedded stack holds ``total_layers - alpha``
-    attention blocks.
+    attention blocks. A model that builds no spectral block (``alpha=0``, or
+    pre-embedding) refuses a ``spectral`` section other than the default.
     """
 
     lookback: int
@@ -56,13 +57,14 @@ class ModelConfig:
     spectral: SpectralBlockConfig = field(default_factory=SpectralBlockConfig)
     filter_placement: str = "post-embedding"
     dropout: float = 0.1
-    activation: str = "gelu"
     ffn_hidden: int | None = None
     revin_affine: bool = False
 
     def __post_init__(self):
         if self.stride is None:
             object.__setattr__(self, "stride", self.patch_len)
+        if self.n_heads < 1:
+            raise ConfigError(f"n_heads must be >= 1, got {self.n_heads}")
         if self.d_k is None:
             if self.d_model % self.n_heads != 0:
                 raise ConfigError(
@@ -70,8 +72,8 @@ class ModelConfig:
                     "set d_k explicitly"
                 )
             object.__setattr__(self, "d_k", self.d_model // self.n_heads)
-        for name in ("lookback", "horizon", "patch_len", "stride", "d_model",
-                     "n_heads", "d_k", "total_layers"):
+        for name in ("lookback", "horizon", "patch_len", "stride", "d_model", "d_k",
+                     "total_layers"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0 <= self.alpha <= self.total_layers:
@@ -95,14 +97,15 @@ class ModelConfig:
             )
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.activation not in _ACTIVATIONS:
-            raise ConfigError(
-                f"activation must be one of {sorted(_ACTIVATIONS)}, got {self.activation!r}"
-            )
         if self.ffn_hidden is not None and self.ffn_hidden < 1:
             raise ConfigError(f"ffn_hidden must be >= 1, got {self.ffn_hidden}")
         if not isinstance(self.spectral, SpectralBlockConfig):
             raise ConfigError("spectral must be a SpectralBlockConfig")
+        if self.spectral != SpectralBlockConfig() and (
+                self.alpha == 0 or self.filter_placement == "pre-embedding"):
+            why = "alpha=0" if self.alpha == 0 else "filter_placement='pre-embedding'"
+            raise ConfigError(f"spectral is set, but with {why} the model builds no spectral "
+                              "block to read it; leave the section out")
 
     @property
     def n_patches(self) -> int:
@@ -146,7 +149,7 @@ class AttentionBlock(Module):
     """
 
     def __init__(self, d_model: int, n_heads: int, d_k: int, ffn_hidden: int | None,
-                 activation: str = "gelu", dropout: float = 0.0):
+                 dropout: float = 0.0):
         self.n_heads = n_heads
         self.wq = Parameter((d_model, n_heads * d_k), xavier_uniform)
         self.wk = Parameter((d_model, n_heads * d_k), xavier_uniform)
@@ -154,7 +157,7 @@ class AttentionBlock(Module):
         self.out_proj = Linear(n_heads * d_model, d_model)
         self.attn_drop = Dropout(dropout)
         self.norm1 = BatchNorm(d_model)
-        self.mlp = FeedForward(d_model, ffn_hidden, activation, dropout)
+        self.mlp = FeedForward(d_model, ffn_hidden, dropout)
         self.norm2 = BatchNorm(d_model)
 
     def _attend(self, y: Tensor, rng: np.random.Generator | None) -> Tensor:
@@ -200,10 +203,10 @@ class FilterFormer(Module):
         self.input_filters = [SpectralFilter(cfg.lookback)
                               for _ in range(cfg.alpha if pre_embedding else 0)]
         self.embedding = PatchEmbedding(cfg)
-        self.blocks = [SpectralBlock(cfg.d_model, cfg.n_patches, cfg.spectral, cfg.activation,
-                                     cfg.dropout) for _ in range(0 if pre_embedding else cfg.alpha)]
+        self.blocks = [SpectralBlock(cfg.d_model, cfg.spectral, cfg.dropout)
+                       for _ in range(0 if pre_embedding else cfg.alpha)]
         self.blocks += [AttentionBlock(cfg.d_model, cfg.n_heads, cfg.d_k, cfg.ffn_hidden,
-                                       cfg.activation, cfg.dropout)
+                                       cfg.dropout)
                         for _ in range(cfg.total_layers - cfg.alpha)]
         self.head = ForecastHead(cfg.n_patches, cfg.d_model, cfg.horizon)
         if rng is not None:
@@ -249,7 +252,7 @@ class FilterFormer(Module):
                 fin, _ = self._normalize(x_rows)
                 if not self.input_filters:
                     patches = T.unfold(fin, self.config.patch_len, self.config.stride)
-                    fin = self.blocks[0].filter_input(self.embedding(patches))
+                    fin = self.blocks[0].norm_in(self.embedding(patches))
                 return fin.data, filters[0].apply(fin).data
         finally:
             self.train(was_training)

@@ -260,22 +260,15 @@ class InstanceNorm(Module):
         return T.normalize(x, -1, self.gamma, self.beta)[0]
 
 
-_ACTIVATIONS = {"gelu": T.gelu, "relu": T.relu}
-
-
 class FeedForward(Module):
-    """Two-layer MLP, d to ``hidden`` (default ``2 * d``) to d: linear, activation, dropout, linear."""
+    """Two-layer MLP, d to ``hidden`` (default ``2 * d``) to d: linear, GELU, dropout, linear."""
 
-    def __init__(self, d: int, hidden: int | None = None, activation: str = "gelu",
-                 dropout: float = 0.0):
-        if activation not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation {activation!r}, expected one of {sorted(_ACTIVATIONS)}")
+    def __init__(self, d: int, hidden: int | None = None, dropout: float = 0.0):
         hidden = 2 * d if hidden is None else hidden
         self.lin1 = Linear(d, hidden)
         self.lin2 = Linear(hidden, d)
         self.drop = Dropout(dropout)
-        self.activation = activation
 
     def forward(self, x: Tensor, rng: np.random.Generator | None = None) -> Tensor:
         # nested, so a dropped-out activation is freed before lin2 runs
-        return self.lin2(self.drop(_ACTIVATIONS[self.activation](self.lin1(x)), rng))
+        return self.lin2(self.drop(T.gelu(self.lin1(x)), rng))

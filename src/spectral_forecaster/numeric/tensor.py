@@ -43,7 +43,6 @@ __all__ = [
     "reshape",
     "mean",
     "normalize",
-    "relu",
     "gelu",
     "attention",
     "dropout",
@@ -512,16 +511,6 @@ def normalize(a, axis, gamma, beta) -> tuple[Tensor, np.ndarray, np.ndarray]:
     if out.node is not None:
         out._rebuild = rebuild
     return out, mu, v
-
-
-def relu(a) -> Tensor:
-    a = _wrap(a)
-    mask = a.data > 0
-
-    def bwd(g):
-        return (g * mask,)
-
-    return _from_op(np.where(mask, a.data, 0.0), "relu", (a,), bwd)
 
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)

@@ -25,35 +25,22 @@ from .numeric.tensor import Parameter, Tensor
 
 FILTER_INIT_STD = 0.02
 
-_FILTER_AXES = ("embedding", "patch")
-
 
 @dataclass(frozen=True)
 class SpectralBlockConfig:
-    """Shape of a spectral block: MLP switch, its width, and the filtered axis.
+    """Shape of a spectral block: its MLP switch and the MLP's width.
 
-    ``filtered_axis_length`` may be left None and is then derived from the
-    model (embedding width, or patch count for the per-patch-axis variant).
     ``mlp_hidden`` defaults to ``2 * d_model`` (:class:`FeedForward` owns that
-    rule), whichever axis is filtered.
+    rule). A model that builds no spectral block refuses any other section
+    than the default (:class:`~spectral_forecaster.model.ModelConfig`).
     """
 
     use_mlp: bool = True
     mlp_hidden: int | None = None
-    filtered_axis_length: int | None = None
-    filter_axis: str = "embedding"
 
     def __post_init__(self):
-        if self.filter_axis not in _FILTER_AXES:
-            raise ConfigError(
-                f"filter_axis must be one of {_FILTER_AXES}, got {self.filter_axis!r}"
-            )
         if self.use_mlp and self.mlp_hidden is not None and self.mlp_hidden < 1:
             raise ConfigError(f"mlp_hidden must be >= 1, got {self.mlp_hidden}")
-        if self.filtered_axis_length is not None and self.filtered_axis_length < 1:
-            raise ConfigError(
-                f"filtered_axis_length must be >= 1, got {self.filtered_axis_length}"
-            )
 
 
 def _near_impulse(rng: np.random.Generator, view: np.ndarray) -> None:
@@ -91,31 +78,14 @@ class SpectralBlock(Module):
     Input and output are (rows, patches, d_model).
     """
 
-    def __init__(self, d_model: int, n_patches: int, cfg: SpectralBlockConfig,
-                 activation: str = "gelu", dropout: float = 0.0):
-        length = d_model if cfg.filter_axis == "embedding" else n_patches
-        if cfg.filtered_axis_length is not None and cfg.filtered_axis_length != length:
-            raise ValueError(
-                f"config filters axis of length {cfg.filtered_axis_length}, "
-                f"but the {cfg.filter_axis} axis here has length {length}"
-            )
-        self.cfg = cfg
+    def __init__(self, d_model: int, cfg: SpectralBlockConfig, dropout: float = 0.0):
         self.norm_in = BatchNorm(d_model)
-        self.filter = SpectralFilter(length)
+        self.filter = SpectralFilter(d_model)
         self.norm_mid = InstanceNorm(d_model)
-        if cfg.use_mlp:
-            self.mlp = FeedForward(d_model, cfg.mlp_hidden, activation, dropout)
-
-    def filter_input(self, y: Tensor) -> Tensor:
-        """Batch-normalized ``y`` with the filtered axis moved last; ``norm_in`` checks the width."""
-        y = self.norm_in(y)
-        return y if self.cfg.filter_axis == "embedding" else T.transpose(y, (0, 2, 1))
+        self.mlp = FeedForward(d_model, cfg.mlp_hidden, dropout) if cfg.use_mlp else None
 
     def forward(self, y: Tensor, rng: np.random.Generator | None = None) -> Tensor:
-        y = self.filter.apply(self.filter_input(y))
-        if self.cfg.filter_axis == "patch":
-            y = T.transpose(y, (0, 2, 1))
-        y = self.norm_mid(y)
-        if self.cfg.use_mlp:
+        y = self.norm_mid(self.filter.apply(self.norm_in(y)))
+        if self.mlp is not None:
             y = T.add(y, self.mlp(y, rng))
         return y

@@ -208,19 +208,18 @@ def test_every_trainable_component_passes_gradient_check():
         "AttentionBlock",
     )
 
-    for axis in ("embedding", "patch"):
-        blk = SpectralBlock(cfg.d_model, cfg.n_patches, SpectralBlockConfig(filter_axis=axis), dropout=0.0).init_state(rng)
-        total += _fd_check_params(
-            blk.named_parameters(),
-            _projection_loss(blk, data.standard_normal((2, cfg.n_patches, cfg.d_model)), 9),
-            f"SpectralBlock[{axis}]",
-        )
+    blk = SpectralBlock(cfg.d_model, SpectralBlockConfig(), dropout=0.0).init_state(rng)
+    total += _fd_check_params(
+        blk.named_parameters(),
+        _projection_loss(blk, data.standard_normal((2, cfg.n_patches, cfg.d_model)), 9),
+        "SpectralBlock",
+    )
 
     elapsed = time.time() - start
     report(
         elapsed < 120.0,
         "component gradients",
-        f"{total} parameters across 10 components match finite differences "
+        f"{total} parameters across 9 components match finite differences "
         f"(rtol 1e-3, atol 1e-6), {elapsed:.1f}s (budget 120s)",
     )
 
@@ -284,7 +283,7 @@ def test_filterless_model_is_bit_identical_to_backbone():
     embedding = PatchEmbedding(cfg).init_state(rng)
     blocks = [
         AttentionBlock(cfg.d_model, cfg.n_heads, cfg.d_k, cfg.ffn_hidden,
-                       cfg.activation, cfg.dropout).init_state(rng)
+                       cfg.dropout).init_state(rng)
         for _ in range(cfg.total_layers)
     ]
     head = ForecastHead(cfg.n_patches, cfg.d_model, cfg.horizon).init_state(rng)
@@ -329,21 +328,25 @@ def _random_config(rng) -> ModelConfig:
     patch_len = int(rng.integers(2, 9))
     stride = int(rng.integers(1, patch_len + 1))
     total = int(rng.integers(1, 5))
+    lookback = patch_len + stride * int(rng.integers(0, 40 // stride))  # every step patched
+    horizon = int(rng.integers(1, 30))
+    n_heads = int(rng.choice([1, 2, 4]))
+    alpha = int(rng.integers(0, total + 1))
+    spectral = SpectralBlockConfig(use_mlp=bool(rng.integers(0, 2)),
+                                   mlp_hidden=int(rng.integers(1, 3 * d_model)))
+    placement = str(rng.choice(["post-embedding", "pre-embedding"]))
     return ModelConfig(
-        lookback=patch_len + stride * int(rng.integers(0, 40 // stride)),  # every step patched
-        horizon=int(rng.integers(1, 30)),
+        lookback=lookback,
+        horizon=horizon,
         patch_len=patch_len,
         stride=stride,
         d_model=d_model,
-        n_heads=int(rng.choice([1, 2, 4])),
+        n_heads=n_heads,
         total_layers=total,
-        alpha=int(rng.integers(0, total + 1)),
-        spectral=SpectralBlockConfig(
-            use_mlp=bool(rng.integers(0, 2)),
-            mlp_hidden=int(rng.integers(1, 3 * d_model)),
-            filter_axis=str(rng.choice(["embedding", "patch"])),
-        ),
-        filter_placement=str(rng.choice(["post-embedding", "pre-embedding"])),
+        alpha=alpha,
+        # a model without spectral blocks refuses a spectral section
+        spectral=spectral if alpha and placement == "post-embedding" else SpectralBlockConfig(),
+        filter_placement=placement,
         dropout=float(rng.uniform(0, 0.5)),
         revin_affine=bool(rng.integers(0, 2)),
     )

@@ -93,6 +93,18 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("out of memory: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("source", ["tiny", "config"])
+    def test_memory_error_without_text_names_the_command(self, tmp_path, monkeypatch, capsys,
+                                                         source):
+        # printed "out of memory: " and nothing after it
+        def exhaust(config):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "run", exhaust)
+        argv = ["--tiny"] if source == "tiny" else ["--config", str(write_micro_config(tmp_path))]
+        assert cli.main(["run", *argv]) == 2
+        assert capsys.readouterr().err == f"out of memory: run {' '.join(argv)}\n"
+
     def test_numeric_failure_exits_4(self, tmp_path, monkeypatch, capsys):
         def explode(config):
             raise NumericError("validation loss diverged at epoch 3")
@@ -246,6 +258,46 @@ class TestConfigErrors:
         err = self.exits_2(capsys, [command, "--config", str(p)])
         assert "must be true or false" in err
         assert ("use_mlp" if field == "spectral" else field) in err
+
+    @pytest.mark.parametrize("command", ["param-count", "run"])
+    def test_zero_heads_exits_2(self, tmp_path, capsys, command):
+        # divided by zero, with a traceback and exit 1
+        p = tmp_path / "exp.yaml"
+        p.write_text("synthetic: {length: 300}\n"
+                     "model: {lookback: 16, horizon: 4, patch_len: 4, d_model: 8, n_heads: 0}\n")
+        err = self.exits_2(capsys, [command, "--config", str(p), "--out", str(tmp_path / "out")])
+        assert err.rstrip("\n").endswith("n_heads must be >= 1, got 0")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["param-count", "run"])
+    @pytest.mark.parametrize("model, reason", [
+        ("alpha: 0", "alpha=0"),
+        ("filter_placement: pre-embedding", "filter_placement='pre-embedding'"),
+    ], ids=["alpha-0", "pre-embedding"])
+    def test_spectral_section_no_block_reads_exits_2(self, tmp_path, capsys, command, model,
+                                                     reason):
+        # the section was accepted and did nothing; run trained and exited 0
+        p = tmp_path / "exp.yaml"
+        p.write_text("synthetic: {length: 300}\n"
+                     "model: {lookback: 16, horizon: 4, patch_len: 4, d_model: 8, n_heads: 2, "
+                     f"{model}, spectral: {{mlp_hidden: 1000000000}}}}\n"
+                     "train: {max_epochs: 1, patience: 1}\n")
+        err = self.exits_2(capsys, [command, "--config", str(p), "--out", str(tmp_path / "out")])
+        assert f"spectral is set, but with {reason} the model builds no spectral block" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("field, key", [
+        ("activation: gelu", "activation"),
+        ("spectral: {filter_axis: embedding}", "spectral.filter_axis"),
+        ("spectral: {filtered_axis_length: 8}", "spectral.filtered_axis_length"),
+    ], ids=["activation", "filter_axis", "filtered_axis_length"])
+    def test_retired_option_is_an_unknown_key(self, tmp_path, capsys, field, key):
+        p = tmp_path / "exp.yaml"
+        p.write_text("synthetic: {length: 300}\n"
+                     "model: {lookback: 16, horizon: 4, patch_len: 4, d_model: 8, n_heads: 2, "
+                     f"{field}}}\n")
+        err = self.exits_2(capsys, ["param-count", "--config", str(p)])
+        assert f"unknown keys ['model.{key}']" in err
 
     def test_fractional_batch_size_exits_2(self, tmp_path, capsys):
         err = self.param_count(tmp_path, capsys, "train: {batch_size: 32.5}\n")
@@ -478,6 +530,31 @@ class TestExportSpectraCommand:
                                         "d_model": 10**6, "n_heads": 2}, "entries": []})
         err = self.run_on_header(tmp_path, capsys, header.encode())
         assert "parameters" in err
+
+    def test_checkpoint_with_zero_heads_exits_3(self, tmp_path, capsys):
+        # divided by zero, with a traceback and exit 1
+        header = json.dumps({"config": {"lookback": 16, "horizon": 8, "patch_len": 4,
+                                        "d_model": 8, "n_heads": 0, "d_k": None}, "entries": []})
+        err = self.run_on_header(tmp_path, capsys, header.encode())
+        assert err.rstrip("\n").endswith("n_heads must be >= 1, got 0")
+
+    @pytest.mark.parametrize("retired, dotted, value", [
+        ({"activation": "relu"}, "activation", "relu"),
+        ({"spectral": {"filter_axis": "patch"}}, "spectral.filter_axis", "patch"),
+        ({"spectral": {"filtered_axis_length": 8}}, "spectral.filtered_axis_length", 8),
+    ], ids=["activation", "filter_axis", "filtered_axis_length"])
+    def test_checkpoint_with_retired_option_at_another_value_exits_3(self, tmp_path, capsys,
+                                                                      retired, dotted, value):
+        from spectral_forecaster.model.checkpoint import RETIRED
+
+        # activation: relu used to load and run its own MLPs
+        config = {"lookback": 16, "horizon": 8, "patch_len": 4, "d_model": 8, "n_heads": 2,
+                  **retired}
+        err = self.run_on_header(tmp_path, capsys,
+                                 json.dumps({"config": config, "entries": []}).encode())
+        assert err.rstrip("\n").endswith(
+            f"checkpoint header sets the retired option config.{dotted} to {value!r}; "
+            f"only {RETIRED[dotted]!r} loads")
 
     def test_checkpoint_with_list_header_exits_3(self, tmp_path, capsys):
         err = self.run_on_header(tmp_path, capsys, b"[1, 2, 3]")

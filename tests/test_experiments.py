@@ -23,6 +23,7 @@ from spectral_forecaster.experiments import (
     tiny_experiment_config,
 )
 from spectral_forecaster.model import FilterFormer, ModelConfig
+from spectral_forecaster.spectral import SpectralBlockConfig
 from spectral_forecaster.training import TrainConfig
 
 
@@ -314,6 +315,30 @@ class TestAblations:
         )
         with pytest.raises(ConfigError, match="at least one attention block"):
             ablate_filter_placement(cfg)
+
+    def test_rows_without_spectral_blocks_take_the_default_section(self, tmp_path, monkeypatch):
+        # such a row refuses any other spectral section than the default, so a
+        # base model that sets one would otherwise not sweep
+        import spectral_forecaster.experiments as experiments
+
+        seen = []
+        train_once = experiments._train_once
+
+        def recording(config, model_cfg, series):
+            seen.append(model_cfg.spectral)
+            return train_once(config, model_cfg, series)
+
+        monkeypatch.setattr(experiments, "_train_once", recording)
+        spectral = SpectralBlockConfig(mlp_hidden=5)
+        cfg = micro_config(
+            tmp_path / "sp",
+            model=ModelConfig(lookback=16, horizon=4, patch_len=4, d_model=8, n_heads=2,
+                              total_layers=2, alpha=1, spectral=spectral, dropout=0.0),
+        )
+        ablate_alpha(cfg, [0, 1])
+        ablate_filter_placement(cfg)
+        default = SpectralBlockConfig()
+        assert seen == [default, spectral, spectral, default, default]
 
     def test_sweeps_share_data_and_seed(self, tmp_path):
         # alpha=0 rows of two different sweeps must agree exactly: the

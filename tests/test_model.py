@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import struct
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -69,8 +70,6 @@ class TestModelConfig:
         with pytest.raises(ConfigError):
             tiny_config(d_model=9, n_heads=2)  # indivisible without explicit d_k
         with pytest.raises(ConfigError):
-            tiny_config(activation="tanh")
-        with pytest.raises(ConfigError):
             tiny_config(total_layers=0)
 
     @pytest.mark.parametrize("lookback, patch_len, stride, uncovered",
@@ -97,8 +96,7 @@ class TestModelConfig:
         assert again == cfg
         # every field off its default, so a field read under another key shows
         configs = [
-            SpectralBlockConfig(use_mlp=False, mlp_hidden=5, filtered_axis_length=3,
-                                filter_axis="patch"),
+            SpectralBlockConfig(use_mlp=False, mlp_hidden=5),
             TrainConfig(learning_rate=0.5, batch_size=3, max_epochs=4, patience=2, seed=9),
             SplitSpec(train_frac=0.5, val_frac=0.25, test_frac=0.25, boundaries=(10, 20)),
             SyntheticSpec(components=((1.0, 0.1, 0.0), (0.5, 0.2, 1.0), (0.25, 0.3, 2.0)),
@@ -118,6 +116,43 @@ class TestModelConfig:
         d["spectral"]["width"] = 3
         with pytest.raises(ConfigError, match=r"\['model.spectral.width'\]"):
             config_section(ModelConfig, d, "model")
+
+    # every user-settable value, spectral fields dotted, moved off its value in
+    # FIELD_BASE, where the field should act: one spectral block with an MLP,
+    # two attention blocks and dropout
+    FIELD_BASE = dict(total_layers=3, alpha=1, dropout=0.1)
+    FIELD_MOVES = {
+        "lookback": 20, "horizon": 4, "patch_len": 8, "stride": 2, "d_model": 12,
+        "n_heads": 4, "d_k": 3, "total_layers": 4, "alpha": 2,
+        "filter_placement": "pre-embedding", "dropout": 0.3, "ffn_hidden": 5,
+        "revin_affine": True, "spectral.use_mlp": False, "spectral.mlp_hidden": 5,
+    }
+
+    def test_every_field_acts(self):
+        """Each field, moved, changes the checkpoint manifest or a seeded training forward.
+
+        A field that changes neither is read and ignored; a new field needs
+        an entry in ``FIELD_MOVES``, so such a field cannot land unseen.
+        """
+        fields = [f.name for f in dataclasses.fields(ModelConfig) if f.name != "spectral"]
+        fields += ["spectral." + f.name for f in dataclasses.fields(SpectralBlockConfig)]
+        assert sorted(self.FIELD_MOVES) == sorted(fields)
+
+        def manifest_and_forward(**overrides):
+            cfg = tiny_config(**{**self.FIELD_BASE, **overrides})
+            model = FilterFormer(cfg, np.random.default_rng(0)).train()
+            x = np.random.default_rng(1).standard_normal((4, cfg.lookback))
+            return checkpoint._manifest(model), model(x, rng=np.random.default_rng(2)).data
+
+        base_manifest, base_out = manifest_and_forward()
+        dead = []
+        for name, value in self.FIELD_MOVES.items():
+            section, _, key = name.rpartition(".")
+            moved = {"spectral": SpectralBlockConfig(**{key: value})} if section else {key: value}
+            manifest, out = manifest_and_forward(**moved)
+            if manifest == base_manifest and np.array_equal(out, base_out):
+                dead.append(name)
+        assert not dead, f"fields that change nothing: {dead}"
 
 
 class TestPatchify:
@@ -322,7 +357,7 @@ class TestFilterFormer:
         embedding = PatchEmbedding(cfg).init_state(rng)
         blocks = [
             AttentionBlock(cfg.d_model, cfg.n_heads, cfg.d_k, cfg.ffn_hidden,
-                           cfg.activation, cfg.dropout).init_state(rng)
+                           cfg.dropout).init_state(rng)
             for _ in range(cfg.total_layers)
         ]
         head = ForecastHead(cfg.n_patches, cfg.d_model, cfg.horizon).init_state(rng)
@@ -467,8 +502,6 @@ class TestFilterProbe:
 
     CASES = {
         "embedding-axis": dict(),
-        # 15 patches filtered, 8 features wide: a dropped swap changes the shape
-        "patch-axis": dict(lookback=60, spectral=SpectralBlockConfig(filter_axis="patch")),
         "pre-embedding": dict(alpha=2, total_layers=3, filter_placement="pre-embedding"),
     }
 
@@ -493,15 +526,14 @@ class TestFilterProbe:
         y = patches @ model.embedding.proj.data + model.embedding.pos.data
         norm = model.blocks[0].norm_in
         y = (y - norm.running_mean) / np.sqrt(norm.running_var + T.NORM_EPS)
-        y = y * norm.gamma.data + norm.beta.data
-        return y if case == "embedding-axis" else np.swapaxes(y, -1, -2)
+        return y * norm.gamma.data + norm.beta.data
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_probe_matches_oracles(self, case):
         model, x = self.model_and_input(case)
         first = model.spectral_filters()[0]
         fin, fout = model.filter_probe(x)
-        expected_last = {"embedding-axis": 8, "patch-axis": 15, "pre-embedding": 16}[case]
+        expected_last = {"embedding-axis": 8, "pre-embedding": 16}[case]
         assert fin.shape[-1] == fout.shape[-1] == first.w.size == expected_last
         assert fin.shape == fout.shape
         np.testing.assert_allclose(fin, self.expected_input(model, case, x), rtol=0, atol=1e-12)
@@ -777,8 +809,18 @@ class TestCheckpoint:
         model = load_checkpoint(fixture)
         arena = model.state_arena()
         assert arena.astype("<f8").tobytes() == blob[-arena.nbytes:]
+        # the rewrite leaves out the retired options the fixture's header names
+        start = len(checkpoint.MAGIC) + 4
+        end = start + struct.unpack(">I", blob[len(checkpoint.MAGIC):start])[0]
+        header = json.loads(blob[start:end])
+        assert json.dumps(header, sort_keys=True).encode() == blob[start:end]
+        assert header["config"].pop("activation") == "gelu"
+        assert header["config"]["spectral"].pop("filter_axis") == "embedding"
+        assert header["config"]["spectral"].pop("filtered_axis_length") is None
+        new_header = json.dumps(header, sort_keys=True).encode()
         save_checkpoint(model, tmp_path / "again.ckpt")
-        assert (tmp_path / "again.ckpt").read_bytes() == blob
+        assert (tmp_path / "again.ckpt").read_bytes() == (
+            checkpoint.MAGIC + struct.pack(">I", len(new_header)) + new_header + blob[end:])
 
     def test_bad_magic_rejected(self, tmp_path):
         from spectral_forecaster.errors import DataError
@@ -846,17 +888,18 @@ class TestCheckpoint:
 class TestLayout:
     # sha256 prefixes of FilterFormer(cfg, default_rng(0)).state_arena(), as
     # the constructors drew it before parameters were declared by shape
+    # (strided-affine: as drawn before filter_axis was removed)
     PINNED = {
         "tiny": "087efe6e0b9954a1",
         "paper": "1db372f2995766b7",
         "prefilter336": "299e7583dd3148a6",
-        "patch-axis": "744bcc8d008bfff9",
+        "strided-affine": "db9d932f88abc1db",
     }
     # sha256 prefixes of the sorted-key JSON of each layout's checkpoint
     # manifest (entry names, shapes, offsets), and its entry count
     MANIFEST = {
         "paper": ("5b1fcbf2b4f4849a", 66),
-        "patch-axis": ("3761f562edc8abf7", 45),
+        "strided-affine": ("267a37b0e68fe439", 45),
         "prefilter336": ("23a5f1ec16f03478", 23),
         "tiny": ("d9de92039934d76e", 32),
     }
@@ -872,10 +915,10 @@ class TestLayout:
             "prefilter336": lambda: ModelConfig(
                 lookback=336, horizon=96, patch_len=16, d_model=64, n_heads=4, total_layers=3,
                 alpha=2, filter_placement="pre-embedding", dropout=0.0),
-            "patch-axis": lambda: ModelConfig(
+            # overlapping patches, a set MLP width and RevIN's affine
+            "strided-affine": lambda: ModelConfig(
                 lookback=48, horizon=24, patch_len=8, stride=4, d_model=24, n_heads=3,
-                total_layers=3, alpha=2,
-                spectral=SpectralBlockConfig(filter_axis="patch", mlp_hidden=10),
+                total_layers=3, alpha=2, spectral=SpectralBlockConfig(mlp_hidden=10),
                 revin_affine=True),
         }[name]()
 
@@ -987,21 +1030,24 @@ class TestParameterCounting:
         stride = int(rng.integers(1, patch_len + 1))
         lookback = patch_len + stride * int(rng.integers(0, 40 // stride))  # every step patched
         total = int(rng.integers(1, 5))
+        horizon = int(rng.integers(1, 30))
+        alpha = int(rng.integers(0, total + 1))
+        spectral = SpectralBlockConfig(use_mlp=bool(rng.integers(0, 2)),
+                                       mlp_hidden=int(rng.integers(1, 3 * d_model)))
+        placement = str(rng.choice(["post-embedding", "pre-embedding"]))
         return ModelConfig(
             lookback=lookback,
-            horizon=int(rng.integers(1, 30)),
+            horizon=horizon,
             patch_len=patch_len,
             stride=stride,
             d_model=d_model,
             n_heads=n_heads,
             total_layers=total,
-            alpha=int(rng.integers(0, total + 1)),
-            spectral=SpectralBlockConfig(
-                use_mlp=bool(rng.integers(0, 2)),
-                mlp_hidden=int(rng.integers(1, 3 * d_model)),
-                filter_axis=str(rng.choice(["embedding", "patch"])),
-            ),
-            filter_placement=str(rng.choice(["post-embedding", "pre-embedding"])),
+            alpha=alpha,
+            # a model without spectral blocks refuses a spectral section
+            spectral=spectral if alpha and placement == "post-embedding"
+            else SpectralBlockConfig(),
+            filter_placement=placement,
             dropout=float(rng.uniform(0, 0.5)),
             revin_affine=bool(rng.integers(0, 2)),
         )
@@ -1280,7 +1326,7 @@ class TestLeanNodesTrainAlike:
             return model.parameter_arena().copy(), losses
 
         lean = train()
-        monkeypatch.setitem(nn._ACTIVATIONS, "gelu", ref.two_array_gelu)
+        monkeypatch.setattr(T, "gelu", ref.two_array_gelu)
         monkeypatch.setattr(nn.Dropout, "forward", ref.float_mask_dropout)
         monkeypatch.setattr(AttentionBlock, "_attend", ref.split_attend)
         monkeypatch.setattr(T, "normalize", ref.recipe_free_normalize)

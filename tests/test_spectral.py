@@ -158,14 +158,13 @@ class TestTransferAndAmplitudes:
 
 
 class TestSpectralBlock:
-    def make_block(self, d=6, n_patches=4, use_mlp=True, axis="embedding", seed=0):
-        cfg = SpectralBlockConfig(use_mlp=use_mlp, filter_axis=axis)
-        return SpectralBlock(d, n_patches, cfg, dropout=0.0).init_state(np.random.default_rng(seed))
+    def make_block(self, d=6, use_mlp=True, seed=0):
+        cfg = SpectralBlockConfig(use_mlp=use_mlp)
+        return SpectralBlock(d, cfg, dropout=0.0).init_state(np.random.default_rng(seed))
 
     @pytest.mark.parametrize("use_mlp", [False, True])
-    @pytest.mark.parametrize("axis", ["embedding", "patch"])
-    def test_shape_preserved(self, use_mlp, axis):
-        block = self.make_block(use_mlp=use_mlp, axis=axis)
+    def test_shape_preserved(self, use_mlp):
+        block = self.make_block(use_mlp=use_mlp)
         y = Tensor(np.random.default_rng(1).standard_normal((3, 4, 6)))
         assert block(y).shape == (3, 4, 6)
 
@@ -208,20 +207,13 @@ class TestSpectralBlock:
         with pytest.raises(ValueError):
             block(Tensor(np.zeros((2, 4, 7))))
 
-    def test_explicit_axis_length_mismatch_rejected(self):
-        cfg = SpectralBlockConfig(filtered_axis_length=5)
-        with pytest.raises(ValueError):
-            SpectralBlock(6, 4, cfg)
-
     def test_bad_config_rejected(self):
-        with pytest.raises(ConfigError):
-            SpectralBlockConfig(filter_axis="time")
         with pytest.raises(ConfigError):
             SpectralBlockConfig(use_mlp=True, mlp_hidden=0)
 
     @pytest.mark.parametrize("use_mlp", [False, True])
     def test_block_gradients_match_finite_differences(self, use_mlp):
-        block = self.make_block(d=6, n_patches=3, use_mlp=use_mlp, seed=5)
+        block = self.make_block(d=6, use_mlp=use_mlp, seed=5)
         x = np.random.default_rng(6).standard_normal((2, 3, 6))
         proj = np.random.default_rng(7).standard_normal((2, 3, 6))
 

@@ -193,7 +193,6 @@ class TestGradientsAgainstFiniteDifferences:
         rng = np.random.default_rng(16)
         x = rng.standard_normal((4, 4)) * 2.0
         gradcheck(lambda a: T.mean(T.gelu(a)), x)
-        gradcheck(lambda a: T.mean(T.relu(a)), x + 0.05)
         gradcheck(lambda a: ref.sum(ref.sqrt(a)), np.abs(x) + 1.0)
 
     def test_softmax(self):
@@ -569,7 +568,7 @@ class TestNormalize:
     CASES = [
         ((6, 4), False),
         ((3, 5, 4), False),
-        ((3, 4, 5), True),   # swapped to (3, 5, 4): the filter_axis="patch" layout
+        ((3, 4, 5), True),   # swapped to (3, 5, 4): a non-contiguous input
     ]
 
     @staticmethod
